@@ -1,14 +1,21 @@
 """Exhaustive search for weighted magic squares coupling a weight pair.
 
 Rows are enumerated as the non-negative integer solutions of the row
-relation, assembled depth-first into squares with prefix pruning against
-the column relation, and reported once per row multiset in a canonical
-arrangement.
+relation (cached per weight system), assembled depth-first into squares
+with prefix pruning against the column relation, and reported once per
+row multiset in a canonical arrangement.
+
+The depth-first assembly does two things to visit fewer arrangements
+without changing its output.  The last row is solved from the column
+residuals instead of looped over.  Rows whose column weights b_i are
+equal are taken in enumeration order only, since swapping them leaves
+every column sum unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 from . import magic
@@ -46,6 +53,11 @@ class SearchQuery:
 def enumerate_rows(wa: WeightSystem) -> list[tuple[int, ...]]:
     """All non-negative integer rows c with sum(c_j * a_j) = h,
     lexicographically descending."""
+    return list(_rows(wa))
+
+
+@lru_cache(maxsize=64)
+def _rows(wa: WeightSystem) -> tuple[tuple[int, ...], ...]:
     if 0 in wa.weights:
         raise ValidationError("row enumeration requires strictly positive weights")
     n = wa.n
@@ -60,7 +72,7 @@ def enumerate_rows(wa: WeightSystem) -> list[tuple[int, ...]]:
             extend(j + 1, remaining - c * wa.weights[j], prefix + (c,))
 
     extend(0, wa.degree, ())
-    return out
+    return tuple(out)
 
 
 def _columns_valid(rows, wb: WeightSystem) -> bool:
@@ -88,12 +100,21 @@ def canonicalize(rows, wb: WeightSystem) -> tuple[tuple[int, ...], ...] | None:
 def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
     """Every magic square coupling (q.wa, q.wb), one per row multiset.
 
+    Rows are placed depth-first in enumeration order.  The last row is
+    not looped over: the column residuals (k - s_j) / b_n fix it, and it
+    is kept only if it satisfies the row relation.  Where b_i = b_(i-1),
+    row i is never earlier in enumeration order than row i-1.  Each
+    multiset's first arrangement in depth-first order is its
+    lexicographically greatest valid one, which that ordering keeps, so
+    multisets are discovered in the same order as by the unpruned search.
+
     Results are deduplicated by row multiset, rendered in canonical
     arrangement, filtered by classification and strongness, and sorted
     descending by flattened entries.  Exceeding the result cap raises
     SearchCapExceeded carrying the results collected so far.
     """
     rows = enumerate_rows(q.wa)
+    position = {row: j for j, row in enumerate(rows)}
     n = q.wa.n
     k = q.wb.degree
     b = q.wb.weights
@@ -124,17 +145,26 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
             )
         accepted.append(ms)
 
-    def assemble(i: int, chosen: tuple[tuple[int, ...], ...], col_sums) -> None:
-        if i == n:
-            if all(s == k for s in col_sums):
-                admit(chosen)
+    def assemble(i: int, start: int, chosen: tuple[tuple[int, ...], ...],
+                 col_sums) -> None:
+        # start: the first row index allowed at depth i, nonzero only
+        # when b_i = b_(i-1)
+        if i == n - 1:
+            residuals = [k - s for s in col_sums]
+            if any(r % b[i] for r in residuals):
+                return
+            row = tuple(r // b[i] for r in residuals)
+            if position.get(row, -1) >= start:
+                admit(chosen + (row,))
             return
-        for row in rows:
+        tie = b[i + 1] == b[i]
+        for j in range(start, len(rows)):
+            row = rows[j]
             sums = tuple(s + b[i] * c for s, c in zip(col_sums, row))
             if all(s <= k for s in sums):
-                assemble(i + 1, chosen + (row,), sums)
+                assemble(i + 1, j if tie else 0, chosen + (row,), sums)
 
-    assemble(0, (), (0,) * n)
+    assemble(0, 0, (), (0,) * n)
     return sorted(accepted, key=lambda m: m.entries, reverse=True)
 
 

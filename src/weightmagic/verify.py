@@ -222,17 +222,22 @@ def _reduced_pairs(max_degree: int):
     return systems
 
 
-def _brute_force_squares(wa: WeightSystem, wb: WeightSystem):
-    """Scan all n=2 matrices with entries <= degree for both relations.
+def _brute_force_rows(wa: WeightSystem):
+    """Scan all n=2 rows with entries <= degree for the row relation;
+    independent of the search module's enumeration."""
+    (a1, a2), h = wa.weights, wa.degree
+    return [(e1, e2)
+            for e1 in range(h + 1) for e2 in range(h + 1)
+            if a1 * e1 + a2 * e2 == h]
+
+
+def _brute_force_squares(rows, wb: WeightSystem):
+    """Check every pair of the given rows against the column relation.
 
     Returns the set of row multisets and, per multiset, every valid
     arrangement; independent of the search module's enumeration order.
     """
-    (a1, a2), h = wa.weights, wa.degree
     (b1, b2), k = wb.weights, wb.degree
-    rows = [(e1, e2)
-            for e1 in range(h + 1) for e2 in range(h + 1)
-            if a1 * e1 + a2 * e2 == h]
     arrangements: dict[tuple, set[tuple]] = {}
     for r1, r2 in product(rows, repeat=2):
         if (b1 * r1[0] + b2 * r2[0] == k
@@ -269,8 +274,9 @@ def check_search(ctx: _Context, brute_degree_bound: int = 12
     checked_pairs = 0
     systems = _reduced_pairs(brute_degree_bound)
     for wa in systems:
+        rows = _brute_force_rows(wa)
         for wb in systems:
-            brute = _brute_force_squares(wa, wb)
+            brute = _brute_force_squares(rows, wb)
             found = search.find_magic_squares(search.SearchQuery(wa, wb))
             checked_pairs += 1
             if {tuple(sorted(m.entries)) for m in found} != set(brute):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from weightmagic import (SearchCapExceeded, SearchQuery, ValidationError,
                          canonicalize, classify, column_orbits,
                          find_magic_squares, parse_weight_system, validate)
+from weightmagic.search import enumerate_rows
 
 W10 = parse_weight_system("1,3,5;10")
 W30 = parse_weight_system("4,10,13;30")
@@ -61,6 +64,17 @@ class TestEnumerateRows:
         w = parse_weight_system("2,3,0;6", allow_zero_weight=True)
         with pytest.raises(ValidationError):
             enumerate_rows(w)
+
+    def test_mutating_returned_rows_does_not_leak(self):
+        w = parse_weight_system("1,1,1;6")
+        before = entries(find_magic_squares(SearchQuery(w, w)))
+        rows = enumerate_rows(w)
+        expected = list(rows)
+        rows.reverse()
+        rows.pop()
+        rows.append((1, 2, 3))
+        assert enumerate_rows(w) == expected
+        assert entries(find_magic_squares(SearchQuery(w, w))) == before
 
 
 class TestFindMagicSquares:
@@ -130,6 +144,99 @@ class TestFindMagicSquares:
             find_magic_squares(SearchQuery(w, w, cap=2))
         assert entries(info.value.partial) == [
             ((4, 0), (0, 4)), ((3, 1), (1, 3))]
+
+
+def unpruned_search(wa, wb, filter="any", strong_only=False):
+    """Every arrangement of rows, checked whole, one result per multiset."""
+    k = wb.degree
+    found = {}
+    for rows in product(enumerate_rows(wa), repeat=wa.n):
+        if all(sum(b * row[j] for b, row in zip(wb.weights, rows)) == k
+               for j in range(wa.n)):
+            key = tuple(sorted(rows))
+            if key not in found:
+                found[key] = canonicalize(key, wb)
+    kept = []
+    for canonical in found.values():
+        report = classify(validate(canonical, wa, wb))
+        if filter == "primitive" and report.classification != "primitive":
+            continue
+        if filter == "almost_primitive" and report.classification not in (
+                "primitive", "almost_primitive"):
+            continue
+        if strong_only and not report.strong:
+            continue
+        kept.append(canonical)
+    return sorted(kept, reverse=True)
+
+
+class TestPrunedSearchMatchesUnpruned:
+    @pytest.mark.parametrize("wa,wb", [
+        ("1,1,1,1;3", "1,1,1,1;3"),  # n=4, all weights equal
+        ("1,1,2,2;6", "1,1,2,2;6"),  # n=4, two adjacent equal pairs
+        ("1,1,2,2;4", "1,1,2,2;4"),
+        ("1,1,1,1;2", "1,1,2,2;3"),
+        ("2,2,1;6", "2,2,1;6"),      # n=3, equal pair first
+        ("1,1,1;3", "2,2,1;6"),
+        ("1,2,1;8", "1,2,1;8"),      # n=3, equal weights not adjacent
+        ("1,1,2;8", "1,2,1;8"),
+        ("1,1,1;6", "1,1,1;6"),
+        ("1,3,5;10", "4,10,13;30"),  # distinct weights
+    ])
+    def test_same_ordered_results(self, wa, wb):
+        wa, wb = parse_weight_system(wa), parse_weight_system(wb)
+        assert entries(find_magic_squares(SearchQuery(wa, wb))) == (
+            unpruned_search(wa, wb))
+
+    @pytest.mark.parametrize("filter,strong_only", [
+        ("almost_primitive", False), ("primitive", False), ("any", True)])
+    def test_same_ordered_filtered_results(self, filter, strong_only):
+        w = parse_weight_system("1,2,1;8")
+        q = SearchQuery(w, w, filter=filter, strong_only=strong_only)
+        assert entries(find_magic_squares(q)) == unpruned_search(
+            w, w, filter, strong_only)
+
+
+class TestCapOnEqualWeights:
+    W = parse_weight_system("1,1,1;6")
+
+    def test_uncapped_count(self):
+        assert len(find_magic_squares(SearchQuery(self.W, self.W))) == 73
+
+    @pytest.mark.parametrize("cap,partial", [
+        (1, [((6, 0, 0), (0, 6, 0), (0, 0, 6))]),
+        (2, [((6, 0, 0), (0, 6, 0), (0, 0, 6)),
+             ((6, 0, 0), (0, 5, 1), (0, 1, 5))]),
+        (3, [((6, 0, 0), (0, 6, 0), (0, 0, 6)),
+             ((6, 0, 0), (0, 5, 1), (0, 1, 5)),
+             ((6, 0, 0), (0, 4, 2), (0, 2, 4))]),
+    ])
+    def test_small_caps(self, cap, partial):
+        with pytest.raises(SearchCapExceeded,
+                           match=f"more than {cap} squares couple "
+                                 "1,1,1;6 and 1,1,1;6") as info:
+            find_magic_squares(SearchQuery(self.W, self.W, cap=cap))
+        assert entries(info.value.partial) == partial
+
+    @pytest.mark.parametrize("cap", [10, 40, 72])
+    def test_partial_is_a_prefix_of_the_full_list(self, cap):
+        full = entries(find_magic_squares(SearchQuery(self.W, self.W)))
+        with pytest.raises(SearchCapExceeded) as info:
+            find_magic_squares(SearchQuery(self.W, self.W, cap=cap))
+        assert entries(info.value.partial) == full[:cap]
+
+
+@pytest.mark.parametrize("wa,wb,count", [
+    ("1,1,1;12", "1,1,1;12", 712),
+    ("1,1,1,1;4", "1,1,1,1;4", 465),
+    ("2,3,4,5;20", "2,3,4,5;20", 55),
+    ("1,1,1;12", "1,1,2;12", 0),
+    ("1,1,1;20", "1,1,1;20", 4499),
+    ("1,1,1,1;5", "1,1,1,1;5", 1746),
+])
+def test_ladder_counts(wa, wb, count):
+    q = SearchQuery(parse_weight_system(wa), parse_weight_system(wb))
+    assert len(find_magic_squares(q)) == count
 
 
 class TestCanonicalize:
