@@ -22,7 +22,7 @@ from .magic import (ALMOST_PRIMITIVE, PLAIN, PRIMITIVE, CouplingReport,
                     recover_partner, transpose, validate)
 from .polytope import (RationalSimplex, closed_form_dual, extended_diagram,
                        polar_dual, verify_duality_identity)
-from .search import SearchQuery, canonicalize, column_orbits, find_magic_squares
+from .search import SearchQuery, canonicalize, find_magic_squares
 from .verify import CriterionResult, run_all
 from .weights import (Reduction, WeightSystem, equivalent, is_calabi_yau,
                       parse_and_reduce, parse_weight_system, reduce_system)
@@ -65,7 +65,6 @@ __all__ = [
     "characteristic_polynomial",
     "classify",
     "closed_form_dual",
-    "column_orbits",
     "equivalent",
     "evaluate_at_one",
     "expand_series",

@@ -5,6 +5,12 @@ weight system, the monomial matrix coupling it to a partner system, and (for
 the rows of the Fuchsian table) the lattice invariants the entry is expected
 to reproduce.  Loading re-validates every entry; :func:`verify_entry` and
 :func:`fuchsian_report` recompute the numeric claims from scratch.
+
+:func:`verify_entry` is the only place that says what one entry must
+satisfy: its classification, its strongness, the inverse-product
+identity, Saito duality of its zeta function where that applies, the
+exponent range of the quadrilateral table and the stored invariants.
+The per-entry criteria of :mod:`weightmagic.verify` count its reports.
 """
 
 from __future__ import annotations
@@ -52,9 +58,9 @@ class FuchsExpected:
         except KeyError as exc:
             raise CatalogError(f"expected-values record is missing {exc}") from exc
 
-    @property
-    def d_recomputable(self) -> bool:
-        return self.mu0 == 0
+    def matches_own(self, mu: int, mu0: int, rho: int | None, b0: int) -> bool:
+        """Whether the entry's own recomputed columns equal the stored ones."""
+        return (mu, mu0, rho, b0) == (self.mu, self.mu0, self.rho, self.b0)
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,12 @@ class CatalogEntry:
     def key(self) -> int | str:
         """Index when present, otherwise the name; used for partner links."""
         return self.index if self.index is not None else self.name
+
+    @property
+    def positive(self) -> bool:
+        """Neither weight system has a zero weight."""
+        return (0 not in self.weights.weights
+                and 0 not in self.partner_weights.weights)
 
     @property
     def label(self) -> str:
@@ -261,6 +273,7 @@ class VerificationReport:
     label: str
     table: str
     valid: bool
+    determinant: int
     classification: str
     classification_ok: bool
     strong: bool
@@ -270,7 +283,9 @@ class VerificationReport:
     partner_match_ok: bool
     zeta_duality_applicable: bool
     zeta_duality_ok: bool
-    exponent_range_ok: bool | None
+    #: zeta factors (order, exponent) with an exponent outside {-1, 0, 1};
+    #: None where the exponent range is not claimed
+    exponent_outliers: tuple[tuple[int, int], ...] | None
     invariants_match: bool | None
     problems: tuple[str, ...]
 
@@ -284,15 +299,14 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
     problems: list[str] = []
     try:
         square = entry.square()
-        valid = True
     except Exception as exc:  # failure is report content, not an exception
         return VerificationReport(
-            label=entry.label, table=entry.table, valid=False,
+            label=entry.label, table=entry.table, valid=False, determinant=0,
             classification="", classification_ok=False, strong=False,
             strong_ok=False, strongness_discrepancy=False,
             inverse_identity_ok=False, partner_match_ok=False,
             zeta_duality_applicable=False, zeta_duality_ok=False,
-            exponent_range_ok=None, invariants_match=None,
+            exponent_outliers=None, invariants_match=None,
             problems=(f"matrix fails validation: {exc}",))
 
     report = magic.classify(square)
@@ -323,9 +337,8 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
     if not partner_match_ok:
         problems.append("transpose weight pair disagrees with partner entry")
 
-    positive = 0 not in entry.weights.weights
     zeta_duality_applicable = (
-        positive and square.n == 3
+        entry.positive and square.n == 3
         and report.classification == magic.PRIMITIVE
         and entry.weights.a0 == 1 and entry.partner_weights.a0 == 1)
     zeta_duality_ok = True
@@ -336,21 +349,19 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
         if not zeta_duality_ok:
             problems.append("transpose zeta is not the Saito dual")
 
-    exponent_range_ok: bool | None = None
-    if entry.table == "T4" and positive:
+    exponent_outliers = None
+    if entry.table == "T4" and entry.positive:
         z = zeta.reduced_zeta(square)
-        exponent_range_ok = all(a in (-1, 0, 1) for _, a in z.factors)
-        if not exponent_range_ok:
+        exponent_outliers = tuple(
+            (order, a) for order, a in z.factors if a not in (-1, 0, 1))
+        if exponent_outliers:
             problems.append("zeta exponent outside {-1, 0, 1}")
 
     invariants_match: bool | None = None
     if entry.expected is not None:
         inv = zeta.lattice_invariants(square)
-        expected = entry.expected
-        invariants_match = (
-            (inv.mu, inv.mu0, inv.rho) == (expected.mu, expected.mu0,
-                                           expected.rho)
-            and entry.partner_weights.a0 == expected.b0)
+        invariants_match = entry.expected.matches_own(
+            inv.mu, inv.mu0, inv.rho, entry.partner_weights.a0)
         if not invariants_match:
             problems.append(
                 f"computed (mu, mu0, rho, b0) = "
@@ -358,7 +369,8 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
                 f"{entry.partner_weights.a0}) disagree with stored values")
 
     return VerificationReport(
-        label=entry.label, table=entry.table, valid=valid,
+        label=entry.label, table=entry.table, valid=True,
+        determinant=report.determinant,
         classification=report.classification,
         classification_ok=classification_ok,
         strong=report.strong, strong_ok=strong_ok,
@@ -367,7 +379,7 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
         partner_match_ok=partner_match_ok,
         zeta_duality_applicable=zeta_duality_applicable,
         zeta_duality_ok=zeta_duality_ok,
-        exponent_range_ok=exponent_range_ok,
+        exponent_outliers=exponent_outliers,
         invariants_match=invariants_match,
         problems=tuple(problems))
 
@@ -394,8 +406,7 @@ class FuchsRow:
     def matches(self) -> bool:
         e = self.expected
         return not self.errors and (
-            (self.mu, self.mu0, self.rho, self.b0) == (e.mu, e.mu0, e.rho,
-                                                       e.b0)
+            e.matches_own(self.mu, self.mu0, self.rho, self.b0)
             and (self.mu_star, self.mu0_star) == (e.mu_star, e.mu0_star)
             and self.nu_star == e.nu_star
             and self.d_star_abs == abs(e.d_star))

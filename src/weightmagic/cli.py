@@ -152,14 +152,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    wa = parse_weight_system(args.wa)
-    entries = magic.parse_matrix(args.matrix, wa.n)
     try:
-        if args.wb is None:
-            square, recovered = magic.recover_partner(entries, wa), True
-        else:
-            square = magic.validate(entries, wa, parse_weight_system(args.wb))
-            recovered = False
+        square, recovered = _square_from_args(args)
     except ValidationError as exc:
         document = {"verb": "check", "verified": False, "error": str(exc)}
         _emit(args, document, [])
@@ -185,7 +179,8 @@ def _cmd_search(args) -> int:
     wb = parse_weight_system(args.wb) if args.wb else wa
     query = search.SearchQuery(wa, wb, filter=_FILTER_NAMES[args.filter],
                                strong_only=args.strong)
-    results = search.find_magic_squares(query)
+    results = [_square_document(m, False)
+               for m in search.find_magic_squares(query)]
     document = {
         "verb": "search",
         "wa": str(wa),
@@ -193,13 +188,13 @@ def _cmd_search(args) -> int:
         "filter": query.filter,
         "strong_only": query.strong_only,
         "count": len(results),
-        "results": [_square_document(m, False) for m in results],
+        "results": results,
     }
     lines = [f"{len(results)} square(s) coupling {wa} and {wb}"]
-    for i, m in enumerate(results, 1):
-        report = magic.classify(m)
-        tags = report.classification + (", strong" if report.strong else "")
-        lines.append(f"{i:3}. {m.monomials()}   [{tags}]")
+    for i, result in enumerate(results, 1):
+        strong = ", strong" if result["strong"] else ""
+        lines.append(f"{i:3}. {result['monomials']}   "
+                     f"[{result['classification']}{strong}]")
     _emit(args, document, lines)
     return 0
 
@@ -350,9 +345,9 @@ def _cmd_catalog(args) -> int:
         _emit(args, document, lines)
         return 0
 
-    # catalog verify: recompute everything, summarize per table
-    results = verify.run_all(catalog)
-    reports = [catalog_lib.verify_entry(e, catalog) for e in catalog]
+    # catalog verify: the criteria and the per-table summary read the same
+    # per-entry reports
+    results, reports = verify.run_all(catalog)
     tables = {}
     for report in reports:
         summary = tables.setdefault(report.table, {"entries": 0, "ok": 0})

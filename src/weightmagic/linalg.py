@@ -34,10 +34,6 @@ def determinant(rows):
     return total
 
 
-def identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def transpose(rows):
     return tuple(zip(*_as_rows(rows)))
 

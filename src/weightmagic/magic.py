@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .errors import ParseError, SingularMatrixError, ValidationError
@@ -133,24 +133,28 @@ class InverseData:
     recovered_wb: WeightSystem
 
 
-def _system_from_ratios(ratios) -> WeightSystem:
-    """Rebuild a reduced weight system from the ratios weight_i / virtual.
+def _integer_system(ratios) -> WeightSystem:
+    """The weight system, in the given order, whose weights over its
+    virtual weight are ``ratios``.
 
-    The ratios determine (a0, a_1, ..., a_n) up to one rational scale;
-    we pick the integer representative with positive weights and reduce.
+    The ratios determine (a0, a_1, ..., a_n) up to one rational scale.
+    a0 is the lcm of the denominators, negated when no ratio is positive
+    so that the weights are; no prime divides a0 and every weight, so
+    the tuple is the smallest integer one.
     """
-    ratios = [Fraction(r) for r in ratios]
     q = lcm(*(r.denominator for r in ratios))
     if all(r <= 0 for r in ratios):
         q = -q  # negative virtual weight: flip the whole tuple positive
-    ws = [r * q for r in ratios]
+    ws = [int(r * q) for r in ratios]
+    return WeightSystem(tuple(ws), q + sum(ws),
+                        allows_zero_weight=any(w == 0 for w in ws))
+
+
+def _system_from_ratios(ratios) -> WeightSystem:
+    """Rebuild a reduced weight system from the ratios weight_i / virtual."""
+    ratios = [Fraction(r) for r in ratios]
     try:
-        system = WeightSystem(
-            tuple(int(w) for w in ws),
-            q + sum(int(w) for w in ws),
-            allows_zero_weight=any(w == 0 for w in ws),
-        )
-        return reduce_system(system).system
+        return reduce_system(_integer_system(ratios)).system
     except ValidationError as exc:
         raise ValidationError(
             f"ratios {tuple(str(r) for r in ratios)} do not come from a weight system: {exc}"
@@ -203,15 +207,7 @@ def recover_partner(entries, wa: WeightSystem) -> MagicSquare:
         ) from None
     n = len(entries)
     ratios = [sum(a[i][j] for i in range(n)) for j in range(n)]
-    q = lcm(*(r.denominator for r in ratios))
-    if all(r <= 0 for r in ratios):
-        q = -q  # negative virtual weight: flip the whole tuple positive
-    ws = [int(r * q) for r in ratios]
-    g = gcd(q, *ws)
-    b0, ws = q // g, [w // g for w in ws]
-    wb = WeightSystem(tuple(ws), b0 + sum(ws),
-                      allows_zero_weight=any(w == 0 for w in ws))
-    return validate(entries, wa, wb)
+    return validate(entries, wa, _integer_system(ratios))
 
 
 def transpose(ms: MagicSquare) -> MagicSquare:

@@ -167,38 +167,3 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
     assemble(0, 0, (), (0,) * n)
     return sorted(accepted, key=lambda m: m.entries, reverse=True)
 
-
-def column_orbits(
-    results: list[magic.MagicSquare],
-) -> list[list[magic.MagicSquare]]:
-    """Group results into orbits under column permutations preserving wa.
-
-    Permuting columns by a permutation that fixes the row weight system
-    (weight-for-weight) maps coupled squares to coupled squares, so the
-    fine-grained result list may contain several columnwise-equivalent
-    squares; reports note these orbits without collapsing them.
-    """
-    if not results:
-        return []
-    wa = results[0].wa
-    n = wa.n
-    stabilizer = [
-        p
-        for p in permutations(range(n))
-        if all(wa.weights[p[j]] == wa.weights[j] for j in range(n))
-    ]
-    orbit_key: dict[tuple[tuple[int, ...], ...], int] = {}
-    orbits: list[list[magic.MagicSquare]] = []
-    for ms in results:
-        images = {
-            tuple(tuple(row[p[j]] for j in range(n)) for row in ms.entries)
-            for p in stabilizer
-        }
-        hit = next((orbit_key[img] for img in images if img in orbit_key), None)
-        if hit is None:
-            hit = len(orbits)
-            orbits.append([])
-        for img in images:
-            orbit_key[img] = hit
-        orbits[hit].append(ms)
-    return [orbit for orbit in orbits if orbit]

@@ -54,12 +54,6 @@ class CyclotomicProduct:
             merged[l] = merged.get(l, 0) + a
         return cls(tuple(sorted((l, a) for l, a in merged.items() if a != 0)))
 
-    def exponent(self, order: int) -> int:
-        return dict(self.factors).get(order, 0)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
     @property
     def degree(self) -> int:
         """Sum of order * exponent: the degree when the product is a
@@ -77,11 +71,6 @@ class CyclotomicProduct:
 
     def inverse(self) -> CyclotomicProduct:
         return CyclotomicProduct(tuple((l, -a) for l, a in self.factors))
-
-    def __pow__(self, e: int) -> CyclotomicProduct:
-        if e == 0:
-            return CyclotomicProduct()
-        return CyclotomicProduct(tuple((l, a * e) for l, a in self.factors))
 
     def __str__(self) -> str:
         def render(sub) -> str:

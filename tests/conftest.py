@@ -12,4 +12,5 @@ def catalog():
 
 @pytest.fixture(scope="session")
 def criteria(catalog):
-    return run_all(catalog)
+    results, _ = run_all(catalog)
+    return results

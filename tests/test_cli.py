@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -12,6 +13,41 @@ from weightmagic.cli import main, run
 def run_json(argv):
     code, out = run(argv + ["--format", "json"])
     return code, json.loads(out)
+
+
+def tampered_catalog(tmp_path, edit) -> str:
+    """Write the packaged catalog to tmp_path with ``edit`` applied to
+    every record; return the path."""
+    document = json.loads((resources.files("weightmagic") / "data"
+                           / "catalog.json").read_text(encoding="utf-8"))
+    for record in document["entries"]:
+        edit(record)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+VERIFY_DETAILS = [
+    "120 matrices validated",
+    "120 determinants checked, 14 unimodular rows",
+    "8 known T4 exceptions",
+    "8 rows reproduced",
+    "31 squares checked",
+    "3 squares, pinned expansion [1, -1, 1]",
+    "120 squares, 93 dual simplices",
+    "catalog rediscovered, 82369 brute-forced pairs",
+    "120 squares swept",
+    "15 zeta functions checked",
+]
+
+VERIFY_TABLES = {
+    "T1": {"entries": 3, "ok": 3},
+    "T2": {"entries": 44, "ok": 44},
+    "T3": {"entries": 47, "ok": 47},
+    "T4": {"entries": 16, "ok": 16},
+    "Fuchs": {"entries": 8, "ok": 8},
+    "NonMirror": {"entries": 2, "ok": 2},
+}
 
 
 class TestReduce:
@@ -236,9 +272,41 @@ class TestCatalog:
         assert document["passed"] is True
         assert len(document["criteria"]) == 10
         assert all(c["passed"] for c in document["criteria"])
-        assert sum(t["entries"] for t in document["tables"].values()) == 120
-        assert all(t["ok"] == t["entries"]
-                   for t in document["tables"].values())
+        assert [c["detail"] for c in document["criteria"]] == VERIFY_DETAILS
+        assert document["tables"] == VERIFY_TABLES
+
+    def test_verify_catches_dropped_not_strong_flag(self, tmp_path):
+        def drop_flag(record):
+            if record["name"] == "M_11":
+                record["flags"].remove("not_strong")
+
+        path = tampered_catalog(tmp_path, drop_flag)
+        code, document = run_json(["catalog", "--catalog-path", path,
+                                   "verify"])
+        assert code == 1
+        assert document["passed"] is False
+        # criterion 3 compares with the frozen set, not with the flags;
+        # only the entry's own report sees the flag disagree
+        assert [c["detail"] for c in document["criteria"]] == VERIFY_DETAILS
+        assert all(c["passed"] for c in document["criteria"])
+        assert document["tables"] == {
+            **VERIFY_TABLES, "T4": {"entries": 16, "ok": 15}}
+
+    def test_verify_catches_wrong_stored_mu(self, tmp_path):
+        def bump_mu(record):
+            if record["table"] == "Fuchs" and record["seq"] == 1:
+                record["expected"]["mu"] += 1
+
+        path = tampered_catalog(tmp_path, bump_mu)
+        code, document = run_json(["catalog", "--catalog-path", path,
+                                   "verify"])
+        assert code == 1
+        assert document["passed"] is False
+        failed = [c for c in document["criteria"] if not c["passed"]]
+        assert [(c["number"], c["detail"]) for c in failed] == \
+            [(4, "42/68: mismatch")]
+        assert document["tables"] == {
+            **VERIFY_TABLES, "Fuchs": {"entries": 8, "ok": 7}}
 
     def test_verify_from_tampered_path_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "catalog.json"

@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from weightmagic import (SearchCapExceeded, SearchQuery, ValidationError,
-                         canonicalize, classify, column_orbits,
-                         find_magic_squares, parse_weight_system, validate)
+                         canonicalize, classify, find_magic_squares,
+                         parse_weight_system, validate)
 from weightmagic.search import enumerate_rows
 
 W10 = parse_weight_system("1,3,5;10")
@@ -258,34 +258,3 @@ class TestCanonicalize:
         q = SearchQuery(W10, W30)
         for ms in find_magic_squares(q):
             assert canonicalize(ms.entries, W30) == ms.entries
-
-
-class TestColumnOrbits:
-    def test_empty(self):
-        assert column_orbits([]) == []
-
-    def test_distinct_multisets_in_singleton_orbits(self):
-        w = parse_weight_system("1,1;2")
-        orbits = column_orbits(find_magic_squares(SearchQuery(w, w)))
-        assert [len(o) for o in orbits] == [1, 1]
-
-    def test_repeated_weights_pair_up_results(self):
-        w = parse_weight_system("1,1,2;4")
-        results = find_magic_squares(SearchQuery(w, w))
-        assert len(results) == 11
-        orbits = column_orbits(results)
-        assert sorted(len(o) for o in orbits) == [1] * 7 + [2, 2]
-        paired = next(o for o in orbits if len(o) == 2
-                      and any(m.entries == ((4, 0, 0), (0, 0, 2), (0, 2, 1))
-                              for m in o))
-        assert {m.entries for m in paired} == {
-            ((4, 0, 0), (0, 0, 2), (0, 2, 1)),
-            ((0, 4, 0), (0, 0, 2), (2, 0, 1))}
-
-    def test_orbits_partition_results(self):
-        w = parse_weight_system("1,1,2;4")
-        results = find_magic_squares(SearchQuery(w, w))
-        orbits = column_orbits(results)
-        flat = [m for orbit in orbits for m in orbit]
-        assert sorted(m.entries for m in flat) == sorted(
-            m.entries for m in results)

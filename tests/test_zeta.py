@@ -58,17 +58,6 @@ class TestCyclotomicProduct:
         p = CyclotomicProduct(((2, 1), (6, -1)))
         assert p * p.inverse() == CyclotomicProduct()
 
-    def test_power(self):
-        p = CyclotomicProduct(((2, 1), (6, -1)))
-        assert (p ** 2).factors == ((2, 2), (6, -2))
-        assert p ** 0 == CyclotomicProduct()
-        assert p ** -1 == p.inverse()
-
-    def test_exponent_accessors(self):
-        p = CyclotomicProduct(((2, 1), (10, 2)))
-        assert p.exponent(10) == 2 and p.exponent(5) == 0
-        assert p.as_dict() == {2: 1, 10: 2}
-
     def test_degree_and_exponent_sum(self):
         p = CyclotomicProduct(((1, -1), (2, 1), (10, 2)))
         assert p.degree == -1 + 2 + 20 == 21
