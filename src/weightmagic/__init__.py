@@ -25,7 +25,7 @@ from .polytope import (RationalSimplex, closed_form_dual, extended_diagram,
 from .search import SearchQuery, canonicalize, find_magic_squares
 from .verify import CriterionResult, run_all
 from .weights import (Reduction, WeightSystem, equivalent, is_calabi_yau,
-                      parse_and_reduce, parse_weight_system, reduce_system)
+                      parse_weight_system, reduce_system)
 from .zeta import (CyclotomicProduct, LatticeInvariants, SpecialSubsetReport,
                    characteristic_polynomial, evaluate_at_one, expand_series,
                    lattice_invariants, reduced_zeta, saito_dual,
@@ -76,7 +76,6 @@ __all__ = [
     "is_calabi_yau",
     "lattice_invariants",
     "load_catalog",
-    "parse_and_reduce",
     "parse_matrix",
     "parse_monomial_matrix",
     "parse_weight_system",

@@ -3,14 +3,17 @@
 The catalog ships as a JSON resource inside the package.  Each entry records a
 weight system, the monomial matrix coupling it to a partner system, and (for
 the rows of the Fuchsian table) the lattice invariants the entry is expected
-to reproduce.  Loading re-validates every entry; :func:`verify_entry` and
-:func:`fuchsian_report` recompute the numeric claims from scratch.
+to reproduce.  Loading re-validates every entry; :func:`verify_entry`
+recomputes the numeric claims from first principles.
 
 :func:`verify_entry` is the only place that says what one entry must
 satisfy: its classification, its strongness, the inverse-product
 identity, Saito duality of its zeta function where that applies, the
-exponent range of the quadrilateral table and the stored invariants.
-The per-entry criteria of :mod:`weightmagic.verify` count its reports.
+exponent range of the quadrilateral table and every stored invariant
+column, the partner's starred ones included.  Its report carries the
+validated square and the recomputed Fuchsian row, and the criteria of
+:mod:`weightmagic.verify` read those reports.  :func:`fuchsian_report`
+builds its rows with the same row builder.
 """
 
 from __future__ import annotations
@@ -57,10 +60,6 @@ class FuchsExpected:
                 "d_star", "mu0_star", "mu_star", "nu_star")})
         except KeyError as exc:
             raise CatalogError(f"expected-values record is missing {exc}") from exc
-
-    def matches_own(self, mu: int, mu0: int, rho: int | None, b0: int) -> bool:
-        """Whether the entry's own recomputed columns equal the stored ones."""
-        return (mu, mu0, rho, b0) == (self.mu, self.mu0, self.rho, self.b0)
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,10 @@ class VerificationReport:
     #: zeta factors (order, exponent) with an exponent outside {-1, 0, 1};
     #: None where the exponent range is not claimed
     exponent_outliers: tuple[tuple[int, int], ...] | None
-    invariants_match: bool | None
+    #: the validated square; None when validation fails
+    square: MagicSquare | None
+    #: the recomputed Fuchsian row; None where no columns are stored
+    fuchs: FuchsRow | None
     problems: tuple[str, ...]
 
     @property
@@ -306,7 +308,7 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
             strong_ok=False, strongness_discrepancy=False,
             inverse_identity_ok=False, partner_match_ok=False,
             zeta_duality_applicable=False, zeta_duality_ok=False,
-            exponent_outliers=None, invariants_match=None,
+            exponent_outliers=None, square=None, fuchs=None,
             problems=(f"matrix fails validation: {exc}",))
 
     report = magic.classify(square)
@@ -341,32 +343,32 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
         entry.positive and square.n == 3
         and report.classification == magic.PRIMITIVE
         and entry.weights.a0 == 1 and entry.partner_weights.a0 == 1)
+    exponent_range_claimed = entry.table == "T4" and entry.positive
+    z = (zeta.reduced_zeta(square)
+         if zeta_duality_applicable or exponent_range_claimed else None)
     zeta_duality_ok = True
     if zeta_duality_applicable:
-        z = zeta.reduced_zeta(square)
         dual = zeta.saito_dual(z, entry.weights.degree)
         zeta_duality_ok = zeta.reduced_zeta(magic.transpose(square)) == dual
         if not zeta_duality_ok:
             problems.append("transpose zeta is not the Saito dual")
 
     exponent_outliers = None
-    if entry.table == "T4" and entry.positive:
-        z = zeta.reduced_zeta(square)
+    if exponent_range_claimed:
         exponent_outliers = tuple(
             (order, a) for order, a in z.factors if a not in (-1, 0, 1))
         if exponent_outliers:
             problems.append("zeta exponent outside {-1, 0, 1}")
 
-    invariants_match: bool | None = None
+    fuchs = None
     if entry.expected is not None:
-        inv = zeta.lattice_invariants(square)
-        invariants_match = entry.expected.matches_own(
-            inv.mu, inv.mu0, inv.rho, entry.partner_weights.a0)
-        if not invariants_match:
+        fuchs = _fuchs_row(entry, partner, square)
+        if fuchs.errors:
+            problems.extend(fuchs.errors)
+        elif not fuchs.matches:
             problems.append(
-                f"computed (mu, mu0, rho, b0) = "
-                f"({inv.mu}, {inv.mu0}, {inv.rho}, "
-                f"{entry.partner_weights.a0}) disagree with stored values")
+                f"computed (mu, mu0, rho, b0, mu*, mu0*, nu*, |d*|) = "
+                f"{fuchs.columns} disagree with stored values")
 
     return VerificationReport(
         label=entry.label, table=entry.table, valid=True,
@@ -380,7 +382,7 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
         zeta_duality_applicable=zeta_duality_applicable,
         zeta_duality_ok=zeta_duality_ok,
         exponent_outliers=exponent_outliers,
-        invariants_match=invariants_match,
+        square=square, fuchs=fuchs,
         problems=tuple(problems))
 
 
@@ -389,8 +391,6 @@ class FuchsRow:
     """One recomputed row of the Fuchsian table."""
 
     label: str
-    name: str
-    partner_name: str | None
     mu: int
     mu0: int
     rho: int
@@ -403,51 +403,58 @@ class FuchsRow:
     errors: tuple[str, ...]
 
     @property
+    def columns(self) -> tuple[int, ...]:
+        """(mu, mu0, rho, b0, mu*, mu0*, nu*, |d*|) as recomputed."""
+        return (self.mu, self.mu0, self.rho, self.b0,
+                self.mu_star, self.mu0_star, self.nu_star, self.d_star_abs)
+
+    @property
     def matches(self) -> bool:
+        """No recomputation error, and every column equals the stored one."""
         e = self.expected
-        return not self.errors and (
-            e.matches_own(self.mu, self.mu0, self.rho, self.b0)
-            and (self.mu_star, self.mu0_star) == (e.mu_star, e.mu0_star)
-            and self.nu_star == e.nu_star
-            and self.d_star_abs == abs(e.d_star))
+        return not self.errors and self.columns == (
+            e.mu, e.mu0, e.rho, e.b0,
+            e.mu_star, e.mu0_star, e.nu_star, abs(e.d_star))
 
 
-def fuchsian_report(catalog: Catalog) -> tuple[FuchsRow, ...]:
-    """Recompute all invariant columns of the Fuchsian table.
+def _fuchs_row(entry: CatalogEntry, partner: CatalogEntry,
+               square: MagicSquare) -> FuchsRow:
+    """Recompute the Fuchsian-table columns of ``entry`` (whose validated
+    square is ``square``) against its stored ``expected`` record.
 
-    Per row: (mu, mu0, rho) come from the entry's own square, (mu*, mu0*)
-    from the partner's square, nu* from the covering identity
+    (mu, mu0, rho) come from the entry's own square, (mu*, mu0*) from the
+    partner's square, nu* from the covering identity
     mu* + nu* + 1 = b0 (rho + 3), and |d*| from the partner zeta function
     evaluated at 1 (well defined because mu0* vanishes).
     """
-    rows = []
-    for entry in catalog.table("Fuchs"):
-        errors: list[str] = []
-        expected = entry.expected
-        partner = catalog.partner_of(entry)
-        inv = zeta.lattice_invariants(entry.square())
-        partner_square = partner.square()
-        partner_inv = zeta.lattice_invariants(partner_square)
-        b0 = entry.partner_weights.a0
-        rho = inv.rho if inv.rho is not None else 0
-        if inv.rho is None:
-            errors.append("Picard number undefined for this weight system")
-        nu_star = b0 * (rho + 3) - partner_inv.mu - 1
-        d_star_abs = 0
-        try:
-            value, _ = zeta.evaluate_at_one(zeta.reduced_zeta(partner_square))
-            if value.denominator != 1:
-                errors.append(f"partner zeta value at 1 is {value}")
-            else:
-                d_star_abs = abs(int(value))
-        except Exception as exc:
-            errors.append(f"partner zeta value at 1: {exc}")
-        rows.append(FuchsRow(
-            label=f"{entry.index}/{partner.index}",
-            name=entry.name or str(entry.index),
-            partner_name=partner.name,
-            mu=inv.mu, mu0=inv.mu0, rho=rho, b0=b0,
-            mu_star=partner_inv.mu, mu0_star=partner_inv.mu0,
-            nu_star=nu_star, d_star_abs=d_star_abs,
-            expected=expected, errors=tuple(errors)))
-    return tuple(rows)
+    errors: list[str] = []
+    inv = zeta.lattice_invariants(square)
+    partner_square = partner.square()
+    partner_inv = zeta.lattice_invariants(partner_square)
+    b0 = entry.partner_weights.a0
+    rho = inv.rho if inv.rho is not None else 0
+    if inv.rho is None:
+        errors.append("Picard number undefined for this weight system")
+    nu_star = b0 * (rho + 3) - partner_inv.mu - 1
+    d_star_abs = 0
+    try:
+        value, _ = zeta.evaluate_at_one(zeta.reduced_zeta(partner_square))
+        if value.denominator != 1:
+            errors.append(f"partner zeta value at 1 is {value}")
+        else:
+            d_star_abs = abs(int(value))
+    except Exception as exc:
+        errors.append(f"partner zeta value at 1: {exc}")
+    return FuchsRow(
+        label=f"{entry.index}/{partner.index}",
+        mu=inv.mu, mu0=inv.mu0, rho=rho, b0=b0,
+        mu_star=partner_inv.mu, mu0_star=partner_inv.mu0,
+        nu_star=nu_star, d_star_abs=d_star_abs,
+        expected=entry.expected, errors=tuple(errors))
+
+
+def fuchsian_report(catalog: Catalog) -> tuple[FuchsRow, ...]:
+    """Recompute all invariant columns of the Fuchsian table, one row per
+    entry, with the row builder :func:`verify_entry` uses."""
+    return tuple(_fuchs_row(entry, catalog.partner_of(entry), entry.square())
+                 for entry in catalog.table("Fuchs"))

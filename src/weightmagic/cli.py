@@ -26,6 +26,9 @@ from .weights import is_calabi_yau, parse_weight_system, reduce_system
 _FILTER_NAMES = {"any": "any", "almost": "almost_primitive",
                  "primitive": "primitive"}
 
+#: Largest degree ``zeta --expand`` accepts; the series holds N + 1 integers.
+MAX_EXPAND = 100_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -74,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--saito-dual", action="store_true",
                            help="also print the Saito dual")
             p.add_argument("--expand", type=int, metavar="N",
-                           help="print series coefficients up to degree N")
+                           help="print series coefficients up to degree N "
+                                f"(at most {MAX_EXPAND})")
 
     p = verbs.add_parser("polar", parents=[shared],
                          help="extended diagram and its polar dual")
@@ -200,6 +204,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    if args.expand is not None and args.expand > MAX_EXPAND:
+        raise ValidationError(
+            f"--expand {args.expand} exceeds the ceiling of {MAX_EXPAND}")
     square, recovered = _square_from_args(args)
     z = zeta.reduced_zeta(square)
     document = {

@@ -23,7 +23,6 @@ PRIMITIVE = "primitive"
 ALMOST_PRIMITIVE = "almost_primitive"
 PLAIN = "plain"
 
-CLASSIFICATIONS = (PRIMITIVE, ALMOST_PRIMITIVE, PLAIN)
 
 _VARS = "xyzt"
 _TOKEN = re.compile(r"([xyzt])([1-4])?(?:\^(?:\{(\d+)\}|(\d+)))?")

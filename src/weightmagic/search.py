@@ -109,8 +109,9 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
     multisets are discovered in the same order as by the unpruned search.
 
     Results are deduplicated by row multiset, rendered in canonical
-    arrangement, filtered by classification and strongness, and sorted
-    descending by flattened entries.  Exceeding the result cap raises
+    arrangement, filtered by classification and strongness (a square is
+    classified only when the query filters), and sorted descending by
+    flattened entries.  Exceeding the result cap raises
     SearchCapExceeded carrying the results collected so far.
     """
     rows = enumerate_rows(q.wa)
@@ -128,16 +129,18 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
         seen.add(key)
         canonical = canonicalize(key, q.wb)
         ms = magic.MagicSquare(canonical, q.wa, q.wb)
-        report = magic.classify(ms)
-        if q.filter == "primitive" and report.classification != magic.PRIMITIVE:
-            return
-        if q.filter == "almost_primitive" and report.classification not in (
-            magic.PRIMITIVE,
-            magic.ALMOST_PRIMITIVE,
-        ):
-            return
-        if q.strong_only and not report.strong:
-            return
+        if q.filter != "any" or q.strong_only:
+            report = magic.classify(ms)
+            if (q.filter == "primitive"
+                    and report.classification != magic.PRIMITIVE):
+                return
+            if q.filter == "almost_primitive" and report.classification not in (
+                magic.PRIMITIVE,
+                magic.ALMOST_PRIMITIVE,
+            ):
+                return
+            if q.strong_only and not report.strong:
+                return
         if len(accepted) >= q.cap:
             raise SearchCapExceeded(
                 f"more than {q.cap} squares couple {q.wa} and {q.wb}",

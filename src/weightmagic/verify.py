@@ -6,12 +6,14 @@ polytope duality, search completeness, algebraic identities) and reports a
 single pass/fail result.  :func:`run_all` executes all ten in order.
 
 What one entry must satisfy is decided by :func:`catalog.verify_entry`
-alone.  A run computes its report once per entry, and criteria 1, 2, 3,
-5, 7 (the inverse-product identity) and 10 count those reports.  The
-checks that span entries live here: the 14 unimodular ``T2`` rows, the
-frozen non-strong ``T4`` set, the Fuchsian table with its partner
-discriminants, polar duals, search, the property sweep and the elliptic
-polynomials.
+alone, every stored Fuchsian column included.  A run computes its report
+once per entry and passes the reports to each criterion: criteria 1, 2,
+3, 5, 7 (the inverse-product identity) and 10 count them, criterion 4
+reads their Fuchsian rows, and criteria 6, 8 and 9 take their validated
+squares.  The checks that span entries live here: the 14 unimodular
+``T2`` rows, the frozen non-strong ``T4`` set, the Fuchsian partner
+discriminants, polar duals, search, the property sweep and the
+elliptic polynomials.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import magic, polytope, search, zeta
-from .catalog import (Catalog, CatalogEntry, VerificationReport,
-                      fuchsian_report, load_catalog, verify_entry)
+from .catalog import Catalog, VerificationReport, load_catalog, verify_entry
 from .magic import MagicSquare
 from .weights import WeightSystem, reduce_system
 
@@ -41,6 +42,9 @@ EXPECTED_NOT_STRONG = (
 #: Absolute partner-lattice discriminants in Fuchsian-table row order.
 EXPECTED_PARTNER_DISCRIMINANTS = (6, 12, 25, 10, 10, 6, 14, 12)
 
+#: One report per catalog entry, in catalog order.
+Reports = tuple[VerificationReport, ...]
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -55,66 +59,41 @@ class CriterionResult:
         return f"criterion {self.number:2}: {self.title}: {status} [{self.detail}]"
 
 
-class _Context:
-    """Shared per-run state: one report per entry (in catalog order) and
-    caches of parsed squares and search results."""
-
-    def __init__(self, catalog: Catalog):
-        self.catalog = catalog
-        self.reports = tuple(verify_entry(e, catalog) for e in catalog)
-        self.squares: dict[CatalogEntry, MagicSquare] = {}
-        self._searches: dict[tuple[WeightSystem, WeightSystem],
-                             tuple[MagicSquare, ...]] = {}
-
-    def square(self, entry: CatalogEntry) -> MagicSquare:
-        if entry not in self.squares:
-            self.squares[entry] = entry.square()
-        return self.squares[entry]
-
-    def search(self, wa: WeightSystem,
-               wb: WeightSystem) -> tuple[MagicSquare, ...]:
-        key = (wa, wb)
-        if key not in self._searches:
-            self._searches[key] = tuple(
-                search.find_magic_squares(search.SearchQuery(wa, wb)))
-        return self._searches[key]
-
-
-def check_table_fidelity(ctx: _Context) -> CriterionResult:
+def check_table_fidelity(catalog: Catalog, reports: Reports) -> CriterionResult:
     """Every stored matrix satisfies both weighted sum relations exactly."""
     failures = [f"{r.label}: {r.problems[0]}"
-                for r in ctx.reports if not r.valid]
+                for r in reports if not r.valid]
     return CriterionResult(
         1, "table fidelity", not failures,
-        f"{len(ctx.catalog)} matrices validated" if not failures
+        f"{len(catalog)} matrices validated" if not failures
         else "; ".join(failures))
 
 
-def check_classification(ctx: _Context) -> CriterionResult:
+def check_classification(catalog: Catalog, reports: Reports) -> CriterionResult:
     """Every entry has its expected classification; 14 unimodular T2 rows.
 
     |det C| = h*b0 = k*a0 with (a0, b0) != (1, 1) rules out |det C| = h = k,
     so the expected label is the whole determinant claim.
     """
     failures = [f"{r.label}: |det| = {abs(r.determinant)}"
-                for r in ctx.reports if not r.classification_ok]
-    unimodular = sum(1 for e in ctx.catalog.table("T2")
+                for r in reports if not r.classification_ok]
+    unimodular = sum(1 for e in catalog.table("T2")
                      if e.weights.a0 == 1 and e.partner_weights.a0 == 1)
     if unimodular != 14:
         failures.append(f"expected 14 unimodular-virtual-weight T2 rows, "
                         f"found {unimodular}")
     return CriterionResult(
         2, "classification", not failures,
-        f"{len(ctx.catalog)} determinants checked, {unimodular} unimodular rows"
+        f"{len(catalog)} determinants checked, {unimodular} unimodular rows"
         if not failures else "; ".join(failures))
 
 
-def check_strong_coupling(ctx: _Context) -> CriterionResult:
+def check_strong_coupling(catalog: Catalog, reports: Reports) -> CriterionResult:
     """Rows outside T4 have their expected strongness; the failing T4 set
     is exactly as frozen (whatever the entries' flags say)."""
-    failures = [f"{r.label} is not strong" for r in ctx.reports
+    failures = [f"{r.label} is not strong" for r in reports
                 if r.table != "T4" and not r.strong_ok]
-    not_strong = sorted(e.name for e, r in zip(ctx.catalog, ctx.reports)
+    not_strong = sorted(e.name for e, r in zip(catalog, reports)
                         if r.strongness_discrepancy)
     if tuple(not_strong) != EXPECTED_NOT_STRONG:
         failures.append(f"T4 non-strong set {not_strong}")
@@ -124,9 +103,9 @@ def check_strong_coupling(ctx: _Context) -> CriterionResult:
         else "; ".join(failures))
 
 
-def check_fuchsian_table(ctx: _Context) -> CriterionResult:
+def check_fuchsian_table(catalog: Catalog, reports: Reports) -> CriterionResult:
     """All 8 rows reproduce (mu, mu0, rho), starred values, nu*, |d*|."""
-    rows = fuchsian_report(ctx.catalog)
+    rows = [r.fuchs for r in reports if r.fuchs is not None]
     failures = [f"{row.label}: {row.errors or 'mismatch'}"
                 for row in rows if not row.matches]
     values = tuple(row.d_star_abs for row in rows)
@@ -138,23 +117,24 @@ def check_fuchsian_table(ctx: _Context) -> CriterionResult:
         else "; ".join(failures))
 
 
-def check_zeta_duality(ctx: _Context) -> CriterionResult:
+def check_zeta_duality(catalog: Catalog, reports: Reports) -> CriterionResult:
     """Transposing a unimodular primitive square Saito-dualizes its zeta."""
-    failures = [r.label for r in ctx.reports if not r.zeta_duality_ok]
-    applicable = sum(r.zeta_duality_applicable for r in ctx.reports)
+    failures = [r.label for r in reports if not r.zeta_duality_ok]
+    applicable = sum(r.zeta_duality_applicable for r in reports)
     return CriterionResult(
         5, "zeta duality for unimodular primitive squares", not failures,
         f"{applicable} squares checked" if not failures
         else "; ".join(failures))
 
 
-def check_elliptic_polynomials(ctx: _Context) -> CriterionResult:
+def check_elliptic_polynomials(catalog: Catalog, reports: Reports) -> CriterionResult:
     """n=2 rows: char. polynomial is anti-self-dual; pinned expansion."""
     failures = []
     expansion = None
-    for entry in ctx.catalog.table("T1"):
-        square = ctx.square(entry)
-        phi = zeta.characteristic_polynomial(square)
+    for entry, r in zip(catalog, reports):
+        if entry.table != "T1" or r.square is None:
+            continue
+        phi = zeta.characteristic_polynomial(r.square)
         h = entry.weights.degree
         if zeta.saito_dual(phi, h) != phi.inverse():
             failures.append(f"{entry.label}: dual is not the inverse")
@@ -168,12 +148,12 @@ def check_elliptic_polynomials(ctx: _Context) -> CriterionResult:
         else "; ".join(failures))
 
 
-def check_geometric_identities(ctx: _Context) -> CriterionResult:
+def check_geometric_identities(catalog: Catalog, reports: Reports) -> CriterionResult:
     """Inverse-product identity per square; closed-form polar duals."""
     failures = [f"{r.label}: inverse-product identity"
-                for r in ctx.reports if not r.inverse_identity_ok]
+                for r in reports if not r.inverse_identity_ok]
     systems = set()
-    for entry in ctx.catalog:
+    for entry in catalog:
         for system in (entry.weights, entry.partner_weights):
             if 0 not in system.weights:
                 systems.add(system)
@@ -183,7 +163,7 @@ def check_geometric_identities(ctx: _Context) -> CriterionResult:
             failures.append(f"closed-form dual of ({system})")
     return CriterionResult(
         7, "inverse-product identity and polar duals", not failures,
-        f"{len(ctx.catalog)} squares, {len(systems)} dual simplices"
+        f"{len(catalog)} squares, {len(systems)} dual simplices"
         if not failures else "; ".join(failures))
 
 
@@ -224,8 +204,8 @@ def _brute_force_squares(rows, wb: WeightSystem):
     return arrangements
 
 
-def check_search(ctx: _Context, brute_degree_bound: int = 12
-                 ) -> CriterionResult:
+def check_search(catalog: Catalog, reports: Reports,
+                 brute_degree_bound: int = 12) -> CriterionResult:
     """Pinned searches, catalog completeness, and n=2 brute-force parity."""
     failures = []
 
@@ -239,13 +219,17 @@ def check_search(ctx: _Context, brute_degree_bound: int = 12
     if [m.entries for m in pinned] != [((7, 0, 0), (0, 3, 0), (0, 0, 2))]:
         failures.append(f"(6,14,21;42) self-search returned {pinned}")
 
-    for entry in ctx.catalog:
-        if not entry.positive:
+    searches: dict[tuple[WeightSystem, WeightSystem],
+                   list[MagicSquare]] = {}
+    for entry, r in zip(catalog, reports):
+        if not entry.positive or r.square is None:
             continue
-        square = ctx.square(entry)
-        found = ctx.search(entry.weights, entry.partner_weights)
-        if not any(sorted(m.entries) == sorted(square.entries)
-                   for m in found):
+        pair = (entry.weights, entry.partner_weights)
+        if pair not in searches:
+            searches[pair] = search.find_magic_squares(
+                search.SearchQuery(*pair))
+        if not any(sorted(m.entries) == sorted(r.square.entries)
+                   for m in searches[pair]):
             failures.append(f"{entry.label} not rediscovered")
 
     checked_pairs = 0
@@ -279,13 +263,12 @@ def check_search(ctx: _Context, brute_degree_bound: int = 12
         if not failures else "; ".join(failures[:4]))
 
 
-def check_algebraic_properties(ctx: _Context) -> CriterionResult:
+def check_algebraic_properties(catalog: Catalog, reports: Reports) -> CriterionResult:
     """Deterministic sweep of the structural identities over all squares."""
     failures = []
-    squares: list[tuple[str, MagicSquare]] = []
-    for entry in ctx.catalog:
-        if entry.positive:
-            squares.append((entry.label, ctx.square(entry)))
+    squares: list[tuple[str, MagicSquare]] = [
+        (entry.label, r.square) for entry, r in zip(catalog, reports)
+        if entry.positive and r.square is not None]
     w6 = WeightSystem((2, 3), 6)
     for m in search.find_magic_squares(search.SearchQuery(w6, w6)):
         squares.append((f"search {m.entries}", m))
@@ -324,9 +307,9 @@ def check_algebraic_properties(ctx: _Context) -> CriterionResult:
         else "; ".join(failures[:4]))
 
 
-def check_exponent_range(ctx: _Context) -> CriterionResult:
+def check_exponent_range(catalog: Catalog, reports: Reports) -> CriterionResult:
     """T4 zeta exponents all lie in {-1, 0, 1}."""
-    checked = [r for r in ctx.reports if r.exponent_outliers is not None]
+    checked = [r for r in reports if r.exponent_outliers is not None]
     failures = [f"{r.label}: {list(r.exponent_outliers)}"
                 for r in checked if r.exponent_outliers]
     return CriterionResult(
@@ -357,5 +340,6 @@ def run_all(catalog: Catalog | None = None
     Returns the criterion results and the per-entry reports they read,
     one report per entry in catalog order.
     """
-    ctx = _Context(catalog if catalog is not None else load_catalog())
-    return tuple(check(ctx) for check in _CHECKS), ctx.reports
+    catalog = catalog if catalog is not None else load_catalog()
+    reports = tuple(verify_entry(e, catalog) for e in catalog)
+    return tuple(check(catalog, reports) for check in _CHECKS), reports

@@ -120,11 +120,6 @@ def reduce_system(w: WeightSystem) -> Reduction:
     return Reduction(reduced, tuple(order), Fraction(1, g))
 
 
-def parse_and_reduce(text: str) -> WeightSystem:
-    """Parse then return the unique reduced ascending representative."""
-    return reduce_system(parse_weight_system(text)).system
-
-
 def equivalent(w1: WeightSystem, w2: WeightSystem) -> bool:
     """True iff some permutation and positive rational rescaling map w1 to w2.
 

@@ -47,10 +47,9 @@ class CyclotomicProduct:
 
     @classmethod
     def from_exponents(cls, pairs) -> CyclotomicProduct:
-        """Merge (order, exponent) pairs (or a mapping), dropping zeros."""
+        """Merge (order, exponent) pairs, dropping zeros."""
         merged: dict[int, int] = {}
-        items = pairs.items() if hasattr(pairs, "items") else pairs
-        for l, a in items:
+        for l, a in pairs:
             merged[l] = merged.get(l, 0) + a
         return cls(tuple(sorted((l, a) for l, a in merged.items() if a != 0)))
 

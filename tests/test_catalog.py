@@ -158,7 +158,25 @@ class TestVerifyEntry:
         entry = replace(catalog.lookup("E_12")[0], monomials="x^7, y^3, z^3")
         report = verify_entry(entry, catalog)
         assert not report.valid and not report.ok
+        assert report.square is None
         assert "fails validation" in report.problems[0]
+
+    def test_report_carries_the_fuchsian_row(self, catalog):
+        rows = fuchsian_report(catalog)
+        entries = catalog.table("Fuchs")
+        assert len(entries) == len(rows) == 8
+        for entry, row in zip(entries, rows):
+            assert verify_entry(entry, catalog).fuchs == row
+        others = [e for e in catalog if e.table != "Fuchs"]
+        assert all(verify_entry(e, catalog).fuchs is None for e in others)
+
+    def test_wrong_starred_column_fails_the_entry(self, catalog):
+        entry = catalog.table("Fuchs")[0]
+        tampered = replace(entry, expected=replace(
+            entry.expected, d_star=entry.expected.d_star + 1))
+        report = verify_entry(tampered, catalog)
+        assert not report.ok and not report.fuchs.matches
+        assert "disagree with stored values" in report.problems[0]
 
 
 class TestFuchsianReport:

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from weightmagic.cli import main, run
+from weightmagic.cli import MAX_EXPAND, main, run
 
 
 def run_json(argv):
@@ -170,6 +170,12 @@ class TestZeta:
         assert "series: [1, 1, 0, -1, -1, 0, 1, 0, -1, -1, 0, 1, 1, 0, 0]" \
             in out
 
+    def test_expand_above_ceiling_exits_2(self, capsys):
+        assert MAX_EXPAND == 100_000
+        assert main(["zeta", "--wa", "6,14,21;42", "--matrix",
+                     "x^7, y^3, z^2", "--expand", str(MAX_EXPAND + 1)]) == 2
+        assert "ceiling of 100000" in capsys.readouterr().err
+
     def test_json_factors(self):
         code, document = run_json(["zeta", "--wa", "1,3,5;10",
                                    "--matrix", "x^5z, xy^3, z^2"])
@@ -307,6 +313,32 @@ class TestCatalog:
             [(4, "42/68: mismatch")]
         assert document["tables"] == {
             **VERIFY_TABLES, "Fuchs": {"entries": 8, "ok": 7}}
+
+    def test_verify_catches_wrong_stored_mu_star(self, tmp_path):
+        def bump_mu_star(record):
+            if record["table"] == "Fuchs" and record["seq"] == 1:
+                record["expected"]["mu_star"] += 1
+
+        path = tampered_catalog(tmp_path, bump_mu_star)
+        code, document = run_json(["catalog", "--catalog-path", path,
+                                   "verify"])
+        assert code == 1
+        assert document["passed"] is False
+        failed = [c for c in document["criteria"] if not c["passed"]]
+        assert [(c["number"], c["detail"]) for c in failed] == \
+            [(4, "42/68: mismatch")]
+        assert document["tables"] == {
+            **VERIFY_TABLES, "Fuchs": {"entries": 8, "ok": 7}}
+
+        code, document = run_json(["catalog", "--catalog-path", path,
+                                   "show", "Z_2,0"])
+        assert code == 0
+        records = {r["table"]: r["verification"]
+                   for r in document["entries"]}
+        assert records["T3"]["ok"] is True
+        assert records["Fuchs"]["ok"] is False
+        assert "disagree with stored values" in \
+            records["Fuchs"]["problems"][0]
 
     def test_verify_from_tampered_path_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "catalog.json"

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from weightmagic import (ParseError, ValidationError, WeightSystem, equivalent,
-                         is_calabi_yau, parse_and_reduce, parse_weight_system,
-                         reduce_system)
+                         is_calabi_yau, parse_weight_system, reduce_system)
 
 
 class TestWeightSystem:
@@ -61,18 +60,6 @@ class TestParsing:
     def test_parse_all_zero(self):
         with pytest.raises(ParseError):
             parse_weight_system("0,0;4")
-
-    def test_parse_and_reduce_scales(self):
-        assert parse_and_reduce("12,28,42;84") == WeightSystem((6, 14, 21), 42)
-
-    def test_parse_and_reduce_sorts(self):
-        w = parse_and_reduce("21,6,14;42")
-        assert w == WeightSystem((6, 14, 21), 42)
-        assert w.a0 == 1
-
-    def test_parse_and_reduce_idempotent(self):
-        w = parse_and_reduce("12,28,42;84")
-        assert parse_and_reduce(str(w)) == w
 
 
 class TestReduceSystem:

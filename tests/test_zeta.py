@@ -45,10 +45,6 @@ class TestCyclotomicProduct:
         p = CyclotomicProduct.from_exponents([(2, 1), (3, 2), (2, -1)])
         assert p == CyclotomicProduct(((3, 2),))
 
-    def test_from_exponents_accepts_mapping(self):
-        assert CyclotomicProduct.from_exponents({6: -1, 2: 1}).factors == (
-            (2, 1), (6, -1))
-
     def test_multiplication_merges(self):
         p = CyclotomicProduct(((2, 1), (6, -1)))
         q = CyclotomicProduct(((2, -1), (3, 1)))
