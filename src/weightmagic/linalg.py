@@ -1,12 +1,17 @@
 """Exact linear algebra for the tiny matrices used throughout (n <= 4).
 
 Everything works on tuples of tuples with int or Fraction entries; no
-floating point exists anywhere in the package.
+floating point exists anywhere in the package.  `inverse` and `solve`
+share one integer fraction-free Gauss-Jordan elimination (Bareiss,
+Math. Comp. 22, 1968), which builds Fractions only for its outputs;
+`determinant` stays a cofactor expansion, so that the two algorithms
+can check each other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import SingularMatrixError
 
@@ -46,37 +51,66 @@ def mat_mul(a, b):
     )
 
 
-def inverse(rows):
-    """Gauss-Jordan over Fraction; raises SingularMatrixError if singular.
+def _eliminate(rows, right):
+    """Fraction-free Gauss-Jordan (Bareiss) on the augmented [rows | right].
 
-    Deliberately a different algorithm from `determinant`, so the two can
-    cross-check each other in tests.
+    Each augmented row is first scaled by the lcm of its denominators, so
+    the elimination runs on Python ints; scaling a row of both blocks
+    leaves the solution unchanged.  Each step replaces every non-pivot row
+    r by (p * r - r[k] * pivot_row) / prev, where p is the new pivot and
+    prev the one before it; by Sylvester's identity every entry is then a
+    minor of the scaled matrix, so the division is exact.  The left block
+    ends as d * I and the right block as d * rows^-1 * right; returns d
+    and the right block.
+    """
+    n = len(rows)
+    work = []
+    for row in (tuple(r) + tuple(e) for r, e in zip(rows, right)):
+        scale = lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (scale // x.denominator) for x in row])
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if work[r][k]), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        work[k], work[pivot] = work[pivot], work[k]
+        pivot_row = work[k]
+        p = pivot_row[k]
+        for r in range(n):
+            if r != k:
+                row = work[r]
+                f = row[k]
+                work[r] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return prev, [row[n:] for row in work]
+
+
+def inverse(rows):
+    """Exact inverse by fraction-free elimination; raises
+    SingularMatrixError if singular.
+
+    The elimination stays on integers and builds a Fraction only for each
+    of the n^2 output entries.  Deliberately a different algorithm from
+    `determinant` (cofactor expansion), so the two can cross-check each
+    other in tests.
     """
     m = _as_rows(rows)
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("inverse needs a square matrix")
-    work = [[Fraction(x) for x in r] for r in m]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = work[col][col]
-        work[col] = [x / scale for x in work[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r == col or work[r][col] == 0:
-                continue
-            factor = work[r][col]
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(r) for r in inv)
+    d, block = _eliminate(m, [[int(i == j) for j in range(n)] for i in range(n)])
+    return tuple(tuple(Fraction(x, d) for x in row) for row in block)
 
 
 def solve(rows, rhs):
-    """Solve rows . x = rhs exactly for one right-hand side."""
-    inv = inverse(rows)
-    return tuple(sum(inv[i][j] * Fraction(rhs[j]) for j in range(len(rhs))) for i in range(len(inv)))
+    """Solve rows . x = rhs exactly for one right-hand side.
+
+    Eliminates [rows | rhs] by the same fraction-free kernel as `inverse`,
+    without forming the inverse; raises SingularMatrixError if singular.
+    """
+    m = _as_rows(rows)
+    n = len(m)
+    if any(len(r) != n for r in m) or len(rhs) != n:
+        raise ValueError("solve needs a square matrix and a matching right-hand side")
+    d, block = _eliminate(m, [(b,) for b in rhs])
+    return tuple(Fraction(x, d) for (x,) in block)

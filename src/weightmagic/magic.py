@@ -4,8 +4,8 @@ A square C couples a weight pair (W_a of degree h, W_b of degree k) when
 every a-weighted row sum equals h and every b-weighted column sum equals
 k, i.e. C.a = (h,...,h)^t and b.C = (k,...,k).  This module validates and
 classifies such squares, inverts C - 1 exactly, recovers both weight
-systems from that inverse, and handles the monomial notation used to
-write the rows.
+systems from that inverse, recovers a missing column system from C
+alone, and handles the monomial notation used to write the rows.
 """
 
 from __future__ import annotations
@@ -132,28 +132,23 @@ class InverseData:
     recovered_wb: WeightSystem
 
 
-def _integer_system(ratios) -> WeightSystem:
-    """The weight system, in the given order, whose weights over its
-    virtual weight are ``ratios``.
+def _system_from_ratios(ratios) -> WeightSystem:
+    """Rebuild a reduced weight system from the ratios weight_i / virtual.
 
     The ratios determine (a0, a_1, ..., a_n) up to one rational scale.
     a0 is the lcm of the denominators, negated when no ratio is positive
     so that the weights are; no prime divides a0 and every weight, so
     the tuple is the smallest integer one.
     """
+    ratios = [Fraction(r) for r in ratios]
     q = lcm(*(r.denominator for r in ratios))
     if all(r <= 0 for r in ratios):
         q = -q  # negative virtual weight: flip the whole tuple positive
     ws = [int(r * q) for r in ratios]
-    return WeightSystem(tuple(ws), q + sum(ws),
-                        allows_zero_weight=any(w == 0 for w in ws))
-
-
-def _system_from_ratios(ratios) -> WeightSystem:
-    """Rebuild a reduced weight system from the ratios weight_i / virtual."""
-    ratios = [Fraction(r) for r in ratios]
     try:
-        return reduce_system(_integer_system(ratios)).system
+        return reduce_system(WeightSystem(
+            tuple(ws), q + sum(ws), allows_zero_weight=any(w == 0 for w in ws)
+        )).system
     except ValidationError as exc:
         raise ValidationError(
             f"ratios {tuple(str(r) for r in ratios)} do not come from a weight system: {exc}"
@@ -191,22 +186,27 @@ def inverse_data(ms: MagicSquare) -> InverseData:
 
 
 def recover_partner(entries, wa: WeightSystem) -> MagicSquare:
-    """Recover the column weight system of ``entries`` from C - 1 alone.
+    """Recover the column weight system of ``entries`` from C alone.
 
-    Column sums of (C - 1)^-1 are b_j / b0, which fixes the column system
-    up to one rational scale; the smallest integer representative is kept
-    in column order (not sorted), so the returned square validates as-is.
+    The column relation b.C = k.(1, ..., 1) gives b / k as the solution x
+    of C^t x = (1, ..., 1) whenever det C != 0, including partners of
+    virtual weight 0, where C - 1 is singular.  The smallest positive
+    integers proportional to x are kept in column order (not sorted), so
+    the returned square validates as-is; k is their first b-weighted
+    column sum.
     """
-    b = tuple(tuple(c - 1 for c in row) for row in entries)
+    n = len(entries)
     try:
-        a = linalg.inverse(b)
+        x = linalg.solve(linalg.transpose(entries), (1,) * n)
     except SingularMatrixError:
         raise SingularMatrixError(
-            "C - 1 is singular, so the column weights cannot be recovered"
+            "C is singular, so the column weights are not determined"
         ) from None
-    n = len(entries)
-    ratios = [sum(a[i][j] for i in range(n)) for j in range(n)]
-    return validate(entries, wa, _integer_system(ratios))
+    q = lcm(*(r.denominator for r in x))
+    ws = tuple(int(r * q) for r in x)
+    k = sum(w * row[0] for w, row in zip(ws, entries))
+    wb = WeightSystem(ws, k, allows_zero_weight=any(w == 0 for w in ws))
+    return validate(entries, wa, wb)
 
 
 def transpose(ms: MagicSquare) -> MagicSquare:

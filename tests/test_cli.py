@@ -92,6 +92,12 @@ class TestCheck:
         assert code == 0
         assert "column weights: 4,10,13;30 (recovered)" in out
 
+    def test_recovers_partner_of_virtual_weight_zero(self):
+        code, out = run(["check", "--wa", "1,1,1;3",
+                         "--matrix", "x^3, y^3, z^3"])
+        assert code == 0
+        assert "column weights: 1,1,1;3 (recovered)" in out
+
     def test_json_round_trips(self):
         code, document = run_json(["check", "--wa", "1,3,5;10",
                                    "--matrix", "x^5z, xy^3, z^2"])

@@ -152,6 +152,17 @@ class TestRecoverPartner:
         with pytest.raises(SingularMatrixError):
             recover_partner(((1, 1), (1, 1)), parse_weight_system("1,1;2"))
 
+    @pytest.mark.parametrize("monomials, system", [
+        ("x^3, y^3, z^3", "1,1,1;3"),
+        ("x^2, y^2", "1,1;2"),
+        ("x^4, y^4, z^4, t^4", "1,1,1,1;4"),
+    ])
+    def test_partner_of_virtual_weight_zero(self, monomials, system):
+        # C - 1 is singular here, but C is not
+        w = parse_weight_system(system)
+        rows = parse_monomial_matrix(monomials, w.n)
+        assert recover_partner(rows, w).wb == w
+
 
 class TestTranspose:
     def test_swaps_weights_and_entries(self):

@@ -10,9 +10,11 @@ from weightmagic import (CyclotomicProduct, SearchQuery, ValidationError,
                          WeightSystem, canonicalize, classify, equivalent,
                          expand_series, find_magic_squares, inverse_data,
                          lattice_invariants, load_catalog,
-                         parse_weight_system, reduce_system, reduced_zeta,
-                         saito_dual, special_subsets, transpose, validate,
+                         parse_weight_system, recover_partner,
+                         reduce_system, reduced_zeta, saito_dual,
+                         special_subsets, transpose, validate,
                          verify_duality_identity)
+from weightmagic.linalg import determinant
 
 _CATALOG = load_catalog()
 
@@ -27,6 +29,17 @@ catalog_entries = st.sampled_from(_CATALOG.entries)
 factor_pairs = st.lists(
     st.tuples(st.integers(1, 12), st.integers(-3, 3)), max_size=6)
 products = factor_pairs.map(CyclotomicProduct.from_exponents)
+
+
+# Squares with det C != 0 from small searches, so C alone determines the
+# partner; most of the 1,1,1,1;4 ones have a singular C - 1.
+searched_squares = st.sampled_from([
+    ms for wa, wb in [("1,1,1;6", "1,1,1;6"), ("1,1,2;4", "1,1,2;4"),
+                      ("1,1,1,1;4", "1,1,1,1;4"), ("1,3,5;10", "4,10,13;30")]
+    for ms in find_magic_squares(SearchQuery(parse_weight_system(wa),
+                                             parse_weight_system(wb)))
+    if determinant(ms.entries) != 0
+])
 
 
 def positive_entry(entry):
@@ -118,6 +131,24 @@ class TestSearchProperties:
         assert strong <= by_filter["any"]
         for ms in find_magic_squares(SearchQuery(w, w, strong_only=True)):
             assert classify(ms).strong
+
+
+class TestPartnerRecoveryProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(searched_squares)
+    def test_recovers_the_searched_partner(self, ms):
+        recovered = recover_partner(ms.entries, ms.wa)
+        assert recovered.entries == ms.entries and recovered.wa == ms.wa
+        assert reduce_system(recovered.wb).system == \
+            reduce_system(ms.wb).system
+
+    @settings(max_examples=60, deadline=None)
+    @given(searched_squares)
+    def test_transpose_then_recover_gives_back_wa(self, ms):
+        flipped = transpose(ms)
+        recovered = recover_partner(flipped.entries, flipped.wa)
+        assert reduce_system(recovered.wb).system == \
+            reduce_system(ms.wa).system
 
 
 class TestCatalogSquareProperties:
