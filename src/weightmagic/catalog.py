@@ -3,8 +3,9 @@
 The catalog ships as a JSON resource inside the package.  Each entry records a
 weight system, the monomial matrix coupling it to a partner system, and (for
 the rows of the Fuchsian table) the lattice invariants the entry is expected
-to reproduce.  Loading re-validates every entry; :func:`verify_entry`
-recomputes the numeric claims from first principles.
+to reproduce.  Loading re-validates every entry and keeps each validated
+square on its entry; :func:`verify_entry` recomputes the numeric claims
+from first principles.
 
 :func:`verify_entry` is the only place that says what one entry must
 satisfy: its classification, its strongness, the inverse-product
@@ -99,9 +100,18 @@ class CatalogEntry:
         return " ".join(bits)
 
     def square(self) -> MagicSquare:
-        """Parse the stored monomials and bind them to the weight pair."""
-        rows = magic.parse_monomial_matrix(self.monomials, self.weights.n)
-        return magic.validate(rows, self.weights, self.partner_weights)
+        """Parse the stored monomials and bind them to the weight pair.
+
+        The validated square is kept on the entry, so an entry is
+        validated once (by :func:`load_catalog`) however often it is
+        asked; a failure is not kept and raises again.
+        """
+        square = self.__dict__.get("_square")
+        if square is None:
+            rows = magic.parse_monomial_matrix(self.monomials, self.weights.n)
+            square = magic.validate(rows, self.weights, self.partner_weights)
+            object.__setattr__(self, "_square", square)
+        return square
 
 
 class Catalog:

@@ -33,7 +33,8 @@ class MagicSquare:
     """A validated weighted magic square bound to its weight pair.
 
     Construction runs the defining relations, so an instance is valid by
-    the time it exists.
+    the time it exists.  Only the search, whose squares are valid by
+    construction, skips them (through ``_trusted``).
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -65,6 +66,17 @@ class MagicSquare:
                 raise ValidationError(
                     f"column {j + 1} has b-weighted sum {s}, expected the degree {k}"
                 )
+
+    @classmethod
+    def _trusted(cls, entries, wa: WeightSystem, wb: WeightSystem
+                 ) -> MagicSquare:
+        """A square the caller built to satisfy both relations, with
+        entries already tuples of ints; skips the checks above."""
+        square = object.__new__(cls)
+        object.__setattr__(square, "entries", entries)
+        object.__setattr__(square, "wa", wa)
+        object.__setattr__(square, "wb", wb)
+        return square
 
     @property
     def n(self) -> int:

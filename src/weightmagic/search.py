@@ -1,15 +1,21 @@
 """Exhaustive search for weighted magic squares coupling a weight pair.
 
 Rows are enumerated as the non-negative integer solutions of the row
-relation (cached per weight system), assembled depth-first into squares
-with prefix pruning against the column relation, and reported once per
-row multiset in a canonical arrangement.
+relation, assembled depth-first into squares with prefix pruning against
+the column relation, and reported once per row multiset in a canonical
+arrangement.
+
+Each weight system's rows, with a ``{row: index}`` lookup, form a plan
+that is built once and cached (the 64 most recent systems), so a search
+on a system seen before does no per-call set-up beyond its own query.
+``enumerate_rows`` stays uncached: the plan calls it only on a miss.
 
 The depth-first assembly does two things to visit fewer arrangements
-without changing its output.  The last row is solved from the column
-residuals instead of looped over.  Rows whose column weights b_i are
-equal are taken in enumeration order only, since swapping them leaves
-every column sum unchanged.
+without changing its output.  The last row is not looped over: the loop
+over the second-to-last row solves it from the column residuals and
+looks it up in the plan.  Rows whose column weights b_i are equal are
+taken in enumeration order only, since swapping them leaves every column
+sum unchanged.
 """
 
 from __future__ import annotations
@@ -52,12 +58,7 @@ class SearchQuery:
 
 def enumerate_rows(wa: WeightSystem) -> list[tuple[int, ...]]:
     """All non-negative integer rows c with sum(c_j * a_j) = h,
-    lexicographically descending."""
-    return list(_rows(wa))
-
-
-@lru_cache(maxsize=64)
-def _rows(wa: WeightSystem) -> tuple[tuple[int, ...], ...]:
+    lexicographically descending, as a fresh list."""
     if 0 in wa.weights:
         raise ValidationError("row enumeration requires strictly positive weights")
     n = wa.n
@@ -72,7 +73,15 @@ def _rows(wa: WeightSystem) -> tuple[tuple[int, ...], ...]:
             extend(j + 1, remaining - c * wa.weights[j], prefix + (c,))
 
     extend(0, wa.degree, ())
-    return tuple(out)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _plan(wa: WeightSystem
+          ) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """The rows of ``wa`` in enumeration order and each row's index."""
+    rows = tuple(enumerate_rows(wa))
+    return rows, {row: j for j, row in enumerate(rows)}
 
 
 def _columns_valid(rows, wb: WeightSystem) -> bool:
@@ -100,13 +109,18 @@ def canonicalize(rows, wb: WeightSystem) -> tuple[tuple[int, ...], ...] | None:
 def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
     """Every magic square coupling (q.wa, q.wb), one per row multiset.
 
-    Rows are placed depth-first in enumeration order.  The last row is
-    not looped over: the column residuals (k - s_j) / b_n fix it, and it
-    is kept only if it satisfies the row relation.  Where b_i = b_(i-1),
-    row i is never earlier in enumeration order than row i-1.  Each
-    multiset's first arrangement in depth-first order is its
-    lexicographically greatest valid one, which that ordering keeps, so
-    multisets are discovered in the same order as by the unpruned search.
+    Rows come from q.wa's cached plan and are placed depth-first in
+    enumeration order.  The last row is not looped over: for each
+    candidate second-to-last row the column residuals
+    k - s_j - b_(n-1) c_j must be non-negative and divisible by b_n, and
+    (k - s_j - b_(n-1) c_j) / b_n must be a row of the plan; the first
+    residual that fails ends the candidate.  Where b_i = b_(i-1), row i
+    is never earlier in enumeration order than row i-1, the solved last
+    row included.  Each multiset's first arrangement in depth-first
+    order is its lexicographically greatest valid one, which that
+    ordering keeps, so multisets are discovered in the same order as by
+    the unpruned search.  The squares built this way satisfy both
+    relations by construction and are not validated again.
 
     Results are deduplicated by row multiset, rendered in canonical
     arrangement, filtered by classification and strongness (a square is
@@ -114,8 +128,7 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
     flattened entries.  Exceeding the result cap raises
     SearchCapExceeded carrying the results collected so far.
     """
-    rows = enumerate_rows(q.wa)
-    position = {row: j for j, row in enumerate(rows)}
+    rows, position = _plan(q.wa)
     n = q.wa.n
     k = q.wb.degree
     b = q.wb.weights
@@ -128,7 +141,7 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
             return
         seen.add(key)
         canonical = canonicalize(key, q.wb)
-        ms = magic.MagicSquare(canonical, q.wa, q.wb)
+        ms = magic.MagicSquare._trusted(canonical, q.wa, q.wb)
         if q.filter != "any" or q.strong_only:
             report = magic.classify(ms)
             if (q.filter == "primitive"
@@ -152,15 +165,22 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
                  col_sums) -> None:
         # start: the first row index allowed at depth i, nonzero only
         # when b_i = b_(i-1)
-        if i == n - 1:
-            residuals = [k - s for s in col_sums]
-            if any(r % b[i] for r in residuals):
-                return
-            row = tuple(r // b[i] for r in residuals)
-            if position.get(row, -1) >= start:
-                admit(chosen + (row,))
-            return
         tie = b[i + 1] == b[i]
+        if i == n - 2:
+            bi, last_b = b[i], b[i + 1]
+            for j in range(start, len(rows)):
+                row = rows[j]
+                last = []
+                for s, c in zip(col_sums, row):
+                    r = k - s - bi * c
+                    if r < 0 or r % last_b:
+                        break
+                    last.append(r // last_b)
+                else:
+                    last = tuple(last)
+                    if position.get(last, -1) >= (j if tie else 0):
+                        admit(chosen + (row, last))
+            return
         for j in range(start, len(rows)):
             row = rows[j]
             sums = tuple(s + b[i] * c for s, c in zip(col_sums, row))
@@ -169,4 +189,3 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
 
     assemble(0, 0, (), (0,) * n)
     return sorted(accepted, key=lambda m: m.entries, reverse=True)
-

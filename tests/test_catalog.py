@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from weightmagic import (CatalogError, fuchsian_report, load_catalog,
+from weightmagic import (CatalogError, fuchsian_report, load_catalog, magic,
                          verify_entry)
 
 GOLDEN_NOT_STRONG = Path(__file__).parent / "data" / "table4_not_strong.json"
@@ -153,6 +153,21 @@ class TestVerifyEntry:
         checked = [verify_entry(e, catalog).exponent_outliers
                    for e in catalog.table("T4") if 0 not in e.weights.weights]
         assert checked and all(c == () for c in checked)
+
+    def test_loaded_squares_are_not_validated_again(self, monkeypatch):
+        catalog = load_catalog()
+        validated = []
+        original = magic.validate
+
+        def counting(*args):
+            validated.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(magic, "validate", counting)
+        reports = [verify_entry(e, catalog) for e in catalog]
+        fuchsian_report(catalog)
+        assert validated == []
+        assert all(r.square is e.square() for e, r in zip(catalog, reports))
 
     def test_broken_matrix_is_reported_not_raised(self, catalog):
         entry = replace(catalog.lookup("E_12")[0], monomials="x^7, y^3, z^3")

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 import pytest
 
-from weightmagic import (SearchCapExceeded, SearchQuery, ValidationError,
-                         canonicalize, classify, find_magic_squares,
-                         parse_weight_system, validate)
+from weightmagic import (MagicSquare, SearchCapExceeded, SearchQuery,
+                         ValidationError, canonicalize, classify,
+                         find_magic_squares, parse_weight_system, search,
+                         validate)
 from weightmagic.search import enumerate_rows
 
 W10 = parse_weight_system("1,3,5;10")
@@ -75,6 +77,32 @@ class TestEnumerateRows:
         rows.append((1, 2, 3))
         assert enumerate_rows(w) == expected
         assert entries(find_magic_squares(SearchQuery(w, w))) == before
+
+
+class TestRowPlan:
+    def test_one_enumeration_per_weight_system(self, monkeypatch):
+        calls = []
+
+        def counting(wa):
+            calls.append(wa)
+            return enumerate_rows(wa)
+
+        monkeypatch.setattr(search, "enumerate_rows", counting)
+        search._plan.cache_clear()
+        find_magic_squares(SearchQuery(W10, W30))
+        find_magic_squares(SearchQuery(W10, W10, filter="primitive"))
+        find_magic_squares(SearchQuery(W10, parse_weight_system("2,3,5;10"),
+                                       filter="almost_primitive",
+                                       strong_only=True))
+        assert calls == [W10]
+
+    def test_equal_last_rows_are_kept(self):
+        # the last two rows are equal and b_(n-1) = b_n: the solved last
+        # row may repeat the row placed before it
+        w = parse_weight_system("1,1,1;3")
+        found = entries(find_magic_squares(SearchQuery(w, w)))
+        assert ((1, 1, 1), (1, 1, 1), (1, 1, 1)) in found
+        assert ((3, 0, 0), (0, 3, 0), (0, 0, 3)) in found
 
 
 class TestFindMagicSquares:
@@ -226,17 +254,42 @@ class TestCapOnEqualWeights:
         assert entries(info.value.partial) == full[:cap]
 
 
-@pytest.mark.parametrize("wa,wb,count", [
+LADDER = [
     ("1,1,1;12", "1,1,1;12", 712),
     ("1,1,1,1;4", "1,1,1,1;4", 465),
     ("2,3,4,5;20", "2,3,4,5;20", 55),
     ("1,1,1;12", "1,1,2;12", 0),
     ("1,1,1;20", "1,1,1;20", 4499),
     ("1,1,1,1;5", "1,1,1,1;5", 1746),
-])
+]
+
+
+@cache
+def ladder(wa, wb, filter="any", strong_only=False):
+    return find_magic_squares(SearchQuery(
+        parse_weight_system(wa), parse_weight_system(wb), filter, strong_only))
+
+
+@pytest.mark.parametrize("wa,wb,count", LADDER)
 def test_ladder_counts(wa, wb, count):
-    q = SearchQuery(parse_weight_system(wa), parse_weight_system(wb))
-    assert len(find_magic_squares(q)) == count
+    assert len(ladder(wa, wb)) == count
+
+
+@pytest.mark.parametrize("query", [(wa, wb) for wa, wb, _ in LADDER] + [
+    ("1,1,1;12", "1,1,1;12", "almost_primitive"),
+    ("1,1,1,1;4", "1,1,1,1;4", "almost_primitive", True),
+])
+def test_search_results_equal_validated_squares(query):
+    found = ladder(*query)
+    assert all(m == validate(m.entries, m.wa, m.wb) for m in found)
+    assert all(type(c) is int for m in found for row in m.entries for c in row)
+
+
+def test_public_construction_still_validates():
+    # the rows of the strong W10 x W30 square, in an order whose columns
+    # fail the b-weighted relation
+    with pytest.raises(ValidationError, match="column 1 has b-weighted sum 33"):
+        MagicSquare(((5, 0, 1), (0, 0, 2), (1, 3, 0)), W10, W30)
 
 
 class TestCanonicalize:
