@@ -278,7 +278,7 @@ def test_ladder_counts(wa, wb, count):
 @pytest.mark.parametrize("query", [(wa, wb) for wa, wb, _ in LADDER] + [
     ("1,1,1;12", "1,1,1;12", "almost_primitive"),
     ("1,1,1,1;4", "1,1,1,1;4", "almost_primitive", True),
-])
+], ids=lambda query: "-".join(map(str, query)))
 def test_search_results_equal_validated_squares(query):
     found = ladder(*query)
     assert all(m == validate(m.entries, m.wa, m.wb) for m in found)
