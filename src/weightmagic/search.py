@@ -5,6 +5,12 @@ relation, assembled depth-first into squares with prefix pruning against
 the column relation, and reported once per row multiset in a canonical
 arrangement.
 
+A square C couples (a; h) and (b; k) only if k * a0 = h * b0, where
+a0 = h - sum(a_i) and b0 = k - sum(b_i) are the virtual weights:
+computing b^T C a with C a = h 1 gives h (k - b0), and with b^T C = k 1
+gives k (h - a0).  A pair that fails this identity has no square, and
+the search returns at once without building a plan or enumerating rows.
+
 Each weight system's rows, with a ``{row: index}`` lookup, form a plan
 that is built once and cached (the 64 most recent systems), so a search
 on a system seen before does no per-call set-up beyond its own query.
@@ -48,7 +54,7 @@ class SearchQuery:
             )
         if 0 in self.wa.weights or 0 in self.wb.weights:
             raise ValidationError("search requires strictly positive weights")
-        if self.wa.n != self.wb.n:
+        if len(self.wa.weights) != len(self.wb.weights):
             raise ValidationError(
                 f"weight systems disagree on size: {self.wa.n} vs {self.wb.n}"
             )
@@ -109,6 +115,10 @@ def canonicalize(rows, wb: WeightSystem) -> tuple[tuple[int, ...], ...] | None:
 def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
     """Every magic square coupling (q.wa, q.wb), one per row multiset.
 
+    A pair with k * a0 != h * b0 has no square and returns [] before
+    any rows are enumerated: b^T C a is h (k - b0) by the row relation
+    C a = h 1 and k (h - a0) by the column relation b^T C = k 1.
+
     Rows come from q.wa's cached plan and are placed depth-first in
     enumeration order.  The last row is not looped over: for each
     candidate second-to-last row the column residuals
@@ -128,6 +138,8 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
     flattened entries.  Exceeding the result cap raises
     SearchCapExceeded carrying the results collected so far.
     """
+    if q.wb.degree * q.wa.a0 != q.wa.degree * q.wb.a0:
+        return []
     rows, position = _plan(q.wa)
     n = q.wa.n
     k = q.wb.degree

@@ -152,6 +152,14 @@ class TestPartnerRecoveryProperties:
 
 
 class TestCatalogSquareProperties:
+    def test_virtual_weight_identity(self):
+        # b^T C a is both h (k - b0) and k (h - a0); zero-weight systems
+        # included
+        assert len(_CATALOG.entries) == 120
+        for entry in _CATALOG.entries:
+            wa, wb = entry.square().wa, entry.square().wb
+            assert wb.degree * wa.a0 == wa.degree * wb.a0, entry.label
+
     @given(catalog_entries)
     @settings(deadline=None)
     def test_transpose_is_an_involution(self, entry):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import compress, product
 
 import pytest
 
@@ -96,6 +96,25 @@ class TestRowPlan:
                                        strong_only=True))
         assert calls == [W10]
 
+    @pytest.mark.parametrize("wa,wb", [
+        ("1,1,1;12", "1,1,2;12"),
+        ("1,1,1,1;5", "1,1,1,1;4"),
+    ])
+    def test_pair_failing_the_identity_enumerates_no_rows(self, monkeypatch,
+                                                          wa, wb):
+        # k * a0 != h * b0, so no square couples the pair
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return enumerate_rows(w)
+
+        monkeypatch.setattr(search, "enumerate_rows", counting)
+        search._plan.cache_clear()
+        q = SearchQuery(parse_weight_system(wa), parse_weight_system(wb))
+        assert find_magic_squares(q) == []
+        assert calls == []
+
     def test_equal_last_rows_are_kept(self):
         # the last two rows are equal and b_(n-1) = b_n: the solved last
         # row may repeat the row placed before it
@@ -175,15 +194,30 @@ class TestFindMagicSquares:
 
 
 def unpruned_search(wa, wb, filter="any", strong_only=False):
-    """Every arrangement of rows, checked whole, one result per multiset."""
-    k = wb.degree
+    """Every arrangement of rows, checked whole, one result per multiset.
+
+    A row at position i adds b_i times its entries to the column sums.
+    Each such contribution is packed as the digits of one integer in a
+    base above any column sum, so no digit carries, and an arrangement
+    couples exactly when its packed contributions add up to k in every
+    digit.
+    """
+    rows = enumerate_rows(wa)
+    base = sum(wb.weights) * wa.degree + 1
+
+    def packed(vec):
+        return sum(v * base**j for j, v in enumerate(vec))
+
+    target = packed([wb.degree] * wa.n)
+    placed = [[packed([b * c for c in row]) for row in rows]
+              for b in wb.weights]
     found = {}
-    for rows in product(enumerate_rows(wa), repeat=wa.n):
-        if all(sum(b * row[j] for b, row in zip(wb.weights, rows)) == k
-               for j in range(wa.n)):
-            key = tuple(sorted(rows))
-            if key not in found:
-                found[key] = canonicalize(key, wb)
+    for arrangement in compress(product(rows, repeat=wa.n),
+                                map(target.__eq__,
+                                    map(sum, product(*placed)))):
+        key = tuple(sorted(arrangement))
+        if key not in found:
+            found[key] = canonicalize(key, wb)
     kept = []
     for canonical in found.values():
         report = classify(validate(canonical, wa, wb))
@@ -210,6 +244,10 @@ class TestPrunedSearchMatchesUnpruned:
         ("1,1,2;8", "1,2,1;8"),
         ("1,1,1;6", "1,1,1;6"),
         ("1,3,5;10", "4,10,13;30"),  # distinct weights
+        # the pairs below fail k * a0 = h * b0 except the last
+        ("1,1,1,1;5", "1,1,1,1;4"),  # n=4, 56 rows
+        ("2,2,3;6", "1,1,1;2"),      # a0 = b0 = -1, h != k
+        ("2,3,4;6", "1,1,1;2"),      # a0 = -3, b0 = -1: holds, one square
     ])
     def test_same_ordered_results(self, wa, wb):
         wa, wb = parse_weight_system(wa), parse_weight_system(wb)
@@ -283,6 +321,12 @@ def test_search_results_equal_validated_squares(query):
     found = ladder(*query)
     assert all(m == validate(m.entries, m.wa, m.wb) for m in found)
     assert all(type(c) is int for m in found for row in m.entries for c in row)
+
+
+@pytest.mark.parametrize("wa,wb,count", LADDER)
+def test_ladder_results_satisfy_virtual_weight_identity(wa, wb, count):
+    for m in ladder(wa, wb):
+        assert m.wb.degree * m.wa.a0 == m.wa.degree * m.wb.a0
 
 
 def test_public_construction_still_validates():
