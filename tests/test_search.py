@@ -99,6 +99,7 @@ class TestRowPlan:
     @pytest.mark.parametrize("wa,wb", [
         ("1,1,1;12", "1,1,2;12"),
         ("1,1,1,1;5", "1,1,1,1;4"),
+        ("1,1,1;2", "1,1,1;6"),  # k * a0 = -h * b0
     ])
     def test_pair_failing_the_identity_enumerates_no_rows(self, monkeypatch,
                                                           wa, wb):
@@ -198,12 +199,12 @@ def unpruned_search(wa, wb, filter="any", strong_only=False):
 
     A row at position i adds b_i times its entries to the column sums.
     Each such contribution is packed as the digits of one integer in a
-    base above any column sum, so no digit carries, and an arrangement
-    couples exactly when its packed contributions add up to k in every
-    digit.
+    base above k and above any column sum, so no digit carries, and an
+    arrangement couples exactly when its packed contributions add up to
+    k in every digit.
     """
     rows = enumerate_rows(wa)
-    base = sum(wb.weights) * wa.degree + 1
+    base = max(wb.degree, sum(wb.weights) * wa.degree) + 1
 
     def packed(vec):
         return sum(v * base**j for j, v in enumerate(vec))
