@@ -324,8 +324,8 @@ def test_search_results_equal_validated_squares(query):
     assert all(type(c) is int for m in found for row in m.entries for c in row)
 
 
-@pytest.mark.parametrize("wa,wb,count", LADDER)
-def test_ladder_results_satisfy_virtual_weight_identity(wa, wb, count):
+@pytest.mark.parametrize("wa,wb", [(wa, wb) for wa, wb, _ in LADDER])
+def test_ladder_results_satisfy_virtual_weight_identity(wa, wb):
     for m in ladder(wa, wb):
         assert m.wb.degree * m.wa.a0 == m.wa.degree * m.wb.a0
 
