@@ -99,13 +99,11 @@ def validate(entries, wa: WeightSystem, wb: WeightSystem) -> MagicSquare:
 
 @dataclass(frozen=True)
 class CouplingReport:
-    """Determinant-level classification and zero-pattern summary."""
+    """Determinant-level classification and strongness."""
 
     determinant: int
     classification: str
     strong: bool
-    row_has_zero: tuple[bool, ...]
-    col_has_zero: tuple[bool, ...]
 
 
 def classify(ms: MagicSquare) -> CouplingReport:
@@ -128,9 +126,9 @@ def classify(ms: MagicSquare) -> CouplingReport:
         label = ALMOST_PRIMITIVE
     else:
         label = PLAIN
-    rows = tuple(0 in row for row in ms.entries)
-    cols = tuple(0 in ms.column(j) for j in range(ms.n))
-    return CouplingReport(det, label, all(rows) and all(cols), rows, cols)
+    strong = (all(0 in row for row in ms.entries)
+              and all(0 in ms.column(j) for j in range(ms.n)))
+    return CouplingReport(det, label, strong)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 polar duality.
 
 The extended simplex cones the full Newton diagram at the origin and
-shifts everything by (-1, ..., -1).  Its polar dual is computed vertex
-by vertex through exact rational linear solves, and the closed form
-(e_1, ..., e_n, (-a_1/a_0, ..., -a_n/a_0)) is available for comparison.
+shifts everything by (-1, ..., -1).  The polar dual of a full simplex
+is read off one exact inverse of its vertex matrix bordered by a column
+of ones, and the closed form (e_1, ..., e_n, (-a_1/a_0, ..., -a_n/a_0))
+is available for comparison.
 """
 
 from __future__ import annotations
@@ -79,29 +80,18 @@ def extended_diagram(wa: WeightSystem) -> RationalSimplex:
     return RationalSimplex(tuple(vertices))
 
 
-def _barycentric_of_origin(s: RationalSimplex) -> tuple[Fraction, ...]:
-    """Coefficients lam with sum(lam) = 1 and sum(lam_i v_i) = 0."""
-    n = s.dimension
-    rows = [
-        tuple(s.vertices[i][coord] for i in range(n + 1))
-        for coord in range(n)
-    ]
-    rows.append(tuple(Fraction(1) for _ in range(n + 1)))
-    rhs = [Fraction(0)] * n + [Fraction(1)]
-    try:
-        return linalg.solve(tuple(rows), tuple(rhs))
-    except SingularMatrixError:
-        raise ValidationError(
-            "degenerate simplex: vertices are affinely dependent"
-        ) from None
-
-
 def polar_dual(s: RationalSimplex) -> RationalSimplex:
     """The polar dual simplex, dual vertex i opposite primal vertex i.
 
     Requires a full simplex (n+1 vertices) with the origin strictly
-    inside.  Dual vertex i solves <v_j, y> = -1 for every j != i; the
-    result is checked a posteriori against the defining inequalities.
+    inside.  One exact inverse W of M = [V | 1], the vertex rows
+    bordered by a column of ones, gives everything.  Its last row is the
+    barycentric vector lam of the origin, since lam^T M = (0, ..., 0, 1).
+    Column i of W is (u_i, t_i) with <v_j, u_i> + t_i = delta_ij, so
+    dual vertex y_i = u_i / lam_i satisfies <v_j, y_i> = -1 for j != i
+    and <v_i, y_i> = (1 - lam_i) / lam_i, which exceeds -1 exactly when
+    lam_i > 0.  Hence lam > 0 is the whole interior test, and every
+    defining inequality <v, y> >= -1 holds without a second check.
     """
     n = s.dimension
     if len(s.vertices) != n + 1:
@@ -109,22 +99,21 @@ def polar_dual(s: RationalSimplex) -> RationalSimplex:
             f"polar duals are computed for full simplices only "
             f"({n + 1} vertices in dimension {n}, got {len(s.vertices)})"
         )
-    lam = _barycentric_of_origin(s)
+    try:
+        w = linalg.inverse(tuple(v + (1,) for v in s.vertices))
+    except SingularMatrixError:
+        raise ValidationError(
+            "degenerate simplex: vertices are affinely dependent"
+        ) from None
+    lam = w[n]
     if any(l <= 0 for l in lam):
         raise DomainError(
             "the origin is not in the interior of the simplex, "
             "so the polar dual is not a simplex"
         )
-    minus_one = tuple(Fraction(-1) for _ in range(n))
-    duals = []
-    for i in range(n + 1):
-        rows = tuple(v for j, v in enumerate(s.vertices) if j != i)
-        duals.append(linalg.solve(rows, minus_one))
-    for v in s.vertices:
-        for y in duals:
-            if sum(a * b for a, b in zip(v, y)) < -1:
-                raise DomainError("polar dual violates its defining inequalities")
-    return RationalSimplex(tuple(duals))
+    return RationalSimplex(tuple(
+        tuple(w[k][i] / lam[i] for k in range(n)) for i in range(n + 1)
+    ))
 
 
 def closed_form_dual(wa: WeightSystem) -> RationalSimplex:

@@ -133,10 +133,14 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
     relations by construction and are not validated again.
 
     Results are deduplicated by row multiset, rendered in canonical
-    arrangement, filtered by classification and strongness (a square is
-    classified only when the query filters), and sorted descending by
-    flattened entries.  Exceeding the result cap raises
-    SearchCapExceeded carrying the results collected so far.
+    arrangement and filtered by classification and strongness (a square
+    is classified only when the query filters).  They come out strictly
+    descending by entries without a sort: the search visits arrangements
+    in descending order, rows lexicographically descending and the last
+    row fixed by the rows before it, and admits each multiset at its
+    canonical arrangement.  Exceeding the result cap raises
+    SearchCapExceeded carrying the results collected so far, a prefix of
+    the full list.
     """
     if q.wb.degree * q.wa.a0 != q.wa.degree * q.wb.a0:
         return []
@@ -169,7 +173,7 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
         if len(accepted) >= q.cap:
             raise SearchCapExceeded(
                 f"more than {q.cap} squares couple {q.wa} and {q.wb}",
-                partial=sorted(accepted, key=lambda m: m.entries, reverse=True),
+                partial=accepted,
             )
         accepted.append(ms)
 
@@ -200,4 +204,4 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
                 assemble(i + 1, j if tie else 0, chosen + (row,), sums)
 
     assemble(0, 0, (), (0,) * n)
-    return sorted(accepted, key=lambda m: m.entries, reverse=True)
+    return accepted

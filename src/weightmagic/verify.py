@@ -39,6 +39,10 @@ EXPECTED_NOT_STRONG = (
     "W_1,0",
 )
 
+#: Degree bound of criterion 8's brute-force comparison over reduced
+#: n=2 weight systems.
+BRUTE_DEGREE_BOUND = 12
+
 #: Absolute partner-lattice discriminants in Fuchsian-table row order.
 EXPECTED_PARTNER_DISCRIMINANTS = (6, 12, 25, 10, 10, 6, 14, 12)
 
@@ -204,8 +208,7 @@ def _brute_force_squares(rows, wb: WeightSystem):
     return arrangements
 
 
-def check_search(catalog: Catalog, reports: Reports,
-                 brute_degree_bound: int = 12) -> CriterionResult:
+def check_search(catalog: Catalog, reports: Reports) -> CriterionResult:
     """Pinned searches, catalog completeness, and n=2 brute-force parity."""
     failures = []
 
@@ -233,7 +236,7 @@ def check_search(catalog: Catalog, reports: Reports,
             failures.append(f"{entry.label} not rediscovered")
 
     checked_pairs = 0
-    systems = _reduced_pairs(brute_degree_bound)
+    systems = _reduced_pairs(BRUTE_DEGREE_BOUND)
     for wa in systems:
         rows = _brute_force_rows(wa)
         for wb in systems:

@@ -68,12 +68,6 @@ class WeightSystem:
         """Virtual weight h - sum(a_i); may be zero or negative."""
         return self.degree - sum(self.weights)
 
-    @property
-    def is_reduced(self) -> bool:
-        """True when gcd of the weights is 1 and they are sorted ascending."""
-        ws = self.weights
-        return gcd(*ws) == 1 and all(ws[i] <= ws[i + 1] for i in range(len(ws) - 1))
-
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.weights) + f";{self.degree}"
 

@@ -74,7 +74,7 @@ class TestClassify:
         report = classify(square)
         assert report.classification == PRIMITIVE
         assert not report.strong
-        assert report.row_has_zero == (True, True, False)
+        assert tuple(0 in row for row in square.entries) == (True, True, False)
 
     def test_plain(self):
         w = parse_weight_system("1,1;2")

@@ -1,17 +1,91 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from weightmagic import (DomainError, RationalSimplex, ValidationError,
-                         closed_form_dual, extended_diagram, inverse_data,
-                         parse_weight_system, polar_dual, validate,
-                         verify_duality_identity)
-from weightmagic.linalg import mat_mul
+from weightmagic import (DomainError, RationalSimplex, SingularMatrixError,
+                         ValidationError, closed_form_dual, extended_diagram,
+                         inverse_data, parse_weight_system, polar_dual,
+                         validate, verify_duality_identity)
+from weightmagic.linalg import mat_mul, solve
 
 W6 = parse_weight_system("2,3;6")
 W42 = parse_weight_system("6,14,21;42")
+
+
+def reference_polar_dual(s):
+    """Vertex by vertex, the reference for polar_dual: solve for the
+    barycentric coordinates of the origin, solve <v_j, y> = -1 (j != i)
+    for each dual vertex, then check every defining inequality."""
+    n = s.dimension
+    if len(s.vertices) != n + 1:
+        raise ValidationError(
+            f"polar duals are computed for full simplices only "
+            f"({n + 1} vertices in dimension {n}, got {len(s.vertices)})"
+        )
+    rows = [tuple(v[coord] for v in s.vertices) for coord in range(n)]
+    rows.append((1,) * (n + 1))
+    try:
+        lam = solve(tuple(rows), (0,) * n + (1,))
+    except SingularMatrixError:
+        raise ValidationError(
+            "degenerate simplex: vertices are affinely dependent"
+        ) from None
+    if any(l <= 0 for l in lam):
+        raise DomainError(
+            "the origin is not in the interior of the simplex, "
+            "so the polar dual is not a simplex"
+        )
+    duals = [
+        solve(tuple(v for j, v in enumerate(s.vertices) if j != i), (-1,) * n)
+        for i in range(n + 1)
+    ]
+    for v in s.vertices:
+        for y in duals:
+            if sum(a * b for a, b in zip(v, y)) < -1:
+                raise DomainError("polar dual violates its defining inequalities")
+    return RationalSimplex(tuple(duals))
+
+
+def outcome(f, s):
+    """The dual's vertices, or the type and message of the exception."""
+    try:
+        return f(s).vertices
+    except (ValidationError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_dual_inequalities(s, dual):
+    for v in s.vertices:
+        for y in dual.vertices:
+            assert sum(a * b for a, b in zip(v, y)) >= -1
+
+
+def random_simplices(n, count, fractions, seed, trials=300):
+    """Seeded random simplices with count vertices in dimension n and
+    small int or Fraction coordinates, duplicates skipped.  Each full
+    simplex with n >= 2 also comes with an affinely dependent twin whose
+    last vertex is 2 v_0 - v_1."""
+    rng = random.Random(seed)
+
+    def coord():
+        if fractions:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        return rng.randint(-3, 3)
+
+    out = []
+    for _ in range(trials):
+        vertices = [tuple(coord() for _ in range(n)) for _ in range(count)]
+        candidates = [vertices]
+        if count == n + 1 and n >= 2:
+            candidates.append(vertices[:-1] + [
+                tuple(2 * a - b for a, b in zip(vertices[0], vertices[1]))])
+        for vs in candidates:
+            if len(set(vs)) == count:
+                out.append(RationalSimplex(tuple(vs)))
+    return out
 
 
 class TestRationalSimplex:
@@ -98,11 +172,17 @@ class TestPolarDual:
             polar_dual(RationalSimplex(((1, 0), (0, 1))))
 
     def test_origin_must_be_interior(self):
+        message = ("the origin is not in the interior of the simplex, "
+                   "so the polar dual is not a simplex")
         s = extended_diagram(parse_weight_system("3,4,5;10"))
-        with pytest.raises(DomainError,
-                           match="the origin is not in the interior of the "
-                                 "simplex, so the polar dual is not a simplex"):
+        with pytest.raises(DomainError, match=message):
             polar_dual(s)
+        # origin on a facet: its barycentric coordinate for (0, 1) is 0
+        on_facet = RationalSimplex(((1, 0), (0, 1), (-1, 0)))
+        with pytest.raises(DomainError, match=message):
+            polar_dual(on_facet)
+        assert outcome(polar_dual, on_facet) == \
+            outcome(reference_polar_dual, on_facet)
 
     def test_degenerate_simplex(self):
         with pytest.raises(ValidationError, match="degenerate simplex"):
@@ -111,6 +191,49 @@ class TestPolarDual:
     def test_closed_form_rejects_zero_virtual_weight(self):
         with pytest.raises(ValidationError, match="unbounded"):
             closed_form_dual(parse_weight_system("1,2,3;6"))
+
+
+class TestPolarDualMatchesReference:
+    @pytest.mark.parametrize("fractions", [False, True],
+                             ids=["int", "fraction"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_simplices(self, n, fractions):
+        seen = set()
+        for count in (n, n + 1):
+            for s in random_simplices(n, count, fractions,
+                                      seed=1000 * n + 10 * count + fractions):
+                got = outcome(polar_dual, s)
+                assert got == outcome(reference_polar_dual, s), s
+                if isinstance(got[0], type):
+                    seen.add(got[1].split(":")[0].split(" (")[0])
+                else:
+                    seen.add("dual")
+                    assert_dual_inequalities(s, RationalSimplex(got))
+        expected = {
+            "dual",
+            "polar duals are computed for full simplices only",
+            "the origin is not in the interior of the simplex, "
+            "so the polar dual is not a simplex",
+        }
+        if n > 1:  # two distinct points on a line are affinely independent
+            expected.add("degenerate simplex")
+        assert seen == expected
+
+    def test_every_catalog_diagram(self, catalog):
+        systems = {w for entry in catalog
+                   for w in (entry.weights, entry.partner_weights)}
+        compared = 0
+        for w in systems:
+            try:
+                s = extended_diagram(w)
+            except ValidationError:
+                continue
+            got = outcome(polar_dual, s)
+            assert got == outcome(reference_polar_dual, s), w
+            if not isinstance(got[0], type):
+                assert_dual_inequalities(s, RationalSimplex(got))
+            compared += 1
+        assert compared
 
 
 class TestDualityIdentity:

@@ -66,7 +66,8 @@ class TestWeightSystemProperties:
             return
         reduction = reduce_system(w)
         reduced = reduction.system
-        assert reduced.is_reduced
+        assert gcd(*reduced.weights) == 1
+        assert list(reduced.weights) == sorted(reduced.weights)
         assert reduce_system(reduced).system == reduced
         assert equivalent(w, reduced)
         for i, position in enumerate(reduction.permutation):

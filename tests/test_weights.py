@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,9 +23,17 @@ class TestWeightSystem:
         assert w.full_form() == "1,6,14,21;42"
 
     def test_is_reduced(self):
-        assert WeightSystem((6, 14, 21), 42).is_reduced
-        assert not WeightSystem((12, 28, 42), 84).is_reduced
-        assert not WeightSystem((14, 6, 21), 42).is_reduced  # not ascending
+        # reduced means weight gcd 1 and ascending, and reduce_system
+        # returns exactly such a representative
+        for text, is_reduced in (("6,14,21;42", True),
+                                 ("12,28,42;84", False),  # weight gcd 2
+                                 ("14,6,21;42", False)):  # not ascending
+            w = parse_weight_system(text)
+            assert (gcd(*w.weights) == 1
+                    and list(w.weights) == sorted(w.weights)) is is_reduced
+            reduced = reduce_system(w).system
+            assert (reduced == w) is is_reduced
+            assert reduced == WeightSystem((6, 14, 21), 42)
 
     def test_negative_virtual_weight_allowed(self):
         assert WeightSystem((3, 4, 5), 10).a0 == -2
