@@ -270,9 +270,7 @@ def _weights_agree(left: WeightSystem, right: WeightSystem) -> bool:
     if 0 in left.weights or 0 in right.weights:
         return (sorted(left.weights) == sorted(right.weights)
                 and left.degree == right.degree)
-    return equivalent(
-        WeightSystem(tuple(sorted(left.weights)), left.degree),
-        WeightSystem(tuple(sorted(right.weights)), right.degree))
+    return equivalent(left, right)
 
 
 @dataclass(frozen=True)

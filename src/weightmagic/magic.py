@@ -133,10 +133,9 @@ def classify(ms: MagicSquare) -> CouplingReport:
 
 @dataclass(frozen=True)
 class InverseData:
-    """B = C - 1, its exact rational inverse A, and the weight systems
-    recovered from the row and column sums of A."""
+    """The exact rational inverse A of B = C - 1 and the weight systems
+    recovered from its row and column sums."""
 
-    b: tuple[tuple[int, ...], ...]
     a: tuple[tuple[Fraction, ...], ...]
     recovered_wa: WeightSystem
     recovered_wb: WeightSystem
@@ -150,27 +149,22 @@ def _system_from_ratios(ratios) -> WeightSystem:
     so that the weights are; no prime divides a0 and every weight, so
     the tuple is the smallest integer one.
     """
-    ratios = [Fraction(r) for r in ratios]
     q = lcm(*(r.denominator for r in ratios))
     if all(r <= 0 for r in ratios):
         q = -q  # negative virtual weight: flip the whole tuple positive
     ws = [int(r * q) for r in ratios]
-    try:
-        return reduce_system(WeightSystem(
-            tuple(ws), q + sum(ws), allows_zero_weight=any(w == 0 for w in ws)
-        )).system
-    except ValidationError as exc:
-        raise ValidationError(
-            f"ratios {tuple(str(r) for r in ratios)} do not come from a weight system: {exc}"
-        ) from exc
+    return reduce_system(WeightSystem(
+        tuple(ws), q + sum(ws), allows_zero_weight=any(w == 0 for w in ws)
+    )).system
 
 
 def inverse_data(ms: MagicSquare) -> InverseData:
     """Invert B = C - 1 exactly and recover both weight systems from A.
 
-    Row sums of A are a_i / a0 and column sums are b_j / b0; both
-    recovered systems must reduce to the bound ones, otherwise the square
-    or its binding is corrupted.
+    B.a = a0.(1, ..., 1)^t and b^t.B = b0.(1, ..., 1), so the row sums of
+    A are a_i / a0 and its column sums are b_j / b0: on a valid square the
+    recovered systems are the reduced bound ones.  B is singular whenever
+    a0 = 0 or b0 = 0.
     """
     b = tuple(tuple(c - 1 for c in row) for row in ms.entries)
     try:
@@ -179,20 +173,8 @@ def inverse_data(ms: MagicSquare) -> InverseData:
         raise SingularMatrixError(
             "C - 1 is singular, so the inverse data does not exist"
         ) from None
-    n = ms.n
-    row_sums = [sum(a[i][j] for j in range(n)) for i in range(n)]
-    col_sums = [sum(a[i][j] for i in range(n)) for j in range(n)]
-    recovered_wa = _system_from_ratios(row_sums)
-    recovered_wb = _system_from_ratios(col_sums)
-    if recovered_wa != reduce_system(ms.wa).system:
-        raise ValidationError(
-            f"recovered row weights {recovered_wa} do not reduce to {ms.wa}"
-        )
-    if recovered_wb != reduce_system(ms.wb).system:
-        raise ValidationError(
-            f"recovered column weights {recovered_wb} do not reduce to {ms.wb}"
-        )
-    return InverseData(b, a, recovered_wa, recovered_wb)
+    return InverseData(a, _system_from_ratios([sum(row) for row in a]),
+                       _system_from_ratios([sum(col) for col in zip(*a)]))
 
 
 def recover_partner(entries, wa: WeightSystem) -> MagicSquare:

@@ -11,7 +11,7 @@ reduced (gcd 1, ascending) representative.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -30,12 +30,13 @@ class WeightSystem:
     Weights are positive by default.  A single zero weight is tolerated on
     instances built with ``allows_zero_weight=True``; such systems are
     quarantined from scaling equivalence and from every operation that
-    divides by a weight.
+    divides by a weight.  The flag is a permission, not part of the value:
+    it takes no part in equality or hashing.
     """
 
     weights: tuple[int, ...]
     degree: int
-    allows_zero_weight: bool = False
+    allows_zero_weight: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         ws = tuple(int(a) for a in self.weights)
@@ -85,14 +86,14 @@ class Reduction:
     scale: Fraction  # reduced weights = scale * original weights
 
 
-def parse_weight_system(text: str, allow_zero_weight: bool = False) -> WeightSystem:
+def parse_weight_system(text: str) -> WeightSystem:
     """Parse ``a1,...,an;h`` into a WeightSystem, order preserved."""
     m = _GRAMMAR.fullmatch(text.strip())
     if not m:
         raise ParseError(f"weight system must match 'a1,...,an;h', got {text!r}")
     ws = tuple(int(p) for p in re.split(r"\s*,\s*", m.group(1)))
     try:
-        return WeightSystem(ws, int(m.group(2)), allows_zero_weight=allow_zero_weight)
+        return WeightSystem(ws, int(m.group(2)))
     except ValidationError as exc:
         raise ParseError(f"invalid weight system {text!r}: {exc}") from exc
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import weightmagic
 from weightmagic.cli import MAX_EXPAND, main, run
 
 
@@ -70,6 +73,10 @@ class TestReduce:
     def test_invalid_system_exits_2(self, capsys):
         assert main(["reduce", "--wa", "0,0;4"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_weight_exits_2(self, capsys):
+        assert main(["reduce", "--wa", "2,3,0;6"]) == 2
+        assert "zero weight" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -376,8 +383,11 @@ class TestArgumentErrors:
 
 
 def test_module_entry_point():
+    # the child imports the package under test, installed or not
+    src = str(Path(weightmagic.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "weightmagic", "reduce", "--wa", "6,14,21;42"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "reduced:        6,14,21;42" in proc.stdout

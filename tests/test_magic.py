@@ -8,8 +8,9 @@ from weightmagic import (ALMOST_PRIMITIVE, PLAIN, PRIMITIVE, MagicSquare,
                          ParseError, SingularMatrixError, ValidationError,
                          WeightSystem, classify, format_monomial_matrix,
                          inverse_data, parse_matrix, parse_monomial_matrix,
-                         parse_weight_system, recover_partner, transpose,
-                         validate)
+                         parse_weight_system, recover_partner,
+                         reduce_system, transpose, validate,
+                         verify_duality_identity)
 from weightmagic.linalg import mat_mul
 
 W42 = parse_weight_system("6,14,21;42")
@@ -100,7 +101,8 @@ class TestClassify:
 class TestInverseData:
     def test_diagonal_square_recovery(self):
         data = inverse_data(validate(DIAGONAL_42, W42, W42))
-        assert data.b == ((6, -1, -1), (-1, 2, -1), (-1, -1, 1))
+        b = ((6, -1, -1), (-1, 2, -1), (-1, -1, 1))
+        assert mat_mul(b, data.a) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         n = 3
         row_sums = [sum(data.a[i][j] for j in range(n)) for i in range(n)]
         col_sums = [sum(data.a[i][j] for i in range(n)) for j in range(n)]
@@ -113,6 +115,26 @@ class TestInverseData:
         data = inverse_data(validate(COUPLED_10_30, W10, W30))
         assert data.recovered_wa == W10
         assert data.recovered_wb == W30
+
+    def test_negative_virtual_weight(self):
+        # a0 = 5 - 6 = -1: every ratio a_i / a0 is negative, so the
+        # recovery has to flip the sign of the whole tuple
+        w = parse_weight_system("1,2,3;5")
+        square = validate(((1, 2, 0), (2, 0, 1), (0, 1, 1)), w, w)
+        report = classify(square)
+        assert report.classification == PRIMITIVE and report.strong
+        data = inverse_data(square)
+        assert [sum(row) for row in data.a] == [-1, -2, -3]
+        assert data.recovered_wa == w
+        assert data.recovered_wb == w
+
+    def test_zero_weight_permission_is_not_part_of_the_value(self):
+        w6 = parse_weight_system("2,3;6")
+        flagged = WeightSystem((2, 3), 6, allows_zero_weight=True)
+        assert flagged == w6 and hash(flagged) == hash(w6)
+        square = validate(((3, 0), (0, 2)), flagged, w6)
+        assert inverse_data(square).recovered_wa == reduce_system(flagged).system
+        assert verify_duality_identity(square)
 
     def test_singular_difference(self):
         square = validate(((2, 2), (2, 2)), parse_weight_system("1,2;6"),

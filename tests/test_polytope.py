@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from weightmagic import (DomainError, RationalSimplex, SingularMatrixError,
-                         ValidationError, closed_form_dual, extended_diagram,
-                         inverse_data, parse_weight_system, polar_dual,
-                         validate, verify_duality_identity)
+                         ValidationError, WeightSystem, closed_form_dual,
+                         extended_diagram, inverse_data, parse_weight_system,
+                         polar_dual, validate, verify_duality_identity)
 from weightmagic.linalg import mat_mul, solve
 
 W6 = parse_weight_system("2,3;6")
@@ -136,7 +136,7 @@ class TestExtendedDiagram:
             extended_diagram(parse_weight_system("1,2,3;6"))
 
     def test_rejects_zero_weight(self):
-        w = parse_weight_system("2,3,0;6", allow_zero_weight=True)
+        w = WeightSystem((2, 3, 0), 6, allows_zero_weight=True)
         with pytest.raises(ValidationError, match="positive"):
             extended_diagram(w)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -179,6 +180,12 @@ class TestCatalogSquareProperties:
     def test_inverse_recovers_both_weight_systems(self, entry):
         square = entry.square()
         data = inverse_data(square)
+        n = square.n
+        a0, b0 = square.wa.a0, square.wb.a0
+        assert [sum(row) for row in data.a] == \
+            [Fraction(a, a0) for a in square.wa.weights]
+        assert [sum(data.a[i][j] for i in range(n)) for j in range(n)] == \
+            [Fraction(b, b0) for b in square.wb.weights]
         assert data.recovered_wa == reduce_system(square.wa).system
         assert data.recovered_wb == reduce_system(square.wb).system
 

@@ -6,9 +6,9 @@ from itertools import compress, product
 import pytest
 
 from weightmagic import (MagicSquare, SearchCapExceeded, SearchQuery,
-                         ValidationError, canonicalize, classify,
-                         find_magic_squares, parse_weight_system, search,
-                         validate)
+                         ValidationError, WeightSystem, canonicalize,
+                         classify, find_magic_squares, parse_weight_system,
+                         search, validate)
 from weightmagic.search import enumerate_rows
 
 W10 = parse_weight_system("1,3,5;10")
@@ -29,7 +29,7 @@ class TestSearchQuery:
             SearchQuery(W10, W30, filter="strict")
 
     def test_rejects_zero_weights(self):
-        w = parse_weight_system("2,3,0;6", allow_zero_weight=True)
+        w = WeightSystem((2, 3, 0), 6, allows_zero_weight=True)
         with pytest.raises(ValidationError, match="positive"):
             SearchQuery(w, w)
 
@@ -63,7 +63,7 @@ class TestEnumerateRows:
 
     def test_zero_weight_rejected(self):
         from weightmagic.search import enumerate_rows
-        w = parse_weight_system("2,3,0;6", allow_zero_weight=True)
+        w = WeightSystem((2, 3, 0), 6, allows_zero_weight=True)
         with pytest.raises(ValidationError):
             enumerate_rows(w)
 
