@@ -37,9 +37,12 @@ from .weights import WeightSystem
 FILTERS = ("any", "almost_primitive", "primitive")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SearchQuery:
-    """Parameters for one search over a fixed weight pair."""
+    """Parameters for one search over a fixed weight pair, validated when
+    built.  Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, which is most of the cost of a query that
+    fails k * a0 = h * b0 and searches nothing."""
 
     wa: WeightSystem
     wb: WeightSystem

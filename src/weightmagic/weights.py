@@ -2,10 +2,11 @@
 
 A weight system (a_1, ..., a_n; h) assigns weight a_i to the i-th variable
 and fixes a total degree h.  The virtual weight a_0 := h - sum(a_i) is
-always derived, never stored.  Two systems are equivalent when one is a
-permutation of a rational rescaling of the other; each class with an
-integer representative of weight-gcd dividing its degree has a unique
-reduced (gcd 1, ascending) representative.
+derived once at construction and takes no part in comparison.  Two
+systems are equivalent when one is a permutation of a rational rescaling
+of the other; each class with an integer representative of weight-gcd
+dividing its degree has a unique reduced (gcd 1, ascending)
+representative.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ class WeightSystem:
     weights: tuple[int, ...]
     degree: int
     allows_zero_weight: bool = field(default=False, compare=False)
+    #: virtual weight h - sum(a_i); may be zero or negative
+    a0: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ws = tuple(int(a) for a in self.weights)
@@ -59,15 +62,11 @@ class WeightSystem:
             raise ValidationError(
                 f"zero weight in {ws} requires allows_zero_weight=True"
             )
+        object.__setattr__(self, "a0", self.degree - sum(ws))
 
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    @property
-    def a0(self) -> int:
-        """Virtual weight h - sum(a_i); may be zero or negative."""
-        return self.degree - sum(self.weights)
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.weights) + f";{self.degree}"
@@ -87,15 +86,20 @@ class Reduction:
 
 
 def parse_weight_system(text: str) -> WeightSystem:
-    """Parse ``a1,...,an;h`` into a WeightSystem, order preserved."""
+    """Parse ``a1,...,an;h`` into a positive WeightSystem, order preserved."""
     m = _GRAMMAR.fullmatch(text.strip())
     if not m:
         raise ParseError(f"weight system must match 'a1,...,an;h', got {text!r}")
     ws = tuple(int(p) for p in re.split(r"\s*,\s*", m.group(1)))
     try:
-        return WeightSystem(ws, int(m.group(2)))
+        w = WeightSystem(ws, int(m.group(2)), allows_zero_weight=0 in ws)
     except ValidationError as exc:
         raise ParseError(f"invalid weight system {text!r}: {exc}") from exc
+    # the text form has no way to grant the zero-weight permission
+    if w.allows_zero_weight:
+        raise ParseError(f"invalid weight system {text!r}: zero weight in "
+                         f"{ws}; every weight must be positive")
+    return w
 
 
 def reduce_system(w: WeightSystem) -> Reduction:

@@ -76,7 +76,10 @@ class TestReduce:
 
     def test_zero_weight_exits_2(self, capsys):
         assert main(["reduce", "--wa", "2,3,0;6"]) == 2
-        assert "zero weight" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "zero weight" in err
+        # the library keyword is no flag of the CLI
+        assert "allows_zero_weight" not in err
 
 
 class TestCheck:

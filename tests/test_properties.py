@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weightmagic import (CyclotomicProduct, SearchQuery, ValidationError,
@@ -23,6 +23,15 @@ weight_systems = st.builds(
     WeightSystem,
     weights=st.lists(st.integers(1, 12), min_size=2, max_size=4).map(tuple),
     degree=st.integers(1, 60),
+)
+
+# One zero weight, inserted anywhere, on a system built with the flag.
+flagged_zero_systems = st.builds(
+    lambda ws, i, h: WeightSystem(ws[:i] + (0,) + ws[i:], h,
+                                  allows_zero_weight=True),
+    st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple),
+    st.integers(0, 3),
+    st.integers(1, 60),
 )
 
 catalog_entries = st.sampled_from(_CATALOG.entries)
@@ -57,6 +66,25 @@ class TestWeightSystemProperties:
     def test_virtual_weight_closes_the_sum(self, w):
         assert w.a0 + sum(w.weights) == w.degree
         assert w.full_form() == f"{w.a0}," + str(w)
+
+    @given(st.one_of(weight_systems, flagged_zero_systems))
+    @example(WeightSystem((3, 4, 5), 10))
+    @example(WeightSystem((2, 3, 0), 6, allows_zero_weight=True))
+    def test_stored_virtual_weight_leaves_the_value_alone(self, w):
+        # a0 is computed once at construction; equality, hashing, repr
+        # and full_form() read only the weights, the degree and the flag
+        a0 = w.degree - sum(w.weights)
+        assert w.a0 == a0
+        assert w.full_form() == (f"{a0}," + ",".join(map(str, w.weights))
+                                 + f";{w.degree}")
+        assert repr(w) == (f"WeightSystem(weights={w.weights!r}, "
+                           f"degree={w.degree!r}, "
+                           f"allows_zero_weight={w.allows_zero_weight!r})")
+        flagged = WeightSystem(w.weights, w.degree, allows_zero_weight=True)
+        assert flagged == w and hash(flagged) == hash(w)
+        if 0 not in w.weights:
+            plain = WeightSystem(w.weights, w.degree)
+            assert plain == flagged and hash(plain) == hash(flagged)
 
     @given(weight_systems)
     def test_reduce_yields_the_canonical_representative(self, w):

@@ -38,6 +38,14 @@ class TestWeightSystem:
     def test_negative_virtual_weight_allowed(self):
         assert WeightSystem((3, 4, 5), 10).a0 == -2
 
+    def test_virtual_weight_is_derived_not_given(self):
+        w = WeightSystem((6, 14, 21), 42)
+        with pytest.raises(TypeError):
+            WeightSystem((6, 14, 21), 42, a0=2)
+        with pytest.raises(AttributeError):
+            w.a0 = 2
+        assert w.a0 == 1
+
     @pytest.mark.parametrize("weights,degree", [
         ((1,), 2),              # n too small
         ((1, 1, 1, 1, 1), 5),   # n too large
