@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import magic, polytope, zeta
-from .errors import CatalogError
+from .errors import CatalogError, WeightMagicError
 from .magic import MagicSquare
 from .weights import WeightSystem, equivalent
 
@@ -164,19 +164,16 @@ def _entry_from_record(record: dict) -> CatalogEntry:
         unknown = set(flags) - KNOWN_FLAGS
         if unknown:
             raise CatalogError(f"unknown flags {sorted(unknown)}")
-        allow_zero = "zero_weight" in flags
-        weights = WeightSystem(tuple(record["weights"]), record["degree"],
-                               allows_zero_weight=allow_zero)
-        partner_weights = WeightSystem(
-            tuple(record["partner_weights"]), record["partner_degree"],
-            allows_zero_weight=allow_zero)
+        weights = WeightSystem(tuple(record["weights"]), record["degree"])
+        partner_weights = WeightSystem(tuple(record["partner_weights"]),
+                                       record["partner_degree"])
         if weights.a0 != record["a0"]:
             raise CatalogError(
                 f"stored a0 {record['a0']} disagrees with derived "
                 f"{weights.a0} for {table}#{record['seq']}")
         expected = (FuchsExpected.from_mapping(record["expected"])
                     if record["expected"] is not None else None)
-        return CatalogEntry(
+        entry = CatalogEntry(
             table=table,
             seq=record["seq"],
             index=record["index"],
@@ -191,6 +188,12 @@ def _entry_from_record(record: dict) -> CatalogEntry:
         )
     except KeyError as exc:
         raise CatalogError(f"catalog record is missing field {exc}") from exc
+    if ("zero_weight" in flags) == entry.positive:
+        raise CatalogError(
+            f"{entry.label} is {'' if entry.positive else 'not '}flagged "
+            f"zero_weight, but {weights} and {partner_weights} have "
+            f"{'no' if entry.positive else 'a'} zero weight")
+    return entry
 
 
 def load_catalog(path: str | Path | None = None) -> Catalog:
@@ -309,7 +312,7 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
     problems: list[str] = []
     try:
         square = entry.square()
-    except Exception as exc:  # failure is report content, not an exception
+    except WeightMagicError as exc:  # a failed claim is report content
         return VerificationReport(
             label=entry.label, table=entry.table, valid=False, determinant=0,
             classification="", classification_ok=False, strong=False,
@@ -335,7 +338,7 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
 
     try:
         inverse_identity_ok = polytope.verify_duality_identity(square)
-    except Exception:
+    except WeightMagicError:
         inverse_identity_ok = False
     if not inverse_identity_ok:
         problems.append("inverse-product identity fails")
@@ -451,7 +454,7 @@ def _fuchs_row(entry: CatalogEntry, partner: CatalogEntry,
             errors.append(f"partner zeta value at 1 is {value}")
         else:
             d_star_abs = abs(int(value))
-    except Exception as exc:
+    except WeightMagicError as exc:
         errors.append(f"partner zeta value at 1: {exc}")
     return FuchsRow(
         label=f"{entry.index}/{partner.index}",

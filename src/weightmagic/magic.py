@@ -82,9 +82,6 @@ class MagicSquare:
     def n(self) -> int:
         return len(self.entries)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def monomials(self) -> str:
         return format_monomial_matrix(self.entries)
 
@@ -94,7 +91,7 @@ class MagicSquare:
 
 def validate(entries, wa: WeightSystem, wb: WeightSystem) -> MagicSquare:
     """Check both defining relations and return the validated square."""
-    return MagicSquare(tuple(tuple(row) for row in entries), wa, wb)
+    return MagicSquare(entries, wa, wb)
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ def classify(ms: MagicSquare) -> CouplingReport:
     else:
         label = PLAIN
     strong = (all(0 in row for row in ms.entries)
-              and all(0 in ms.column(j) for j in range(ms.n)))
+              and all(0 in col for col in zip(*ms.entries)))
     return CouplingReport(det, label, strong)
 
 
@@ -153,9 +150,7 @@ def _system_from_ratios(ratios) -> WeightSystem:
     if all(r <= 0 for r in ratios):
         q = -q  # negative virtual weight: flip the whole tuple positive
     ws = [int(r * q) for r in ratios]
-    return reduce_system(WeightSystem(
-        tuple(ws), q + sum(ws), allows_zero_weight=any(w == 0 for w in ws)
-    )).system
+    return reduce_system(WeightSystem(tuple(ws), q + sum(ws))).system
 
 
 def inverse_data(ms: MagicSquare) -> InverseData:
@@ -197,8 +192,7 @@ def recover_partner(entries, wa: WeightSystem) -> MagicSquare:
     q = lcm(*(r.denominator for r in x))
     ws = tuple(int(r * q) for r in x)
     k = sum(w * row[0] for w, row in zip(ws, entries))
-    wb = WeightSystem(ws, k, allows_zero_weight=any(w == 0 for w in ws))
-    return validate(entries, wa, wb)
+    return validate(entries, wa, WeightSystem(ws, k))
 
 
 def transpose(ms: MagicSquare) -> MagicSquare:
@@ -283,8 +277,11 @@ def format_monomial_matrix(entries) -> str:
     return ", ".join(parts)
 
 
-def parse_matrix_rows(text: str) -> tuple[tuple[int, ...], ...]:
-    """Parse semicolon-separated integer rows, e.g. ``5,0,1;1,3,0;0,0,2``."""
+def parse_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """Accept either monomial notation or semicolon-separated integer
+    rows, e.g. ``5,0,1;1,3,0;0,0,2``."""
+    if ";" not in text:
+        return parse_monomial_matrix(text, n)
     try:
         rows = tuple(
             tuple(int(p) for p in re.split(r"\s*,\s*", part.strip()))
@@ -294,14 +291,6 @@ def parse_matrix_rows(text: str) -> tuple[tuple[int, ...], ...]:
         raise ParseError(f"cannot read integer matrix {text!r}: {exc}") from exc
     if len({len(r) for r in rows}) != 1:
         raise ParseError(f"ragged matrix {text!r}")
+    if len(rows) != n or len(rows[0]) != n:
+        raise ParseError(f"expected a {n}x{n} matrix, got {text!r}")
     return rows
-
-
-def parse_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Accept either monomial notation or semicolon-separated integer rows."""
-    if ";" in text:
-        rows = parse_matrix_rows(text)
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ParseError(f"expected a {n}x{n} matrix, got {text!r}")
-        return rows
-    return parse_monomial_matrix(text, n)

@@ -1,4 +1,4 @@
-"""Weight systems: ordered positive weights with a degree.
+"""Weight systems: ordered non-negative weights with a degree.
 
 A weight system (a_1, ..., a_n; h) assigns weight a_i to the i-th variable
 and fixes a total degree h.  The virtual weight a_0 := h - sum(a_i) is
@@ -28,16 +28,14 @@ _GRAMMAR = re.compile(r"(\d+(?:\s*,\s*\d+)*)\s*;\s*(\d+)")
 class WeightSystem:
     """Weights (a_1, ..., a_n) of degree h, written ``a1,...,an;h``.
 
-    Weights are positive by default.  A single zero weight is tolerated on
-    instances built with ``allows_zero_weight=True``; such systems are
-    quarantined from scaling equivalence and from every operation that
-    divides by a weight.  The flag is a permission, not part of the value:
-    it takes no part in equality or hashing.
+    Weights are non-negative, and at most one of them may be zero, as in
+    the catalog's self-coupled I_1,0 (2,3,0;6).  Validity depends on the
+    value alone; every operation that divides by a weight refuses a
+    zero-weight system itself, and the text form admits none.
     """
 
     weights: tuple[int, ...]
     degree: int
-    allows_zero_weight: bool = field(default=False, compare=False)
     #: virtual weight h - sum(a_i); may be zero or negative
     a0: int = field(init=False, compare=False, repr=False)
 
@@ -53,15 +51,11 @@ class WeightSystem:
             raise ValidationError(f"degree must be positive, got {self.degree}")
         if any(a < 0 for a in ws):
             raise ValidationError(f"negative weight in {ws}")
-        zeros = sum(1 for a in ws if a == 0)
+        zeros = ws.count(0)
         if zeros == n:
             raise ValidationError("all weights are zero")
         if zeros > 1:
             raise ValidationError("at most one weight may be zero")
-        if zeros and not self.allows_zero_weight:
-            raise ValidationError(
-                f"zero weight in {ws} requires allows_zero_weight=True"
-            )
         object.__setattr__(self, "a0", self.degree - sum(ws))
 
     @property
@@ -92,11 +86,10 @@ def parse_weight_system(text: str) -> WeightSystem:
         raise ParseError(f"weight system must match 'a1,...,an;h', got {text!r}")
     ws = tuple(int(p) for p in re.split(r"\s*,\s*", m.group(1)))
     try:
-        w = WeightSystem(ws, int(m.group(2)), allows_zero_weight=0 in ws)
+        w = WeightSystem(ws, int(m.group(2)))
     except ValidationError as exc:
         raise ParseError(f"invalid weight system {text!r}: {exc}") from exc
-    # the text form has no way to grant the zero-weight permission
-    if w.allows_zero_weight:
+    if 0 in ws:
         raise ParseError(f"invalid weight system {text!r}: zero weight in "
                          f"{ws}; every weight must be positive")
     return w
@@ -111,11 +104,8 @@ def reduce_system(w: WeightSystem) -> Reduction:
             f"equivalence class of {w} has no reduced integer representative"
         )
     order = sorted(range(w.n), key=lambda i: w.weights[i])
-    reduced = WeightSystem(
-        tuple(w.weights[i] // g for i in order),
-        w.degree // g,
-        allows_zero_weight=w.allows_zero_weight,
-    )
+    reduced = WeightSystem(tuple(w.weights[i] // g for i in order),
+                           w.degree // g)
     return Reduction(reduced, tuple(order), Fraction(1, g))
 
 

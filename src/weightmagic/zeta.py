@@ -111,13 +111,21 @@ def _subsets(n: int):
         yield from combinations(range(n), size)
 
 
-def special_subsets(ms: MagicSquare) -> list[SpecialSubsetReport]:
+def special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
     """All special column subsets of the square, smallest first.
 
     J is special when |I(J)| = |J| for I(J) = {rows supported inside J};
-    the empty set and the full set always are.  |I(J)| > |J| for a proper
-    J means the defining formula would depend on an arbitrary choice of
-    rows, so it is a hard error rather than a silent pick.
+    the empty set and the full set always are.  |I(J)| > |J| means the
+    defining formula would depend on an arbitrary choice of rows, so it
+    is a hard error rather than a silent pick; it cannot happen for the
+    full set, whose I(J) holds exactly the n rows.
+
+    On a valid square the order and the exponent are integers, so neither
+    is checked.  A row of I(J) vanishes outside J, so
+    h = sum_{j in J} c_ij a_j and a_J | h.  C_IJ (a_j)_{j in J} =
+    h (1, ..., 1), so by Cramer's rule det(C_IJ) a_j = h det(M_j) for an
+    integer matrix M_j; h divides every det(C_IJ) a_j, hence, by Bezout
+    on a_J = gcd(a_j), also det(C_IJ) a_J.
     """
     wa = ms.wa
     if 0 in wa.weights:
@@ -136,7 +144,7 @@ def special_subsets(ms: MagicSquare) -> list[SpecialSubsetReport]:
             for r in range(n)
             if all(ms.entries[r][c] == 0 for c in range(n) if c not in inside)
         )
-        if len(i) > len(j) and len(j) < n:
+        if len(i) > len(j):
             raise DegenerateSupportError(
                 f"columns {tuple(c + 1 for c in j)} support rows "
                 f"{tuple(r + 1 for r in i)}: more rows than columns, so the "
@@ -145,19 +153,8 @@ def special_subsets(ms: MagicSquare) -> list[SpecialSubsetReport]:
         if len(i) != len(j):
             continue
         a_j = h if not j else gcd(*(wa.weights[c] for c in j))
-        if h % a_j:
-            raise DomainError(
-                f"gcd {a_j} of columns {tuple(c + 1 for c in j)} does not "
-                f"divide the degree {h}"
-            )
         sub = tuple(tuple(ms.entries[r][c] for c in j) for r in i)
         det = 1 if not j else abs(linalg.determinant(sub))
-        signed = (-1) ** (len(j) + 1) * a_j * det
-        if signed % h:
-            raise DomainError(
-                f"exponent {signed}/{h} for columns {tuple(c + 1 for c in j)} "
-                "is not an integer"
-            )
         reports.append(
             SpecialSubsetReport(
                 j=tuple(c + 1 for c in j),
@@ -165,10 +162,10 @@ def special_subsets(ms: MagicSquare) -> list[SpecialSubsetReport]:
                 a_j=a_j,
                 det_cij=det,
                 order=h // a_j,
-                exponent=signed // h,
+                exponent=(-1) ** (len(j) + 1) * a_j * det // h,
             )
         )
-    return reports
+    return tuple(reports)
 
 
 def reduced_zeta(ms: MagicSquare) -> CyclotomicProduct:

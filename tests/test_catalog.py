@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from weightmagic import (CatalogError, fuchsian_report, load_catalog, magic,
-                         verify_entry)
+                         polytope, verify_entry, zeta)
 
 GOLDEN_NOT_STRONG = Path(__file__).parent / "data" / "table4_not_strong.json"
 
@@ -56,7 +56,7 @@ class TestShape:
         entry = catalog.lookup("I_1,0")[0]
         assert entry.flags == ("zero_weight",)
         assert entry.weights.weights == (2, 3, 0)
-        assert entry.weights.allows_zero_weight
+        assert not entry.positive  # the flag states what the weights show
         entry.square()  # still satisfies both sum relations
 
     def test_not_strong_flags_match_golden_file(self, catalog):
@@ -176,6 +176,23 @@ class TestVerifyEntry:
         assert report.square is None
         assert "fails validation" in report.problems[0]
 
+    @pytest.mark.parametrize("module,name,table", [
+        pytest.param(magic, "validate", "T2", id="validate"),
+        pytest.param(polytope, "verify_duality_identity", "T2",
+                     id="verify_duality_identity"),
+        pytest.param(zeta, "evaluate_at_one", "Fuchs", id="evaluate_at_one"),
+    ])
+    def test_programming_errors_are_raised_not_reported(
+            self, catalog, monkeypatch, module, name, table):
+        # a failed claim is report content; a bug is not a failed claim
+        def broken(*args):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(module, name, broken)
+        entry = replace(catalog.table(table)[0])  # square not yet validated
+        with pytest.raises(TypeError, match="a bug"):
+            verify_entry(entry, catalog)
+
     def test_report_carries_the_fuchsian_row(self, catalog):
         rows = fuchsian_report(catalog)
         entries = catalog.table("Fuchs")
@@ -258,6 +275,23 @@ class TestLoading:
         document["entries"][0]["flags"] = ["experimental"]
         with pytest.raises(CatalogError, match="unknown flags"):
             load_catalog(write_document(tmp_path, document))
+
+    @pytest.mark.parametrize("name,flags,message", [
+        pytest.param("I_1,0", [], "T4#16 I_1,0 is not flagged zero_weight, "
+                     "but 2,3,0;6 and 2,3,0;6 have a zero weight",
+                     id="flag-missing"),
+        pytest.param("E_12", ["zero_weight"], "T2#1 no. 14 E_12 is flagged "
+                     "zero_weight, but 6,14,21;42 and 6,14,21;42 have no "
+                     "zero weight", id="flag-without-zero"),
+    ])
+    def test_zero_weight_flag_must_match_the_weights(self, tmp_path, name,
+                                                     flags, message):
+        document = raw_document()
+        record = next(r for r in document["entries"] if r["name"] == name)
+        record["flags"] = flags
+        with pytest.raises(CatalogError) as raised:
+            load_catalog(write_document(tmp_path, document))
+        assert str(raised.value) == message
 
     def test_rejects_wrong_table_size(self, tmp_path):
         document = raw_document()

@@ -77,8 +77,8 @@ class TestReduce:
     def test_zero_weight_exits_2(self, capsys):
         assert main(["reduce", "--wa", "2,3,0;6"]) == 2
         err = capsys.readouterr().err
-        assert "zero weight" in err
-        # the library keyword is no flag of the CLI
+        assert ("zero weight in (2, 3, 0); every weight must be positive"
+                in err)
         assert "allows_zero_weight" not in err
 
 

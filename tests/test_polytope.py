@@ -136,7 +136,7 @@ class TestExtendedDiagram:
             extended_diagram(parse_weight_system("1,2,3;6"))
 
     def test_rejects_zero_weight(self):
-        w = WeightSystem((2, 3, 0), 6, allows_zero_weight=True)
+        w = WeightSystem((2, 3, 0), 6)
         with pytest.raises(ValidationError, match="positive"):
             extended_diagram(w)
 

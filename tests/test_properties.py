@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weightmagic import (CyclotomicProduct, SearchQuery, ValidationError,
-                         WeightSystem, canonicalize, classify, equivalent,
+from weightmagic import (CyclotomicProduct, DegenerateSupportError,
+                         SearchQuery, ValidationError, WeightSystem,
+                         canonicalize, classify, equivalent,
                          expand_series, find_magic_squares, inverse_data,
                          lattice_invariants, load_catalog,
                          parse_weight_system, recover_partner,
@@ -25,10 +26,9 @@ weight_systems = st.builds(
     degree=st.integers(1, 60),
 )
 
-# One zero weight, inserted anywhere, on a system built with the flag.
-flagged_zero_systems = st.builds(
-    lambda ws, i, h: WeightSystem(ws[:i] + (0,) + ws[i:], h,
-                                  allows_zero_weight=True),
+# One zero weight, inserted anywhere.
+zero_weight_systems = st.builds(
+    lambda ws, i, h: WeightSystem(ws[:i] + (0,) + ws[i:], h),
     st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple),
     st.integers(0, 3),
     st.integers(1, 60),
@@ -41,15 +41,17 @@ factor_pairs = st.lists(
 products = factor_pairs.map(CyclotomicProduct.from_exponents)
 
 
-# Squares with det C != 0 from small searches, so C alone determines the
-# partner; most of the 1,1,1,1;4 ones have a singular C - 1.
-searched_squares = st.sampled_from([
+_SEARCHED = [
     ms for wa, wb in [("1,1,1;6", "1,1,1;6"), ("1,1,2;4", "1,1,2;4"),
                       ("1,1,1,1;4", "1,1,1,1;4"), ("1,3,5;10", "4,10,13;30")]
     for ms in find_magic_squares(SearchQuery(parse_weight_system(wa),
                                              parse_weight_system(wb)))
-    if determinant(ms.entries) != 0
-])
+]
+
+# Squares with det C != 0 from small searches, so C alone determines the
+# partner; most of the 1,1,1,1;4 ones have a singular C - 1.
+searched_squares = st.sampled_from(
+    [ms for ms in _SEARCHED if determinant(ms.entries) != 0])
 
 
 def positive_entry(entry):
@@ -67,22 +69,18 @@ class TestWeightSystemProperties:
         assert w.a0 + sum(w.weights) == w.degree
         assert w.full_form() == f"{w.a0}," + str(w)
 
-    @given(st.one_of(weight_systems, flagged_zero_systems))
+    @given(st.one_of(weight_systems, zero_weight_systems))
     @example(WeightSystem((3, 4, 5), 10))
-    @example(WeightSystem((2, 3, 0), 6, allows_zero_weight=True))
+    @example(WeightSystem((2, 3, 0), 6))
     def test_stored_virtual_weight_leaves_the_value_alone(self, w):
-        # a0 is computed once at construction; equality, hashing, repr
-        # and full_form() read only the weights, the degree and the flag
+        # a0 is computed once at construction; repr and full_form() read
+        # only the weights and the degree
         a0 = w.degree - sum(w.weights)
         assert w.a0 == a0
         assert w.full_form() == (f"{a0}," + ",".join(map(str, w.weights))
                                  + f";{w.degree}")
         assert repr(w) == (f"WeightSystem(weights={w.weights!r}, "
-                           f"degree={w.degree!r}, "
-                           f"allows_zero_weight={w.allows_zero_weight!r})")
-        # positive systems come unflagged, so this compares the two flags
-        flagged = WeightSystem(w.weights, w.degree, allows_zero_weight=True)
-        assert flagged == w and hash(flagged) == hash(w)
+                           f"degree={w.degree!r})")
 
     @given(weight_systems)
     def test_reduce_yields_the_canonical_representative(self, w):
@@ -247,6 +245,26 @@ class TestCatalogSquareProperties:
         flipped = {(frozenset(r.j), frozenset(r.i))
                    for r in special_subsets(transpose(square))}
         assert direct == flipped
+
+    def test_special_subset_factors_are_exact(self):
+        # special_subsets divides without checking: a_J | h and
+        # h | a_J det C_IJ hold on every valid square (its docstring
+        # proves both); catalog and searched squares, n = 2, 3 and 4
+        squares = [e.square() for e in _CATALOG.entries
+                   if positive_entry(e)] + _SEARCHED
+        checked = 0
+        for square in squares:
+            try:
+                reports = special_subsets(square)
+            except DegenerateSupportError:
+                continue
+            h = square.wa.degree
+            for r in reports:
+                assert r.order * r.a_j == h
+                assert r.exponent * h == \
+                    (-1) ** (len(r.j) + 1) * r.a_j * r.det_cij
+            checked += 1
+        assert checked >= 600
 
 
 class TestCyclotomicProductProperties:

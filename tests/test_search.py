@@ -29,7 +29,7 @@ class TestSearchQuery:
             SearchQuery(W10, W30, filter="strict")
 
     def test_rejects_zero_weights(self):
-        w = WeightSystem((2, 3, 0), 6, allows_zero_weight=True)
+        w = WeightSystem((2, 3, 0), 6)
         with pytest.raises(ValidationError, match="positive"):
             SearchQuery(w, w)
 
@@ -63,7 +63,7 @@ class TestEnumerateRows:
 
     def test_zero_weight_rejected(self):
         from weightmagic.search import enumerate_rows
-        w = WeightSystem((2, 3, 0), 6, allows_zero_weight=True)
+        w = WeightSystem((2, 3, 0), 6)
         with pytest.raises(ValidationError):
             enumerate_rows(w)
 

@@ -5,8 +5,16 @@ from math import gcd
 
 import pytest
 
-from weightmagic import (ParseError, ValidationError, WeightSystem, equivalent,
-                         is_calabi_yau, parse_weight_system, reduce_system)
+from weightmagic import (ParseError, SearchQuery, ValidationError,
+                         WeightSystem, closed_form_dual, equivalent,
+                         extended_diagram, is_calabi_yau, lattice_invariants,
+                         parse_weight_system, reduce_system, reduced_zeta,
+                         special_subsets, validate)
+from weightmagic.search import enumerate_rows
+
+# The catalog's self-coupled I_1,0, x^3, y^2z^2, y^2z: valid, one zero weight
+I_1_0 = WeightSystem((2, 3, 0), 6)
+I_1_0_SQUARE = validate(((3, 0, 0), (0, 2, 2), (0, 2, 1)), I_1_0, I_1_0)
 
 
 class TestWeightSystem:
@@ -51,17 +59,19 @@ class TestWeightSystem:
         ((1, 1, 1, 1, 1), 5),   # n too large
         ((1, -2), 4),           # negative weight
         ((1, 2), 0),            # degree not positive
-        ((0, 2), 4),            # zero weight without the flag
+        ((0, 0, 2), 4),         # two zero weights
+        ((0, 0), 4),            # all weights zero
     ])
     def test_invalid_systems(self, weights, degree):
         with pytest.raises(ValidationError):
             WeightSystem(weights, degree)
 
-    def test_zero_weight_needs_flag(self):
-        w = WeightSystem((0, 2), 4, allows_zero_weight=True)
-        assert w.a0 == 2
-        with pytest.raises(ValidationError):
-            WeightSystem((0, 0), 4, allows_zero_weight=True)
+    def test_one_zero_weight_is_valid(self, catalog):
+        # validity depends on the value alone, as for I_1,0 in the catalog
+        w = WeightSystem((2, 3, 0), 6)
+        assert w.a0 == 1
+        assert w == catalog.lookup("I_1,0")[0].weights
+        assert WeightSystem((0, 2), 4).a0 == 2
 
 
 class TestParsing:
@@ -110,9 +120,39 @@ class TestEquivalent:
                               WeightSystem((1, 2, 2), 5))
 
     def test_zero_weight_rejected(self):
-        flagged = WeightSystem((0, 2), 4, allows_zero_weight=True)
         with pytest.raises(ValidationError):
-            equivalent(flagged, WeightSystem((1, 2), 4))
+            equivalent(WeightSystem((0, 2), 4), WeightSystem((1, 2), 4))
+
+
+@pytest.mark.parametrize("operation,message", [
+    pytest.param(lambda: equivalent(I_1_0, I_1_0),
+                 "scaling equivalence is not defined for zero-weight systems",
+                 id="equivalent"),
+    pytest.param(lambda: special_subsets(I_1_0_SQUARE),
+                 "special subsets require strictly positive weights",
+                 id="special_subsets"),
+    pytest.param(lambda: reduced_zeta(I_1_0_SQUARE),
+                 "special subsets require strictly positive weights",
+                 id="reduced_zeta"),
+    pytest.param(lambda: lattice_invariants(I_1_0_SQUARE),
+                 "special subsets require strictly positive weights",
+                 id="lattice_invariants"),
+    pytest.param(lambda: extended_diagram(I_1_0),
+                 "the extended diagram needs strictly positive weights",
+                 id="extended_diagram"),
+    pytest.param(lambda: closed_form_dual(I_1_0),
+                 "the closed form needs strictly positive weights",
+                 id="closed_form_dual"),
+    pytest.param(lambda: SearchQuery(I_1_0, I_1_0),
+                 "search requires strictly positive weights",
+                 id="SearchQuery"),
+    pytest.param(lambda: enumerate_rows(I_1_0),
+                 "row enumeration requires strictly positive weights",
+                 id="enumerate_rows"),
+])
+def test_every_division_by_a_weight_refuses_a_zero_weight(operation, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        operation()
 
 
 class TestCalabiYau:
