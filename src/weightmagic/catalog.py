@@ -11,10 +11,10 @@ from first principles.
 satisfy: its classification, its strongness, the inverse-product
 identity, Saito duality of its zeta function where that applies, the
 exponent range of the quadrilateral table and every stored invariant
-column, the partner's starred ones included.  Its report carries the
-validated square and the recomputed Fuchsian row, and the criteria of
-:mod:`weightmagic.verify` read those reports.  :func:`fuchsian_report`
-builds its rows with the same row builder.
+column, the partner's starred ones included.  Its report holds the
+verdicts and the recomputed Fuchsian row, the entry keeps its validated
+square, and the criteria of :mod:`weightmagic.verify` read both.
+:func:`fuchsian_report` builds its rows with the same row builder.
 """
 
 from __future__ import annotations
@@ -288,16 +288,12 @@ class VerificationReport:
     classification_ok: bool
     strong: bool
     strong_ok: bool
-    strongness_discrepancy: bool
     inverse_identity_ok: bool
-    partner_match_ok: bool
     zeta_duality_applicable: bool
     zeta_duality_ok: bool
     #: zeta factors (order, exponent) with an exponent outside {-1, 0, 1};
     #: None where the exponent range is not claimed
     exponent_outliers: tuple[tuple[int, int], ...] | None
-    #: the validated square; None when validation fails
-    square: MagicSquare | None
     #: the recomputed Fuchsian row; None where no columns are stored
     fuchs: FuchsRow | None
     problems: tuple[str, ...]
@@ -316,10 +312,9 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
         return VerificationReport(
             label=entry.label, table=entry.table, valid=False, determinant=0,
             classification="", classification_ok=False, strong=False,
-            strong_ok=False, strongness_discrepancy=False,
-            inverse_identity_ok=False, partner_match_ok=False,
+            strong_ok=False, inverse_identity_ok=False,
             zeta_duality_applicable=False, zeta_duality_ok=False,
-            exponent_outliers=None, square=None, fuchs=None,
+            exponent_outliers=None, fuchs=None,
             problems=(f"matrix fails validation: {exc}",))
 
     report = magic.classify(square)
@@ -334,7 +329,6 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
     if not strong_ok:
         problems.append(
             f"strong={report.strong}, expected {expected_strong}")
-    strongness_discrepancy = entry.table == "T4" and not report.strong
 
     try:
         inverse_identity_ok = polytope.verify_duality_identity(square)
@@ -344,10 +338,8 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
         problems.append("inverse-product identity fails")
 
     partner = catalog.partner_of(entry)
-    partner_match_ok = (
-        _weights_agree(entry.partner_weights, partner.weights)
-        and _weights_agree(entry.weights, partner.partner_weights))
-    if not partner_match_ok:
+    if not (_weights_agree(entry.partner_weights, partner.weights)
+            and _weights_agree(entry.weights, partner.partner_weights)):
         problems.append("transpose weight pair disagrees with partner entry")
 
     zeta_duality_applicable = (
@@ -373,7 +365,7 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
 
     fuchs = None
     if entry.expected is not None:
-        fuchs = _fuchs_row(entry, partner, square)
+        fuchs = _fuchs_row(entry, partner)
         if fuchs.errors:
             problems.extend(fuchs.errors)
         elif not fuchs.matches:
@@ -387,13 +379,10 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
         classification=report.classification,
         classification_ok=classification_ok,
         strong=report.strong, strong_ok=strong_ok,
-        strongness_discrepancy=strongness_discrepancy,
         inverse_identity_ok=inverse_identity_ok,
-        partner_match_ok=partner_match_ok,
         zeta_duality_applicable=zeta_duality_applicable,
         zeta_duality_ok=zeta_duality_ok,
-        exponent_outliers=exponent_outliers,
-        square=square, fuchs=fuchs,
+        exponent_outliers=exponent_outliers, fuchs=fuchs,
         problems=tuple(problems))
 
 
@@ -428,10 +417,9 @@ class FuchsRow:
             e.mu_star, e.mu0_star, e.nu_star, abs(e.d_star))
 
 
-def _fuchs_row(entry: CatalogEntry, partner: CatalogEntry,
-               square: MagicSquare) -> FuchsRow:
-    """Recompute the Fuchsian-table columns of ``entry`` (whose validated
-    square is ``square``) against its stored ``expected`` record.
+def _fuchs_row(entry: CatalogEntry, partner: CatalogEntry) -> FuchsRow:
+    """Recompute the Fuchsian-table columns of ``entry`` against its
+    stored ``expected`` record.
 
     (mu, mu0, rho) come from the entry's own square, (mu*, mu0*) from the
     partner's square, nu* from the covering identity
@@ -439,9 +427,8 @@ def _fuchs_row(entry: CatalogEntry, partner: CatalogEntry,
     evaluated at 1 (well defined because mu0* vanishes).
     """
     errors: list[str] = []
-    inv = zeta.lattice_invariants(square)
-    partner_square = partner.square()
-    partner_inv = zeta.lattice_invariants(partner_square)
+    inv = zeta.lattice_invariants(entry.square())
+    partner_inv = zeta.lattice_invariants(partner.square())
     b0 = entry.partner_weights.a0
     rho = inv.rho if inv.rho is not None else 0
     if inv.rho is None:
@@ -449,7 +436,7 @@ def _fuchs_row(entry: CatalogEntry, partner: CatalogEntry,
     nu_star = b0 * (rho + 3) - partner_inv.mu - 1
     d_star_abs = 0
     try:
-        value, _ = zeta.evaluate_at_one(zeta.reduced_zeta(partner_square))
+        value, _ = zeta.evaluate_at_one(zeta.reduced_zeta(partner.square()))
         if value.denominator != 1:
             errors.append(f"partner zeta value at 1 is {value}")
         else:
@@ -467,5 +454,5 @@ def _fuchs_row(entry: CatalogEntry, partner: CatalogEntry,
 def fuchsian_report(catalog: Catalog) -> tuple[FuchsRow, ...]:
     """Recompute all invariant columns of the Fuchsian table, one row per
     entry, with the row builder :func:`verify_entry` uses."""
-    return tuple(_fuchs_row(entry, catalog.partner_of(entry), entry.square())
+    return tuple(_fuchs_row(entry, catalog.partner_of(entry))
                  for entry in catalog.table("Fuchs"))

@@ -34,7 +34,8 @@ class MagicSquare:
 
     Construction runs the defining relations, so an instance is valid by
     the time it exists.  Only the search, whose squares are valid by
-    construction, skips them (through ``_trusted``).
+    construction, skips them (through ``_trusted``).  A square keeps its
+    special subsets and inverse data; equality, hash and repr ignore them.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -160,16 +161,22 @@ def inverse_data(ms: MagicSquare) -> InverseData:
     A are a_i / a0 and its column sums are b_j / b0: on a valid square the
     recovered systems are the reduced bound ones.  B is singular whenever
     a0 = 0 or b0 = 0.
+
+    The data is kept on the square; a failure is not kept and raises again.
     """
-    b = tuple(tuple(c - 1 for c in row) for row in ms.entries)
-    try:
-        a = linalg.inverse(b)
-    except SingularMatrixError:
-        raise SingularMatrixError(
-            "C - 1 is singular, so the inverse data does not exist"
-        ) from None
-    return InverseData(a, _system_from_ratios([sum(row) for row in a]),
-                       _system_from_ratios([sum(col) for col in zip(*a)]))
+    data = ms.__dict__.get("_inverse_data")
+    if data is None:
+        b = tuple(tuple(c - 1 for c in row) for row in ms.entries)
+        try:
+            a = linalg.inverse(b)
+        except SingularMatrixError:
+            raise SingularMatrixError(
+                "C - 1 is singular, so the inverse data does not exist"
+            ) from None
+        data = InverseData(a, _system_from_ratios([sum(r) for r in a]),
+                           _system_from_ratios([sum(c) for c in zip(*a)]))
+        object.__setattr__(ms, "_inverse_data", data)
+    return data
 
 
 def recover_partner(entries, wa: WeightSystem) -> MagicSquare:

@@ -9,8 +9,8 @@ What one entry must satisfy is decided by :func:`catalog.verify_entry`
 alone, every stored Fuchsian column included.  A run computes its report
 once per entry and passes the reports to each criterion: criteria 1, 2,
 3, 5, 7 (the inverse-product identity) and 10 count them, criterion 4
-reads their Fuchsian rows, and criteria 6, 8 and 9 take their validated
-squares.  The checks that span entries live here: the 14 unimodular
+reads their Fuchsian rows, and criteria 6, 8 and 9 take the squares of
+the entries whose reports are valid.  The checks that span entries live here: the 14 unimodular
 ``T2`` rows, the frozen non-strong ``T4`` set, the Fuchsian partner
 discriminants, polar duals, search, the property sweep and the
 elliptic polynomials.
@@ -98,7 +98,7 @@ def check_strong_coupling(catalog: Catalog, reports: Reports) -> CriterionResult
     failures = [f"{r.label} is not strong" for r in reports
                 if r.table != "T4" and not r.strong_ok]
     not_strong = sorted(e.name for e, r in zip(catalog, reports)
-                        if r.strongness_discrepancy)
+                        if e.table == "T4" and r.valid and not r.strong)
     if tuple(not_strong) != EXPECTED_NOT_STRONG:
         failures.append(f"T4 non-strong set {not_strong}")
     return CriterionResult(
@@ -136,9 +136,9 @@ def check_elliptic_polynomials(catalog: Catalog, reports: Reports) -> CriterionR
     failures = []
     expansion = None
     for entry, r in zip(catalog, reports):
-        if entry.table != "T1" or r.square is None:
+        if entry.table != "T1" or not r.valid:
             continue
-        phi = zeta.characteristic_polynomial(r.square)
+        phi = zeta.characteristic_polynomial(entry.square())
         h = entry.weights.degree
         if zeta.saito_dual(phi, h) != phi.inverse():
             failures.append(f"{entry.label}: dual is not the inverse")
@@ -225,13 +225,13 @@ def check_search(catalog: Catalog, reports: Reports) -> CriterionResult:
     searches: dict[tuple[WeightSystem, WeightSystem],
                    list[MagicSquare]] = {}
     for entry, r in zip(catalog, reports):
-        if not entry.positive or r.square is None:
+        if not entry.positive or not r.valid:
             continue
         pair = (entry.weights, entry.partner_weights)
         if pair not in searches:
             searches[pair] = search.find_magic_squares(
                 search.SearchQuery(*pair))
-        if not any(sorted(m.entries) == sorted(r.square.entries)
+        if not any(sorted(m.entries) == sorted(entry.square().entries)
                    for m in searches[pair]):
             failures.append(f"{entry.label} not rediscovered")
 
@@ -267,8 +267,8 @@ def check_algebraic_properties(catalog: Catalog, reports: Reports) -> CriterionR
     """Deterministic sweep of the structural identities over all squares."""
     failures = []
     squares: list[tuple[str, MagicSquare]] = [
-        (entry.label, r.square) for entry, r in zip(catalog, reports)
-        if entry.positive and r.square is not None]
+        (entry.label, entry.square()) for entry, r in zip(catalog, reports)
+        if entry.positive and r.valid]
     w6 = WeightSystem((2, 3), 6)
     for m in search.find_magic_squares(search.SearchQuery(w6, w6)):
         squares.append((f"search {m.entries}", m))

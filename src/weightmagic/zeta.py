@@ -126,7 +126,12 @@ def special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
     h (1, ..., 1), so by Cramer's rule det(C_IJ) a_j = h det(M_j) for an
     integer matrix M_j; h divides every det(C_IJ) a_j, hence, by Bezout
     on a_J = gcd(a_j), also det(C_IJ) a_J.
+
+    The tuple is kept on the square; a failure is not kept and raises again.
     """
+    kept = ms.__dict__.get("_special_subsets")
+    if kept is not None:
+        return kept
     wa = ms.wa
     if 0 in wa.weights:
         raise ValidationError("special subsets require strictly positive weights")
@@ -165,7 +170,8 @@ def special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
                 exponent=(-1) ** (len(j) + 1) * a_j * det // h,
             )
         )
-    return tuple(reports)
+    object.__setattr__(ms, "_special_subsets", tuple(reports))
+    return ms._special_subsets
 
 
 def reduced_zeta(ms: MagicSquare) -> CyclotomicProduct:

@@ -127,8 +127,19 @@ class TestInverseData:
     def test_singular_difference(self):
         square = validate(((2, 2), (2, 2)), parse_weight_system("1,2;6"),
                           parse_weight_system("1,1;4"))
-        with pytest.raises(SingularMatrixError):
-            inverse_data(square)
+        for _ in range(2):  # a failure is not kept
+            with pytest.raises(SingularMatrixError):
+                inverse_data(square)
+
+    def test_kept_on_the_square(self):
+        first = validate(COUPLED_10_30, W10, W30)
+        data = inverse_data(first)
+        assert inverse_data(first) is data
+        again = validate(COUPLED_10_30, W10, W30)
+        assert inverse_data(again) is not data
+        assert inverse_data(again) == data
+        assert again == first and hash(again) == hash(first)
+        assert repr(again) == repr(first)
 
     def test_determinant_ratios_are_integers(self, catalog):
         from weightmagic.linalg import determinant

@@ -9,6 +9,7 @@ from weightmagic import (DomainError, RationalSimplex, SingularMatrixError,
                          ValidationError, WeightSystem, closed_form_dual,
                          extended_diagram, inverse_data, parse_weight_system,
                          polar_dual, validate, verify_duality_identity)
+from weightmagic import linalg
 from weightmagic.linalg import mat_mul, solve
 
 W6 = parse_weight_system("2,3;6")
@@ -253,3 +254,20 @@ class TestDualityIdentity:
     def test_every_catalog_square(self, catalog):
         for entry in catalog:
             assert verify_duality_identity(entry.square()), entry.label
+
+    def test_reads_the_kept_inverse(self, monkeypatch):
+        square = validate(((5, 0, 1), (1, 3, 0), (0, 0, 2)),
+                          parse_weight_system("1,3,5;10"),
+                          parse_weight_system("4,10,13;30"))
+        data = inverse_data(square)
+        inverted = []
+        original = linalg.inverse
+
+        def counting(rows):
+            inverted.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(linalg, "inverse", counting)
+        assert verify_duality_identity(square)
+        assert inverse_data(square) is data
+        assert inverted == []

@@ -110,6 +110,30 @@ class TestSpecialSubsets:
         ms = square(((0, 5, 1), (3, 1, 0), (0, 0, 2)), "3,1,5;10", "4,10,13;30")
         assert len(special_subsets(ms)) == 4
 
+    def test_kept_on_the_square(self):
+        ms = square(((5, 0, 1), (1, 3, 0), (0, 0, 2)), "1,3,5;10",
+                    "4,10,13;30")
+        reports = special_subsets(ms)
+        assert special_subsets(ms) is reports
+        assert reduced_zeta(ms) == reduced_zeta(Z20)
+
+    def test_equal_square_built_again_recomputes(self):
+        rows = ((5, 0, 1), (1, 3, 0), (0, 0, 2))
+        first = square(rows, "1,3,5;10", "4,10,13;30")
+        reports = special_subsets(first)
+        again = square(rows, "1,3,5;10", "4,10,13;30")
+        assert special_subsets(again) is not reports
+        assert special_subsets(again) == reports
+        assert again == first and hash(again) == hash(first)
+        assert repr(again) == repr(first)
+
+    def test_failure_raises_on_every_call(self):
+        ambiguous = square(((2, 0, 0), (2, 0, 0), (0, 1, 1)),
+                           "1,1,1;2", "1,1,4;4")
+        for _ in range(2):
+            with pytest.raises(DegenerateSupportError):
+                special_subsets(ambiguous)
+
 
 class TestReducedZeta:
     def test_merges_repeated_orders(self):
