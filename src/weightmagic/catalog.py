@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import magic, polytope, zeta
-from .errors import CatalogError, WeightMagicError
+from .errors import CatalogError, ValidationError, WeightMagicError
 from .magic import MagicSquare
 from .weights import WeightSystem, equivalent
 
@@ -156,10 +156,17 @@ class Catalog:
 
 
 def _entry_from_record(record: dict) -> CatalogEntry:
+    table = record["table"]
+    where = f"{table}#{record['seq']}"
     try:
-        table = record["table"]
         if table not in TABLES:
             raise CatalogError(f"unknown table {table!r}")
+        for key, kind in (("weights", int), ("partner_weights", int),
+                          ("flags", str)):
+            if not (isinstance(record[key], list)
+                    and all(isinstance(x, kind) for x in record[key])):
+                raise CatalogError(
+                    f"{where}: {key} must be a list of {kind.__name__} values")
         flags = tuple(record["flags"])
         unknown = set(flags) - KNOWN_FLAGS
         if unknown:
@@ -168,9 +175,8 @@ def _entry_from_record(record: dict) -> CatalogEntry:
         partner_weights = WeightSystem(tuple(record["partner_weights"]),
                                        record["partner_degree"])
         if weights.a0 != record["a0"]:
-            raise CatalogError(
-                f"stored a0 {record['a0']} disagrees with derived "
-                f"{weights.a0} for {table}#{record['seq']}")
+            raise CatalogError(f"{where}: stored a0 {record['a0']} disagrees "
+                               f"with derived {weights.a0}")
         expected = (FuchsExpected.from_mapping(record["expected"])
                     if record["expected"] is not None else None)
         entry = CatalogEntry(
@@ -187,12 +193,16 @@ def _entry_from_record(record: dict) -> CatalogEntry:
             flags=flags,
         )
     except KeyError as exc:
-        raise CatalogError(f"catalog record is missing field {exc}") from exc
+        raise CatalogError(f"{where}: missing field {exc}") from exc
+    except ValidationError as exc:
+        raise CatalogError(f"{where}: {exc}") from exc
     if ("zero_weight" in flags) == entry.positive:
         raise CatalogError(
             f"{entry.label} is {'' if entry.positive else 'not '}flagged "
             f"zero_weight, but {weights} and {partner_weights} have "
             f"{'no' if entry.positive else 'a'} zero weight")
+    if ("non_mirror_example" in flags) != (table == "NonMirror"):
+        raise CatalogError(f"{entry.label}: non_mirror_example flag and table disagree")
     return entry
 
 
@@ -222,6 +232,9 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     if not isinstance(records, list):
         raise CatalogError("catalog file lacks an entry list")
 
+    for position, record in enumerate(records):
+        if not (isinstance(record, dict) and {"table", "seq"} <= record.keys()):
+            raise CatalogError(f"catalog record {position} needs a table and a seq")
     catalog = Catalog(tuple(_entry_from_record(r) for r in records))
 
     for name, count in _FIXED_COUNTS.items():
@@ -252,12 +265,11 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
 
 
 def _expected_strong(entry: CatalogEntry) -> bool | None:
-    """Whether the entry's square should be strong; None = no expectation."""
-    if entry.table in ("T2", "T3", "Fuchs", "NonMirror"):
-        return True
-    if entry.table == "T4":
-        return "not_strong" not in entry.flags
-    return None
+    """Whether the entry's square should be strong: not where it is
+    flagged ``not_strong``, on any table; None = no expectation."""
+    if "not_strong" in entry.flags:
+        return False
+    return None if entry.table == "T1" else True
 
 
 def _expected_classification(entry: CatalogEntry) -> str:

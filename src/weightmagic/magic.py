@@ -43,7 +43,7 @@ class MagicSquare:
     wb: WeightSystem
 
     def __post_init__(self):
-        entries = tuple(tuple(int(c) for c in row) for row in self.entries)
+        entries = tuple(tuple(row) for row in self.entries)
         object.__setattr__(self, "entries", entries)
         n = self.wa.n
         if self.wb.n != n:
@@ -52,8 +52,8 @@ class MagicSquare:
             )
         if len(entries) != n or any(len(r) != n for r in entries):
             raise ValidationError(f"matrix must be {n}x{n} to match the weights")
-        if any(c < 0 for row in entries for c in row):
-            raise ValidationError("matrix entries must be non-negative")
+        if any(type(c) is not int or c < 0 for row in entries for c in row):
+            raise ValidationError("matrix entries must be non-negative integers")
         h, k = self.wa.degree, self.wb.degree
         for i, row in enumerate(entries):
             s = sum(c * a for c, a in zip(row, self.wa.weights))

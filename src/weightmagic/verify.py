@@ -95,8 +95,8 @@ def check_classification(catalog: Catalog, reports: Reports) -> CriterionResult:
 def check_strong_coupling(catalog: Catalog, reports: Reports) -> CriterionResult:
     """Rows outside T4 have their expected strongness; the failing T4 set
     is exactly as frozen (whatever the entries' flags say)."""
-    failures = [f"{r.label} is not strong" for r in reports
-                if r.table != "T4" and not r.strong_ok]
+    failures = [f"{r.label} is {'' if r.strong else 'not '}strong"
+                for r in reports if r.table != "T4" and not r.strong_ok]
     not_strong = sorted(e.name for e, r in zip(catalog, reports)
                         if e.table == "T4" and r.valid and not r.strong)
     if tuple(not_strong) != EXPECTED_NOT_STRONG:

@@ -28,8 +28,8 @@ _GRAMMAR = re.compile(r"(\d+(?:\s*,\s*\d+)*)\s*;\s*(\d+)")
 class WeightSystem:
     """Weights (a_1, ..., a_n) of degree h, written ``a1,...,an;h``.
 
-    Weights are non-negative, and at most one of them may be zero, as in
-    the catalog's self-coupled I_1,0 (2,3,0;6).  Validity depends on the
+    Weights are non-negative ints, and at most one of them may be zero, as
+    in the catalog's self-coupled I_1,0 (2,3,0;6).  Validity depends on the
     value alone; every operation that divides by a weight refuses a
     zero-weight system itself, and the text form admits none.
     """
@@ -40,8 +40,11 @@ class WeightSystem:
     a0: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        ws = tuple(int(a) for a in self.weights)
+        ws = tuple(self.weights)
         object.__setattr__(self, "weights", ws)
+        if not all(type(a) is int for a in ws + (self.degree,)):
+            raise ValidationError(
+                f"weights {ws} and degree {self.degree!r} must be integers")
         n = len(ws)
         if not MIN_WEIGHTS <= n <= MAX_WEIGHTS:
             raise ValidationError(

@@ -142,6 +142,14 @@ class TestVerifyEntry:
         assert not report.zeta_duality_applicable
         assert report.ok
 
+    @pytest.mark.parametrize("name", ["E_12", "E~_8", "Q_17"])
+    def test_not_strong_flag_is_checked_on_every_table(self, catalog, name):
+        entry = catalog.lookup(name)[0]
+        flagged = replace(entry, flags=entry.flags + ("not_strong",))
+        report = verify_entry(flagged, catalog)
+        assert report.strong and not report.strong_ok and not report.ok
+        assert report.problems == ("strong=True, expected False",)
+
     def test_flagged_entries_report_discrepancy(self, catalog):
         for entry in catalog.table("T4"):
             report = verify_entry(entry, catalog)
@@ -290,6 +298,25 @@ class TestLoading:
         with pytest.raises(CatalogError) as raised:
             load_catalog(write_document(tmp_path, document))
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("table,seq,flags,label", [
+        pytest.param("T2", 1, ["non_mirror_example"], "T2#1 no. 14 E_12",
+                     id="outside-NonMirror"),
+        pytest.param("T4", 4, ["not_strong", "non_mirror_example"],
+                     "T4#4 no. 8 W_1,0", id="beside-another-flag"),
+        pytest.param("NonMirror", 1, [], "NonMirror#1 no. 8",
+                     id="missing-on-NonMirror"),
+    ])
+    def test_non_mirror_flag_must_match_the_table(self, tmp_path, table, seq,
+                                                  flags, label):
+        document = raw_document()
+        record = next(r for r in document["entries"]
+                      if (r["table"], r["seq"]) == (table, seq))
+        record["flags"] = flags
+        with pytest.raises(CatalogError) as raised:
+            load_catalog(write_document(tmp_path, document))
+        assert str(raised.value) == \
+            f"{label}: non_mirror_example flag and table disagree"
 
     def test_rejects_wrong_table_size(self, tmp_path):
         document = raw_document()

@@ -314,6 +314,21 @@ class TestCatalog:
         assert document["tables"] == {
             **VERIFY_TABLES, "T4": {"entries": 16, "ok": 15}}
 
+    def test_verify_catches_added_not_strong_flag(self, tmp_path):
+        def add_flag(record):
+            if record["name"] == "E_12":
+                record["flags"].append("not_strong")
+
+        path = tampered_catalog(tmp_path, add_flag)
+        code, document = run_json(["catalog", "--catalog-path", path,
+                                   "verify"])
+        assert code == 1
+        failed = [c for c in document["criteria"] if not c["passed"]]
+        assert [(c["number"], c["detail"]) for c in failed] == \
+            [(3, "T2#1 no. 14 E_12 is strong")]
+        assert document["tables"] == {
+            **VERIFY_TABLES, "T2": {"entries": 44, "ok": 43}}
+
     def test_verify_catches_wrong_stored_mu(self, tmp_path):
         def bump_mu(record):
             if record["table"] == "Fuchs" and record["seq"] == 1:
@@ -361,6 +376,43 @@ class TestCatalog:
         bad.write_text('{"schema_version": 99, "entries": []}')
         assert main(["catalog", "--catalog-path", str(bad), "verify"]) == 2
         assert "schema version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,message", [
+        pytest.param("weights", 6,
+                     "T2#1: weights must be a list of int values",
+                     id="weights-not-a-list"),
+        pytest.param("weights", [6.9, 14, 21],
+                     "T2#1: weights must be a list of int values",
+                     id="float-weight"),
+        pytest.param("weights", [6, -14, 21],
+                     "T2#1: negative weight in (6, -14, 21)",
+                     id="negative-weight"),
+        pytest.param("flags", None,
+                     "T2#1: flags must be a list of str values",
+                     id="flags-null"),
+        pytest.param("degree", "42", "T2#1: weights (6, 14, 21) and "
+                     "degree '42' must be integers", id="degree-string"),
+        pytest.param("degree", 42.0, "T2#1: weights (6, 14, 21) and "
+                     "degree 42.0 must be integers", id="degree-float"),
+        pytest.param(None, "E_12",
+                     "catalog record 3 needs a table and a seq",
+                     id="record-not-an-object"),
+    ])
+    def test_malformed_record_exits_2_and_names_it(self, tmp_path, capsys,
+                                                   field, value, message):
+        document = json.loads((resources.files("weightmagic") / "data"
+                               / "catalog.json").read_text(encoding="utf-8"))
+        records = document["entries"]
+        position = next(i for i, r in enumerate(records)
+                        if r["name"] == "E_12")
+        if field is None:
+            records[position] = value
+        else:
+            records[position][field] = value
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(document))
+        assert main(["catalog", "--catalog-path", str(path), "verify"]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
 
     def test_missing_catalog_path_exits_2(self, tmp_path, capsys):
         assert main(["catalog", "--catalog-path",

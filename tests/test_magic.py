@@ -40,6 +40,13 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate(((3, -1), (1, 1)), w, w)
 
+    @pytest.mark.parametrize("entries", [((3.0, 0), (0, 2)),
+                                         ((3, False), (0, 2))])
+    def test_non_integer_entry(self, entries):
+        w = parse_weight_system("2,3;6")
+        with pytest.raises(ValidationError, match="non-negative integers"):
+            validate(entries, w, w)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             validate(((3, 0), (0, 2)), W42, W42)

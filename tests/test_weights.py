@@ -66,6 +66,16 @@ class TestWeightSystem:
         with pytest.raises(ValidationError):
             WeightSystem(weights, degree)
 
+    @pytest.mark.parametrize("weights,degree", [
+        ((2.7, 3), 6),          # used to become 2,3;6
+        ((2, 3), 6.0),          # used to keep a float degree and a0
+        ((True, 3), 6),
+        ((2, 3), "6"),
+    ])
+    def test_non_integers_are_refused_not_truncated(self, weights, degree):
+        with pytest.raises(ValidationError, match="must be integers"):
+            WeightSystem(weights, degree)
+
     def test_one_zero_weight_is_valid(self, catalog):
         # validity depends on the value alone, as for I_1,0 in the catalog
         w = WeightSystem((2, 3, 0), 6)
