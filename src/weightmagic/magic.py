@@ -173,8 +173,8 @@ def inverse_data(ms: MagicSquare) -> InverseData:
             raise SingularMatrixError(
                 "C - 1 is singular, so the inverse data does not exist"
             ) from None
-        data = InverseData(a, _system_from_ratios([sum(r) for r in a]),
-                           _system_from_ratios([sum(c) for c in zip(*a)]))
+        data = InverseData(a, _system_from_ratios([sum(row) for row in a]),
+                           _system_from_ratios([sum(col) for col in zip(*a)]))
         object.__setattr__(ms, "_inverse_data", data)
     return data
 

@@ -10,10 +10,10 @@ alone, every stored Fuchsian column included.  A run computes its report
 once per entry and passes the reports to each criterion: criteria 1, 2,
 3, 5, 7 (the inverse-product identity) and 10 count them, criterion 4
 reads their Fuchsian rows, and criteria 6, 8 and 9 take the squares of
-the entries whose reports are valid.  The checks that span entries live here: the 14 unimodular
-``T2`` rows, the frozen non-strong ``T4`` set, the Fuchsian partner
-discriminants, polar duals, search, the property sweep and the
-elliptic polynomials.
+the entries whose reports are valid.  The checks that span entries
+live here: the 14 unimodular ``T2`` rows, the frozen non-strong ``T4``
+set, the Fuchsian partner discriminants, polar duals, search, the
+property sweep and the elliptic polynomials.
 """
 
 from __future__ import annotations
