@@ -3,29 +3,29 @@
 The catalog ships as a JSON resource inside the package.  Each entry records a
 weight system, the monomial matrix coupling it to a partner system, and (for
 the rows of the Fuchsian table) the lattice invariants the entry is expected
-to reproduce.  Loading re-validates every entry and keeps each validated
-square on its entry; :func:`verify_entry` recomputes the numeric claims
-from first principles.
+to reproduce.  An entry validates its square, and a :class:`Catalog` its
+partner links, when built, so both are valid by the time they exist;
+:func:`verify_entry` recomputes the numeric claims from first principles.
 
 :func:`verify_entry` is the only place that says what one entry must
 satisfy: its classification, its strongness, the inverse-product
 identity, Saito duality of its zeta function where that applies, the
 exponent range of the quadrilateral table and every stored invariant
 column, the partner's starred ones included.  Its report holds the
-verdicts and the recomputed Fuchsian row, the entry keeps its validated
-square, and the criteria of :mod:`weightmagic.verify` read both.
+verdicts and the recomputed Fuchsian row, the entry holds its square,
+and the criteria of :mod:`weightmagic.verify` read both.
 :func:`fuchsian_report` builds its rows with the same row builder.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from . import magic, polytope, zeta
-from .errors import CatalogError, ValidationError, WeightMagicError
+from .errors import CatalogError, ParseError, ValidationError, WeightMagicError
 from .magic import MagicSquare
 from .weights import WeightSystem, equivalent
 
@@ -78,6 +78,17 @@ class CatalogEntry:
     partner_weights: WeightSystem
     expected: FuchsExpected | None
     flags: tuple[str, ...]
+    #: the validated square of ``monomials`` on the weight pair
+    square: MagicSquare = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        try:
+            rows = magic.parse_monomial_matrix(self.monomials, self.weights.n)
+            square = magic.validate(rows, self.weights, self.partner_weights)
+        except (ParseError, ValidationError) as exc:
+            raise ValidationError(
+                f"matrix of {self.label} fails validation: {exc}") from exc
+        object.__setattr__(self, "square", square)
 
     @property
     def key(self) -> int | str:
@@ -99,29 +110,17 @@ class CatalogEntry:
             bits.append(self.name)
         return " ".join(bits)
 
-    def square(self) -> MagicSquare:
-        """Parse the stored monomials and bind them to the weight pair.
-
-        The validated square is kept on the entry, so an entry is
-        validated once (by :func:`load_catalog`) however often it is
-        asked; a failure is not kept and raises again.
-        """
-        square = self.__dict__.get("_square")
-        if square is None:
-            rows = magic.parse_monomial_matrix(self.monomials, self.weights.n)
-            square = magic.validate(rows, self.weights, self.partner_weights)
-            object.__setattr__(self, "_square", square)
-        return square
-
 
 class Catalog:
-    """Loaded, validated catalog with lookup and partner resolution."""
+    """Catalog whose every entry has its unique reciprocal partner."""
 
     def __init__(self, entries: tuple[CatalogEntry, ...]):
         self.entries = tuple(entries)
         self._by_table: dict[str, list[CatalogEntry]] = {}
         for entry in self.entries:
             self._by_table.setdefault(entry.table, []).append(entry)
+        for entry in self.entries:
+            self.partner_of(entry)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -179,23 +178,18 @@ def _entry_from_record(record: dict) -> CatalogEntry:
                                f"with derived {weights.a0}")
         expected = (FuchsExpected.from_mapping(record["expected"])
                     if record["expected"] is not None else None)
-        entry = CatalogEntry(
-            table=table,
-            seq=record["seq"],
-            index=record["index"],
-            name=record["name"],
-            weights=weights,
-            monomials=record["monomials"],
-            partner=record["partner"],
-            partner_table=record["partner_table"],
-            partner_weights=partner_weights,
-            expected=expected,
-            flags=flags,
-        )
+        fields = {key: record[key] for key in (
+            "seq", "index", "name", "monomials", "partner", "partner_table")}
     except KeyError as exc:
         raise CatalogError(f"{where}: missing field {exc}") from exc
     except ValidationError as exc:
         raise CatalogError(f"{where}: {exc}") from exc
+    try:
+        entry = CatalogEntry(table=table, weights=weights,
+                             partner_weights=partner_weights,
+                             expected=expected, flags=flags, **fields)
+    except ValidationError as exc:  # already names the entry
+        raise CatalogError(str(exc)) from exc
     if ("zero_weight" in flags) == entry.positive:
         raise CatalogError(
             f"{entry.label} is {'' if entry.positive else 'not '}flagged "
@@ -242,13 +236,6 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
         if have != count:
             raise CatalogError(
                 f"table {name} has {have} entries; expected {count}")
-    for entry in catalog:
-        try:
-            entry.square()
-        except Exception as exc:
-            raise CatalogError(
-                f"matrix of {entry.label} fails validation: {exc}") from exc
-        catalog.partner_of(entry)
     by_pair = {}
     for entry in catalog.table("T3"):
         by_pair[(entry.index, entry.partner)] = entry
@@ -294,7 +281,6 @@ class VerificationReport:
 
     label: str
     table: str
-    valid: bool
     determinant: int
     classification: str
     classification_ok: bool
@@ -318,18 +304,7 @@ class VerificationReport:
 def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
     """Recompute every claim the catalog makes about ``entry``."""
     problems: list[str] = []
-    try:
-        square = entry.square()
-    except WeightMagicError as exc:  # a failed claim is report content
-        return VerificationReport(
-            label=entry.label, table=entry.table, valid=False, determinant=0,
-            classification="", classification_ok=False, strong=False,
-            strong_ok=False, inverse_identity_ok=False,
-            zeta_duality_applicable=False, zeta_duality_ok=False,
-            exponent_outliers=None, fuchs=None,
-            problems=(f"matrix fails validation: {exc}",))
-
-    report = magic.classify(square)
+    report = magic.classify(entry.square)
     classification_ok = report.classification == _expected_classification(entry)
     if not classification_ok:
         problems.append(
@@ -343,7 +318,7 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
             f"strong={report.strong}, expected {expected_strong}")
 
     try:
-        inverse_identity_ok = polytope.verify_duality_identity(square)
+        inverse_identity_ok = polytope.verify_duality_identity(entry.square)
     except WeightMagicError:
         inverse_identity_ok = False
     if not inverse_identity_ok:
@@ -355,16 +330,16 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
         problems.append("transpose weight pair disagrees with partner entry")
 
     zeta_duality_applicable = (
-        entry.positive and square.n == 3
+        entry.positive and entry.square.n == 3
         and report.classification == magic.PRIMITIVE
         and entry.weights.a0 == 1 and entry.partner_weights.a0 == 1)
     exponent_range_claimed = entry.table == "T4" and entry.positive
-    z = (zeta.reduced_zeta(square)
+    z = (zeta.reduced_zeta(entry.square)
          if zeta_duality_applicable or exponent_range_claimed else None)
     zeta_duality_ok = True
     if zeta_duality_applicable:
         dual = zeta.saito_dual(z, entry.weights.degree)
-        zeta_duality_ok = zeta.reduced_zeta(magic.transpose(square)) == dual
+        zeta_duality_ok = zeta.reduced_zeta(magic.transpose(entry.square)) == dual
         if not zeta_duality_ok:
             problems.append("transpose zeta is not the Saito dual")
 
@@ -386,7 +361,7 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
                 f"{fuchs.columns} disagree with stored values")
 
     return VerificationReport(
-        label=entry.label, table=entry.table, valid=True,
+        label=entry.label, table=entry.table,
         determinant=report.determinant,
         classification=report.classification,
         classification_ok=classification_ok,
@@ -439,8 +414,8 @@ def _fuchs_row(entry: CatalogEntry, partner: CatalogEntry) -> FuchsRow:
     evaluated at 1 (well defined because mu0* vanishes).
     """
     errors: list[str] = []
-    inv = zeta.lattice_invariants(entry.square())
-    partner_inv = zeta.lattice_invariants(partner.square())
+    inv = zeta.lattice_invariants(entry.square)
+    partner_inv = zeta.lattice_invariants(partner.square)
     b0 = entry.partner_weights.a0
     rho = inv.rho if inv.rho is not None else 0
     if inv.rho is None:
@@ -448,7 +423,7 @@ def _fuchs_row(entry: CatalogEntry, partner: CatalogEntry) -> FuchsRow:
     nu_star = b0 * (rho + 3) - partner_inv.mu - 1
     d_star_abs = 0
     try:
-        value, _ = zeta.evaluate_at_one(zeta.reduced_zeta(partner.square()))
+        value, _ = zeta.evaluate_at_one(zeta.reduced_zeta(partner.square))
         if value.denominator != 1:
             errors.append(f"partner zeta value at 1 is {value}")
         else:

@@ -7,13 +7,13 @@ single pass/fail result.  :func:`run_all` executes all ten in order.
 
 What one entry must satisfy is decided by :func:`catalog.verify_entry`
 alone, every stored Fuchsian column included.  A run computes its report
-once per entry and passes the reports to each criterion: criteria 1, 2,
-3, 5, 7 (the inverse-product identity) and 10 count them, criterion 4
-reads their Fuchsian rows, and criteria 6, 8 and 9 take the squares of
-the entries whose reports are valid.  The checks that span entries
-live here: the 14 unimodular ``T2`` rows, the frozen non-strong ``T4``
-set, the Fuchsian partner discriminants, polar duals, search, the
-property sweep and the elliptic polynomials.
+once per entry and passes the reports to each criterion: criteria 2, 3,
+5, 7 (the inverse-product identity) and 10 count them, criterion 4 reads
+their Fuchsian rows, criterion 1 recomputes the weighted sums of each
+entry's square and criteria 6, 8 and 9 read the squares.  The checks that
+span entries live here: the 14 unimodular ``T2`` rows, the frozen
+non-strong ``T4`` set, the Fuchsian partner discriminants, polar duals,
+search, the property sweep and the elliptic polynomials.
 """
 
 from __future__ import annotations
@@ -64,9 +64,14 @@ class CriterionResult:
 
 
 def check_table_fidelity(catalog: Catalog, reports: Reports) -> CriterionResult:
-    """Every stored matrix satisfies both weighted sum relations exactly."""
-    failures = [f"{r.label}: {r.problems[0]}"
-                for r in reports if not r.valid]
+    """Every stored matrix satisfies both weighted sum relations, recomputed."""
+    failures = []
+    for e in catalog:
+        rows, a, b = e.square.entries, e.weights.weights, e.partner_weights.weights
+        sums = (sorted({sum(c * w for c, w in zip(row, a)) for row in rows}),
+                sorted({sum(w * c for w, c in zip(b, col)) for col in zip(*rows)}))
+        if sums != ([e.weights.degree], [e.partner_weights.degree]):
+            failures.append(f"{e.label}: row and column sums {sums}")
     return CriterionResult(
         1, "table fidelity", not failures,
         f"{len(catalog)} matrices validated" if not failures
@@ -98,7 +103,7 @@ def check_strong_coupling(catalog: Catalog, reports: Reports) -> CriterionResult
     failures = [f"{r.label} is {'' if r.strong else 'not '}strong"
                 for r in reports if r.table != "T4" and not r.strong_ok]
     not_strong = sorted(e.name for e, r in zip(catalog, reports)
-                        if e.table == "T4" and r.valid and not r.strong)
+                        if e.table == "T4" and not r.strong)
     if tuple(not_strong) != EXPECTED_NOT_STRONG:
         failures.append(f"T4 non-strong set {not_strong}")
     return CriterionResult(
@@ -135,10 +140,8 @@ def check_elliptic_polynomials(catalog: Catalog, reports: Reports) -> CriterionR
     """n=2 rows: char. polynomial is anti-self-dual; pinned expansion."""
     failures = []
     expansion = None
-    for entry, r in zip(catalog, reports):
-        if entry.table != "T1" or not r.valid:
-            continue
-        phi = zeta.characteristic_polynomial(entry.square())
+    for entry in catalog.table("T1"):
+        phi = zeta.characteristic_polynomial(entry.square)
         h = entry.weights.degree
         if zeta.saito_dual(phi, h) != phi.inverse():
             failures.append(f"{entry.label}: dual is not the inverse")
@@ -224,14 +227,14 @@ def check_search(catalog: Catalog, reports: Reports) -> CriterionResult:
 
     searches: dict[tuple[WeightSystem, WeightSystem],
                    list[MagicSquare]] = {}
-    for entry, r in zip(catalog, reports):
-        if not entry.positive or not r.valid:
+    for entry in catalog:
+        if not entry.positive:
             continue
         pair = (entry.weights, entry.partner_weights)
         if pair not in searches:
             searches[pair] = search.find_magic_squares(
                 search.SearchQuery(*pair))
-        if not any(sorted(m.entries) == sorted(entry.square().entries)
+        if not any(sorted(m.entries) == sorted(entry.square.entries)
                    for m in searches[pair]):
             failures.append(f"{entry.label} not rediscovered")
 
@@ -267,8 +270,7 @@ def check_algebraic_properties(catalog: Catalog, reports: Reports) -> CriterionR
     """Deterministic sweep of the structural identities over all squares."""
     failures = []
     squares: list[tuple[str, MagicSquare]] = [
-        (entry.label, entry.square()) for entry, r in zip(catalog, reports)
-        if entry.positive and r.valid]
+        (entry.label, entry.square) for entry in catalog if entry.positive]
     w6 = WeightSystem((2, 3), 6)
     for m in search.find_magic_squares(search.SearchQuery(w6, w6)):
         squares.append((f"search {m.entries}", m))

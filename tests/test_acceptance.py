@@ -8,10 +8,12 @@ Criteria with small frozen oracles re-derive them here independently.
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
-from weightmagic import classify, fuchsian_report
+from weightmagic import Catalog, MagicSquare, classify, fuchsian_report
+from weightmagic.verify import check_table_fidelity
 
 GOLDEN_NOT_STRONG = Path(__file__).parent / "data" / "table4_not_strong.json"
 
@@ -29,6 +31,21 @@ def test_criterion_01_every_matrix_validates(criteria, capsys):
     verdict(criteria, 1, capsys)
 
 
+def test_criterion_01_reads_the_entries_not_a_flag(catalog):
+    # an entry validates its square when built, so only a square planted
+    # past the checks can be broken; the criterion must still see it
+    entry = catalog.lookup("E_12")[0]
+    broken = copy.copy(entry)
+    object.__setattr__(broken, "square", MagicSquare._trusted(
+        ((7, 0, 0), (0, 3, 0), (0, 0, 3)), entry.weights,
+        entry.partner_weights))
+    tampered = Catalog(tuple(broken if e is entry else e for e in catalog))
+    result = check_table_fidelity(tampered, ())
+    assert not result.passed
+    assert result.detail == ("T2#1 no. 14 E_12: row and column sums "
+                             "([42, 63], [42, 63])")
+
+
 def test_criterion_02_determinant_classification(criteria, capsys):
     verdict(criteria, 2, capsys)
 
@@ -38,11 +55,11 @@ def test_criterion_03_strong_coupling_exceptions(criteria, capsys, catalog):
     # independent recomputation against the frozen exception list
     golden = set(json.loads(GOLDEN_NOT_STRONG.read_text()))
     failing = {entry.name for entry in catalog.table("T4")
-               if not classify(entry.square()).strong}
+               if not classify(entry.square).strong}
     assert failing == golden
     for table in ("T2", "T3", "Fuchs", "NonMirror"):
         for entry in catalog.table(table):
-            assert classify(entry.square()).strong, entry.label
+            assert classify(entry.square).strong, entry.label
 
 
 def test_criterion_04_fuchsian_table(criteria, capsys, catalog):

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from weightmagic import (CatalogError, fuchsian_report, load_catalog, magic,
-                         polytope, verify_entry, zeta)
+from weightmagic import (CatalogError, ValidationError, fuchsian_report,
+                         load_catalog, magic, polytope, verify_entry, zeta)
 
 GOLDEN_NOT_STRONG = Path(__file__).parent / "data" / "table4_not_strong.json"
 
@@ -49,7 +49,7 @@ class TestShape:
         assert catalog.table("T1")[0].key == "E~_8"
 
     def test_square_parses_monomials(self, catalog):
-        square = catalog.lookup("E_12")[0].square()
+        square = catalog.lookup("E_12")[0].square
         assert square.entries == ((7, 0, 0), (0, 3, 0), (0, 0, 2))
 
     def test_zero_weight_entry(self, catalog):
@@ -57,7 +57,8 @@ class TestShape:
         assert entry.flags == ("zero_weight",)
         assert entry.weights.weights == (2, 3, 0)
         assert not entry.positive  # the flag states what the weights show
-        entry.square()  # still satisfies both sum relations
+        # built, so it satisfies both sum relations
+        assert entry.square.entries == ((3, 0, 0), (0, 2, 2), (0, 2, 1))
 
     def test_not_strong_flags_match_golden_file(self, catalog):
         golden = set(json.loads(GOLDEN_NOT_STRONG.read_text()))
@@ -174,13 +175,14 @@ class TestVerifyEntry:
         reports = [verify_entry(e, catalog) for e in catalog]
         fuchsian_report(catalog)
         assert validated == []
-        assert all(r.valid for r in reports)
+        assert all(r.ok for r in reports)
 
-    def test_broken_matrix_is_reported_not_raised(self, catalog):
-        entry = replace(catalog.lookup("E_12")[0], monomials="x^7, y^3, z^3")
-        report = verify_entry(entry, catalog)
-        assert not report.valid and not report.ok
-        assert "fails validation" in report.problems[0]
+    def test_broken_matrix_is_refused_when_the_entry_is_built(self, catalog):
+        with pytest.raises(ValidationError) as raised:
+            replace(catalog.lookup("E_12")[0], monomials="x^7, y^3, z^3")
+        assert str(raised.value) == (
+            "matrix of T2#1 no. 14 E_12 fails validation: row 3 has "
+            "a-weighted sum 63, expected the degree 42")
 
     @pytest.mark.parametrize("module,name,table", [
         pytest.param(magic, "validate", "T2", id="validate"),
@@ -195,9 +197,9 @@ class TestVerifyEntry:
             raise TypeError("a bug")
 
         monkeypatch.setattr(module, name, broken)
-        entry = replace(catalog.table(table)[0])  # square not yet validated
         with pytest.raises(TypeError, match="a bug"):
-            verify_entry(entry, catalog)
+            # a replaced entry validates its square again
+            verify_entry(replace(catalog.table(table)[0]), catalog)
 
     def test_report_carries_the_fuchsian_row(self, catalog):
         rows = fuchsian_report(catalog)

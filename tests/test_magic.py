@@ -95,7 +95,7 @@ class TestClassify:
 
     def test_primitive_implies_matching_degrees(self, catalog):
         for entry in catalog:
-            square = entry.square()
+            square = entry.square
             if classify(square).classification == PRIMITIVE:
                 assert square.wa.degree == square.wb.degree
                 assert square.wa.a0 == square.wb.a0
@@ -151,7 +151,7 @@ class TestInverseData:
     def test_determinant_ratios_are_integers(self, catalog):
         from weightmagic.linalg import determinant
         for entry in catalog:
-            square = entry.square()
+            square = entry.square
             det_c = determinant(square.entries)
             det_b = determinant(tuple(tuple(c - 1 for c in row)
                                       for row in square.entries))
@@ -212,7 +212,7 @@ class TestTranspose:
 
     def test_preserves_classification(self, catalog):
         for entry in catalog:
-            square = entry.square()
+            square = entry.square
             assert (classify(transpose(square)).classification
                     == classify(square).classification)
 

@@ -253,7 +253,7 @@ class TestDualityIdentity:
 
     def test_every_catalog_square(self, catalog):
         for entry in catalog:
-            assert verify_duality_identity(entry.square()), entry.label
+            assert verify_duality_identity(entry.square), entry.label
 
     def test_reads_the_kept_inverse(self, monkeypatch):
         square = validate(((5, 0, 1), (1, 3, 0), (0, 0, 2)),

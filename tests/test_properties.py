@@ -183,13 +183,13 @@ class TestCatalogSquareProperties:
         # included
         assert len(_CATALOG.entries) == 120
         for entry in _CATALOG.entries:
-            wa, wb = entry.square().wa, entry.square().wb
+            wa, wb = entry.square.wa, entry.square.wb
             assert wb.degree * wa.a0 == wa.degree * wb.a0, entry.label
 
     @given(catalog_entries)
     @settings(deadline=None)
     def test_transpose_is_an_involution(self, entry):
-        square = entry.square()
+        square = entry.square
         assert transpose(transpose(square)) == square
         assert classify(transpose(square)).classification == \
             classify(square).classification
@@ -197,12 +197,12 @@ class TestCatalogSquareProperties:
     @given(catalog_entries)
     @settings(deadline=None)
     def test_inverse_identity_holds(self, entry):
-        assert verify_duality_identity(entry.square())
+        assert verify_duality_identity(entry.square)
 
     @given(catalog_entries)
     @settings(deadline=None)
     def test_inverse_recovers_both_weight_systems(self, entry):
-        square = entry.square()
+        square = entry.square
         data = inverse_data(square)
         n = square.n
         a0, b0 = square.wa.a0, square.wb.a0
@@ -217,7 +217,7 @@ class TestCatalogSquareProperties:
     @settings(deadline=None)
     def test_zeta_degree_matches_lattice_rank(self, entry):
         assume(positive_entry(entry))
-        square = entry.square()
+        square = entry.square
         z = reduced_zeta(square)
         inv = lattice_invariants(square)
         sign = (-1) ** (square.n - 1)
@@ -228,7 +228,7 @@ class TestCatalogSquareProperties:
     @settings(deadline=None)
     def test_saito_dual_is_an_involution_on_zetas(self, entry):
         assume(positive_entry(entry))
-        square = entry.square()
+        square = entry.square
         z = reduced_zeta(square)
         h = square.wa.degree
         assert saito_dual(saito_dual(z, h), h) == z
@@ -237,7 +237,7 @@ class TestCatalogSquareProperties:
     @settings(deadline=None)
     def test_special_subsets_transpose_through_complements(self, entry):
         assume(positive_entry(entry))
-        square = entry.square()
+        square = entry.square
         n = square.n
         full = frozenset(range(1, n + 1))
         direct = {(frozenset(full - set(r.i)), frozenset(full - set(r.j)))
@@ -250,7 +250,7 @@ class TestCatalogSquareProperties:
         # special_subsets divides without checking: a_J | h and
         # h | a_J det C_IJ hold on every valid square (its docstring
         # proves both); catalog and searched squares, n = 2, 3 and 4
-        squares = [e.square() for e in _CATALOG.entries
+        squares = [e.square for e in _CATALOG.entries
                    if positive_entry(e)] + _SEARCHED
         checked = 0
         for square in squares:
