@@ -20,7 +20,7 @@ and the criteria of :mod:`weightmagic.verify` read both.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -54,13 +54,15 @@ class FuchsExpected:
     nu_star: int
 
     @classmethod
-    def from_mapping(cls, data: dict) -> FuchsExpected:
-        try:
-            return cls(**{f: int(data[f]) for f in (
-                "mu", "mu0", "rho", "d", "b0",
-                "d_star", "mu0_star", "mu_star", "nu_star")})
-        except KeyError as exc:
-            raise CatalogError(f"expected-values record is missing {exc}") from exc
+    def from_mapping(cls, data) -> FuchsExpected:
+        """Read the nine stored columns, each an int and not a bool."""
+        names = [f.name for f in fields(cls)]
+        if not isinstance(data, dict):
+            raise CatalogError(f"expected values must be an object, got {data!r}")
+        wrong = {f: data.get(f) for f in names if type(data.get(f)) is not int}
+        if wrong:
+            raise CatalogError(f"expected values {wrong} must be integers")
+        return cls(**{f: data[f] for f in names})
 
 
 @dataclass(frozen=True)
@@ -154,18 +156,29 @@ class Catalog:
         return hits[0]
 
 
+#: The types each scalar field of a record may have; a bool is not an int.
+_SCALAR_FIELDS = {"seq": (int,), "index": (int, type(None)),
+                  "name": (str, type(None)), "a0": (int,), "monomials": (str,),
+                  "partner": (int, str), "partner_table": (str,)}
+_JSON_TYPES = {int: "an int", str: "a string", type(None): "null"}
+
+
 def _entry_from_record(record: dict) -> CatalogEntry:
     table = record["table"]
     where = f"{table}#{record['seq']}"
     try:
         if table not in TABLES:
             raise CatalogError(f"unknown table {table!r}")
+        for key, kinds in _SCALAR_FIELDS.items():
+            if type(record[key]) not in kinds:
+                raise CatalogError(f"{key} must be " + " or ".join(
+                    _JSON_TYPES[k] for k in kinds) + f", got {record[key]!r}")
         for key, kind in (("weights", int), ("partner_weights", int),
                           ("flags", str)):
             if not (isinstance(record[key], list)
-                    and all(isinstance(x, kind) for x in record[key])):
+                    and all(type(x) is kind for x in record[key])):
                 raise CatalogError(
-                    f"{where}: {key} must be a list of {kind.__name__} values")
+                    f"{key} must be a list of {kind.__name__} values")
         flags = tuple(record["flags"])
         unknown = set(flags) - KNOWN_FLAGS
         if unknown:
@@ -174,20 +187,20 @@ def _entry_from_record(record: dict) -> CatalogEntry:
         partner_weights = WeightSystem(tuple(record["partner_weights"]),
                                        record["partner_degree"])
         if weights.a0 != record["a0"]:
-            raise CatalogError(f"{where}: stored a0 {record['a0']} disagrees "
+            raise CatalogError(f"stored a0 {record['a0']} disagrees "
                                f"with derived {weights.a0}")
         expected = (FuchsExpected.from_mapping(record["expected"])
                     if record["expected"] is not None else None)
-        fields = {key: record[key] for key in (
+        scalars = {key: record[key] for key in (
             "seq", "index", "name", "monomials", "partner", "partner_table")}
     except KeyError as exc:
         raise CatalogError(f"{where}: missing field {exc}") from exc
-    except ValidationError as exc:
+    except (CatalogError, ValidationError) as exc:
         raise CatalogError(f"{where}: {exc}") from exc
     try:
         entry = CatalogEntry(table=table, weights=weights,
                              partner_weights=partner_weights,
-                             expected=expected, flags=flags, **fields)
+                             expected=expected, flags=flags, **scalars)
     except ValidationError as exc:  # already names the entry
         raise CatalogError(str(exc)) from exc
     if ("zero_weight" in flags) == entry.positive:

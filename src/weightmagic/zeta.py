@@ -33,7 +33,10 @@ class CyclotomicProduct:
     factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        factors = tuple((int(l), int(a)) for l, a in self.factors)
+        factors = tuple((l, a) for l, a in self.factors)
+        if not all(type(x) is int for factor in factors for x in factor):
+            raise ValidationError(
+                f"orders and exponents must be integers: {factors}")
         object.__setattr__(self, "factors", factors)
         orders = [l for l, _ in factors]
         if any(l < 1 for l in orders):

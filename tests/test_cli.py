@@ -397,6 +397,42 @@ class TestCatalog:
         pytest.param(None, "E_12",
                      "catalog record 3 needs a table and a seq",
                      id="record-not-an-object"),
+        pytest.param("seq", [1], "T2#[1]: seq must be an int, got [1]",
+                     id="seq-list"),
+        pytest.param("seq", True, "T2#True: seq must be an int, got True",
+                     id="seq-bool"),
+        pytest.param("a0", 1.0, "T2#1: a0 must be an int, got 1.0",
+                     id="a0-float"),
+        pytest.param("index", "14",
+                     "T2#1: index must be an int or null, got '14'",
+                     id="index-string"),
+        pytest.param("name", 12,
+                     "T2#1: name must be a string or null, got 12",
+                     id="name-int"),
+        pytest.param("partner", None,
+                     "T2#1: partner must be an int or a string, got None",
+                     id="partner-null"),
+        pytest.param("partner_table", [],
+                     "T2#1: partner_table must be a string, got []",
+                     id="partner-table-list"),
+        pytest.param("monomials", 5, "T2#1: monomials must be a string, got 5",
+                     id="monomials-int"),
+        pytest.param("expected", 5,
+                     "T2#1: expected values must be an object, got 5",
+                     id="expected-not-an-object"),
+        # a dotted field edits the stored columns of Fuchs#1
+        pytest.param("expected.mu", 21.9,
+                     "Fuchs#1: expected values {'mu': 21.9} must be integers",
+                     id="fuchs-mu-float"),
+        pytest.param("expected.d", "7",
+                     "Fuchs#1: expected values {'d': '7'} must be integers",
+                     id="fuchs-d-string"),
+        pytest.param("expected.mu", "x",
+                     "Fuchs#1: expected values {'mu': 'x'} must be integers",
+                     id="fuchs-mu-word"),
+        pytest.param("expected.rho", True,
+                     "Fuchs#1: expected values {'rho': True} must be integers",
+                     id="fuchs-rho-bool"),
     ])
     def test_malformed_record_exits_2_and_names_it(self, tmp_path, capsys,
                                                    field, value, message):
@@ -407,6 +443,10 @@ class TestCatalog:
                         if r["name"] == "E_12")
         if field is None:
             records[position] = value
+        elif field.startswith("expected."):
+            fuchs = next(r for r in records
+                         if (r["table"], r["seq"]) == ("Fuchs", 1))
+            fuchs["expected"][field.split(".")[1]] = value
         else:
             records[position][field] = value
         path = tmp_path / "catalog.json"

@@ -41,6 +41,12 @@ class TestCyclotomicProduct:
         with pytest.raises(ValidationError, match="zero exponents"):
             CyclotomicProduct(((2, 0),))
 
+    @pytest.mark.parametrize("factors", [((2.9, 1),), ((True, 1),),
+                                         ((2, 1.0),), ((2, False),)])
+    def test_non_integers_are_refused_not_truncated(self, factors):
+        with pytest.raises(ValidationError, match="must be integers"):
+            CyclotomicProduct(factors)
+
     def test_from_exponents_merges_and_drops(self):
         p = CyclotomicProduct.from_exponents([(2, 1), (3, 2), (2, -1)])
         assert p == CyclotomicProduct(((3, 2),))
