@@ -1,6 +1,6 @@
 """Embedded dataset of coupled weight-system pairs and recomputation reports.
 
-The catalog ships as a JSON resource inside the package.  Each entry records a
+The catalog ships as a JSON data file inside the package.  Each entry records a
 weight system, the monomial matrix coupling it to a partner system, and (for
 the rows of the Fuchsian table) the lattice invariants the entry is expected
 to reproduce.  An entry validates its square, and a :class:`Catalog` its
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from importlib import resources
 from pathlib import Path
 
 from . import magic, polytope, zeta
@@ -221,10 +220,8 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     resolution, and consistency of the Fuchsian rows with their sources.
     """
     if path is None:
-        text = (resources.files("weightmagic") / "data" / "catalog.json"
-                ).read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+        path = Path(__file__).with_name("data") / "catalog.json"
+    text = Path(path).read_text(encoding="utf-8")
     try:
         document = json.loads(text)
     except ValueError as exc:

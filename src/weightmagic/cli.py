@@ -410,7 +410,3 @@ def run(argv: list[str]) -> tuple[int, str]:
     with redirect_stdout(buffer):
         code = main(argv)
     return code, buffer.getvalue()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,8 +22,8 @@ Point = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class RationalSimplex:
-    """A diagram (n vertices) or full simplex (n+1 vertices) with exact
-    rational coordinates in dimension n."""
+    """A full simplex: n+1 distinct vertices with exact rational
+    coordinates in dimension n."""
 
     vertices: tuple[Point, ...]
 
@@ -37,9 +37,9 @@ class RationalSimplex:
         n = len(vertices[0])
         if any(len(v) != n for v in vertices):
             raise ValidationError("vertices must share one dimension")
-        if len(vertices) not in (n, n + 1):
+        if len(vertices) != n + 1:
             raise ValidationError(
-                f"expected {n} or {n + 1} vertices in dimension {n}, "
+                f"expected {n + 1} vertices in dimension {n}, "
                 f"got {len(vertices)}"
             )
         if len(set(vertices)) != len(vertices):
@@ -83,9 +83,9 @@ def extended_diagram(wa: WeightSystem) -> RationalSimplex:
 def polar_dual(s: RationalSimplex) -> RationalSimplex:
     """The polar dual simplex, dual vertex i opposite primal vertex i.
 
-    Requires a full simplex (n+1 vertices) with the origin strictly
-    inside.  One exact inverse W of M = [V | 1], the vertex rows
-    bordered by a column of ones, gives everything.  Its last row is the
+    Requires the origin strictly inside the simplex.  One exact inverse
+    W of M = [V | 1], the vertex rows bordered by a column of ones, gives
+    everything.  Its last row is the
     barycentric vector lam of the origin, since lam^T M = (0, ..., 0, 1).
     Column i of W is (u_i, t_i) with <v_j, u_i> + t_i = delta_ij, so
     dual vertex y_i = u_i / lam_i satisfies <v_j, y_i> = -1 for j != i
@@ -94,11 +94,6 @@ def polar_dual(s: RationalSimplex) -> RationalSimplex:
     defining inequality <v, y> >= -1 holds without a second check.
     """
     n = s.dimension
-    if len(s.vertices) != n + 1:
-        raise ValidationError(
-            f"polar duals are computed for full simplices only "
-            f"({n + 1} vertices in dimension {n}, got {len(s.vertices)})"
-        )
     try:
         w = linalg.inverse(tuple(v + (1,) for v in s.vertices))
     except SingularMatrixError:

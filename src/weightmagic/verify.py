@@ -2,8 +2,10 @@
 
 Each criterion function checks one family of catalog claims (validity,
 classification, strongness, lattice invariants, duality of zeta functions,
-polytope duality, search completeness, algebraic identities) and reports a
-single pass/fail result.  :func:`run_all` executes all ten in order.
+polytope duality, search completeness, algebraic identities) and returns
+its title, its failures and its detail.  :func:`run_all` alone turns those
+into results: it runs the ten in order, numbers each by its position and
+passes it when it found no failures.
 
 What one entry must satisfy is decided by :func:`catalog.verify_entry`
 alone, every stored Fuchsian column included.  A run computes its report
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import magic, polytope, search, zeta
-from .catalog import Catalog, VerificationReport, load_catalog, verify_entry
+from .catalog import Catalog, VerificationReport, verify_entry
 from .magic import MagicSquare
 from .weights import WeightSystem, reduce_system
 
@@ -48,6 +50,8 @@ EXPECTED_PARTNER_DISCRIMINANTS = (6, 12, 25, 10, 10, 6, 14, 12)
 
 #: One report per catalog entry, in catalog order.
 Reports = tuple[VerificationReport, ...]
+#: What a check returns: its title, its failures and its detail on a pass.
+Outcome = tuple[str, list[str], str]
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ class CriterionResult:
         return f"criterion {self.number:2}: {self.title}: {status} [{self.detail}]"
 
 
-def check_table_fidelity(catalog: Catalog, reports: Reports) -> CriterionResult:
+def check_table_fidelity(catalog: Catalog, reports: Reports) -> Outcome:
     """Every stored matrix satisfies both weighted sum relations, recomputed."""
     failures = []
     for e in catalog:
@@ -72,13 +76,11 @@ def check_table_fidelity(catalog: Catalog, reports: Reports) -> CriterionResult:
                 sorted({sum(w * c for w, c in zip(b, col)) for col in zip(*rows)}))
         if sums != ([e.weights.degree], [e.partner_weights.degree]):
             failures.append(f"{e.label}: row and column sums {sums}")
-    return CriterionResult(
-        1, "table fidelity", not failures,
-        f"{len(catalog)} matrices validated" if not failures
-        else "; ".join(failures))
+    return ("table fidelity", failures,
+            f"{len(catalog)} matrices validated")
 
 
-def check_classification(catalog: Catalog, reports: Reports) -> CriterionResult:
+def check_classification(catalog: Catalog, reports: Reports) -> Outcome:
     """Every entry has its expected classification; 14 unimodular T2 rows.
 
     |det C| = h*b0 = k*a0 with (a0, b0) != (1, 1) rules out |det C| = h = k,
@@ -91,13 +93,11 @@ def check_classification(catalog: Catalog, reports: Reports) -> CriterionResult:
     if unimodular != 14:
         failures.append(f"expected 14 unimodular-virtual-weight T2 rows, "
                         f"found {unimodular}")
-    return CriterionResult(
-        2, "classification", not failures,
-        f"{len(catalog)} determinants checked, {unimodular} unimodular rows"
-        if not failures else "; ".join(failures))
+    return ("classification", failures,
+            f"{len(catalog)} determinants checked, {unimodular} unimodular rows")
 
 
-def check_strong_coupling(catalog: Catalog, reports: Reports) -> CriterionResult:
+def check_strong_coupling(catalog: Catalog, reports: Reports) -> Outcome:
     """Rows outside T4 have their expected strongness; the failing T4 set
     is exactly as frozen (whatever the entries' flags say)."""
     failures = [f"{r.label} is {'' if r.strong else 'not '}strong"
@@ -106,13 +106,11 @@ def check_strong_coupling(catalog: Catalog, reports: Reports) -> CriterionResult
                         if e.table == "T4" and not r.strong)
     if tuple(not_strong) != EXPECTED_NOT_STRONG:
         failures.append(f"T4 non-strong set {not_strong}")
-    return CriterionResult(
-        3, "strong coupling", not failures,
-        f"{len(not_strong)} known T4 exceptions" if not failures
-        else "; ".join(failures))
+    return ("strong coupling", failures,
+            f"{len(not_strong)} known T4 exceptions")
 
 
-def check_fuchsian_table(catalog: Catalog, reports: Reports) -> CriterionResult:
+def check_fuchsian_table(catalog: Catalog, reports: Reports) -> Outcome:
     """All 8 rows reproduce (mu, mu0, rho), starred values, nu*, |d*|."""
     rows = [r.fuchs for r in reports if r.fuchs is not None]
     failures = [f"{row.label}: {row.errors or 'mismatch'}"
@@ -120,23 +118,19 @@ def check_fuchsian_table(catalog: Catalog, reports: Reports) -> CriterionResult:
     values = tuple(row.d_star_abs for row in rows)
     if values != EXPECTED_PARTNER_DISCRIMINANTS:
         failures.append(f"partner discriminants {values}")
-    return CriterionResult(
-        4, "Fuchsian table reproduction", not failures,
-        f"{len(rows)} rows reproduced" if not failures
-        else "; ".join(failures))
+    return ("Fuchsian table reproduction", failures,
+            f"{len(rows)} rows reproduced")
 
 
-def check_zeta_duality(catalog: Catalog, reports: Reports) -> CriterionResult:
+def check_zeta_duality(catalog: Catalog, reports: Reports) -> Outcome:
     """Transposing a unimodular primitive square Saito-dualizes its zeta."""
     failures = [r.label for r in reports if not r.zeta_duality_ok]
     applicable = sum(r.zeta_duality_applicable for r in reports)
-    return CriterionResult(
-        5, "zeta duality for unimodular primitive squares", not failures,
-        f"{applicable} squares checked" if not failures
-        else "; ".join(failures))
+    return ("zeta duality for unimodular primitive squares", failures,
+            f"{applicable} squares checked")
 
 
-def check_elliptic_polynomials(catalog: Catalog, reports: Reports) -> CriterionResult:
+def check_elliptic_polynomials(catalog: Catalog, reports: Reports) -> Outcome:
     """n=2 rows: char. polynomial is anti-self-dual; pinned expansion."""
     failures = []
     expansion = None
@@ -149,13 +143,11 @@ def check_elliptic_polynomials(catalog: Catalog, reports: Reports) -> CriterionR
             expansion = zeta.expand_series(phi, 2)
     if expansion != [1, -1, 1]:
         failures.append(f"expansion {expansion}")
-    return CriterionResult(
-        6, "elliptic characteristic polynomials", not failures,
-        "3 squares, pinned expansion [1, -1, 1]" if not failures
-        else "; ".join(failures))
+    return ("elliptic characteristic polynomials", failures,
+            "3 squares, pinned expansion [1, -1, 1]")
 
 
-def check_geometric_identities(catalog: Catalog, reports: Reports) -> CriterionResult:
+def check_geometric_identities(catalog: Catalog, reports: Reports) -> Outcome:
     """Inverse-product identity per square; closed-form polar duals."""
     failures = [f"{r.label}: inverse-product identity"
                 for r in reports if not r.inverse_identity_ok]
@@ -168,10 +160,8 @@ def check_geometric_identities(catalog: Catalog, reports: Reports) -> CriterionR
         dual = polytope.polar_dual(polytope.extended_diagram(system))
         if polytope.closed_form_dual(system) != dual:
             failures.append(f"closed-form dual of ({system})")
-    return CriterionResult(
-        7, "inverse-product identity and polar duals", not failures,
-        f"{len(catalog)} squares, {len(systems)} dual simplices"
-        if not failures else "; ".join(failures))
+    return ("inverse-product identity and polar duals", failures,
+            f"{len(catalog)} squares, {len(systems)} dual simplices")
 
 
 def _reduced_pairs(max_degree: int):
@@ -211,7 +201,7 @@ def _brute_force_squares(rows, wb: WeightSystem):
     return arrangements
 
 
-def check_search(catalog: Catalog, reports: Reports) -> CriterionResult:
+def check_search(catalog: Catalog, reports: Reports) -> Outcome:
     """Pinned searches, catalog completeness, and n=2 brute-force parity."""
     failures = []
 
@@ -260,13 +250,11 @@ def check_search(catalog: Catalog, reports: Reports) -> CriterionResult:
                        for arr in arrs)}
             if {tuple(sorted(m.entries)) for m in strong} != brute_strong:
                 failures.append(f"strong-filter mismatch for {wa} x {wb}")
-    return CriterionResult(
-        8, "search completeness", not failures,
-        f"catalog rediscovered, {len(systems) ** 2} brute-forced pairs"
-        if not failures else "; ".join(failures[:4]))
+    return ("search completeness", failures[:4],
+            f"catalog rediscovered, {len(systems) ** 2} brute-forced pairs")
 
 
-def check_algebraic_properties(catalog: Catalog, reports: Reports) -> CriterionResult:
+def check_algebraic_properties(catalog: Catalog, reports: Reports) -> Outcome:
     """Deterministic sweep of the structural identities over all squares."""
     failures = []
     squares: list[tuple[str, MagicSquare]] = [
@@ -303,21 +291,17 @@ def check_algebraic_properties(catalog: Catalog, reports: Reports) -> CriterionR
             complement = full - set(report.i)
             if transposed.get(frozenset(complement)) != full - set(report.j):
                 failures.append(f"{label}: subset duality for J={report.j}")
-    return CriterionResult(
-        9, "algebraic property sweep", not failures,
-        f"{len(squares)} squares swept" if not failures
-        else "; ".join(failures[:4]))
+    return ("algebraic property sweep", failures[:4],
+            f"{len(squares)} squares swept")
 
 
-def check_exponent_range(catalog: Catalog, reports: Reports) -> CriterionResult:
+def check_exponent_range(catalog: Catalog, reports: Reports) -> Outcome:
     """T4 zeta exponents all lie in {-1, 0, 1}."""
     checked = [r for r in reports if r.exponent_outliers is not None]
     failures = [f"{r.label}: {list(r.exponent_outliers)}"
                 for r in checked if r.exponent_outliers]
-    return CriterionResult(
-        10, "exponent range of quadrilateral-table zetas", not failures,
-        f"{len(checked)} zeta functions checked" if not failures
-        else "; ".join(failures))
+    return ("exponent range of quadrilateral-table zetas", failures,
+            f"{len(checked)} zeta functions checked")
 
 
 _CHECKS = (
@@ -334,14 +318,17 @@ _CHECKS = (
 )
 
 
-def run_all(catalog: Catalog | None = None
-            ) -> tuple[tuple[CriterionResult, ...],
-                       tuple[VerificationReport, ...]]:
+def run_all(catalog: Catalog) -> tuple[tuple[CriterionResult, ...], Reports]:
     """Run all ten verification criteria against the catalog.
 
-    Returns the criterion results and the per-entry reports they read,
-    one report per entry in catalog order.
+    Criterion N is the N-th check of ``_CHECKS``; it passes when its check
+    finds no failures.  Returns the criterion results and the per-entry
+    reports they read, one report per entry in catalog order.
     """
-    catalog = catalog if catalog is not None else load_catalog()
     reports = tuple(verify_entry(e, catalog) for e in catalog)
-    return tuple(check(catalog, reports) for check in _CHECKS), reports
+    results = []
+    for number, check in enumerate(_CHECKS, 1):
+        title, failures, detail = check(catalog, reports)
+        results.append(CriterionResult(number, title, not failures,
+                                       "; ".join(failures) if failures else detail))
+    return tuple(results), reports

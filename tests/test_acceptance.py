@@ -12,7 +12,8 @@ import copy
 import json
 from pathlib import Path
 
-from weightmagic import Catalog, MagicSquare, classify, fuchsian_report
+from weightmagic import (Catalog, CriterionResult, MagicSquare, classify,
+                         fuchsian_report, verify)
 from weightmagic.verify import check_table_fidelity
 
 GOLDEN_NOT_STRONG = Path(__file__).parent / "data" / "table4_not_strong.json"
@@ -40,10 +41,23 @@ def test_criterion_01_reads_the_entries_not_a_flag(catalog):
         ((7, 0, 0), (0, 3, 0), (0, 0, 3)), entry.weights,
         entry.partner_weights))
     tampered = Catalog(tuple(broken if e is entry else e for e in catalog))
-    result = check_table_fidelity(tampered, ())
-    assert not result.passed
-    assert result.detail == ("T2#1 no. 14 E_12: row and column sums "
-                             "([42, 63], [42, 63])")
+    title, failures, _ = check_table_fidelity(tampered, ())
+    assert title == "table fidelity"
+    assert failures == ["T2#1 no. 14 E_12: row and column sums "
+                        "([42, 63], [42, 63])"]
+
+
+def test_run_all_numbers_each_criterion_by_its_position(monkeypatch):
+    # the checks report only titles, failures and details; run_all alone
+    # numbers them and judges them
+    monkeypatch.setattr(verify, "_CHECKS", (
+        lambda catalog, reports: ("failing", ["a", "b"], "unused"),
+        lambda catalog, reports: ("passing", [], "all fine"),
+    ))
+    results, reports = verify.run_all(Catalog(()))
+    assert reports == ()
+    assert results == (CriterionResult(1, "failing", False, "a; b"),
+                       CriterionResult(2, "passing", True, "all fine"))
 
 
 def test_criterion_02_determinant_classification(criteria, capsys):
