@@ -204,6 +204,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    if args.expand is not None and args.expand < 0:
+        raise ValidationError(
+            f"--expand {args.expand} is negative; give a degree of 0 or more")
     if args.expand is not None and args.expand > MAX_EXPAND:
         raise ValidationError(
             f"--expand {args.expand} exceeds the ceiling of {MAX_EXPAND}")
@@ -316,7 +319,7 @@ def _cmd_catalog(args) -> int:
         _emit(args, document, [_entry_line(e) for e in catalog])
         return 0
     if args.action == "show":
-        key = int(args.key) if args.key.isdigit() else args.key
+        key = int(args.key) if args.key.isdecimal() else args.key
         hits = catalog.lookup(key)
         documents = []
         lines = []

@@ -3,25 +3,8 @@
 Rows are enumerated as the non-negative integer solutions of the row
 relation, assembled depth-first into squares with prefix pruning against
 the column relation, and reported once per row multiset in a canonical
-arrangement.
-
-A square C couples (a; h) and (b; k) only if k * a0 = h * b0, where
-a0 = h - sum(a_i) and b0 = k - sum(b_i) are the virtual weights:
-computing b^T C a with C a = h 1 gives h (k - b0), and with b^T C = k 1
-gives k (h - a0).  A pair that fails this identity has no square, and
-the search returns at once without building a plan or enumerating rows.
-
-Each weight system's rows, with a ``{row: index}`` lookup, form a plan
-that is built once and cached (the 64 most recent systems), so a search
-on a system seen before does no per-call set-up beyond its own query.
-``enumerate_rows`` stays uncached: the plan calls it only on a miss.
-
-The depth-first assembly does two things to visit fewer arrangements
-without changing its output.  The last row is not looped over: the loop
-over the second-to-last row solves it from the column residuals and
-looks it up in the plan.  Rows whose column weights b_i are equal are
-taken in enumeration order only, since swapping them leaves every column
-sum unchanged.
+arrangement.  :func:`find_magic_squares` states the rules that prune the
+search and why they leave its output unchanged.
 """
 
 from __future__ import annotations
@@ -88,7 +71,9 @@ def enumerate_rows(wa: WeightSystem) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=64)
 def _plan(wa: WeightSystem
           ) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
-    """The rows of ``wa`` in enumeration order and each row's index."""
+    """The rows of ``wa`` in enumeration order and each row's index;
+    kept for the 64 most recent systems, so a search on a system seen
+    before does not enumerate its rows again."""
     rows = tuple(enumerate_rows(wa))
     return rows, {row: j for j, row in enumerate(rows)}
 

@@ -76,8 +76,7 @@ def check_table_fidelity(catalog: Catalog, reports: Reports) -> Outcome:
                 sorted({sum(w * c for w, c in zip(b, col)) for col in zip(*rows)}))
         if sums != ([e.weights.degree], [e.partner_weights.degree]):
             failures.append(f"{e.label}: row and column sums {sums}")
-    return ("table fidelity", failures,
-            f"{len(catalog)} matrices validated")
+    return "table fidelity", failures, f"{len(catalog)} matrices validated"
 
 
 def check_classification(catalog: Catalog, reports: Reports) -> Outcome:

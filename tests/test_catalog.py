@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from weightmagic import (CatalogError, ValidationError, fuchsian_report,
-                         load_catalog, magic, polytope, verify_entry, zeta)
+                         load_catalog, magic, parse_weight_system, polytope,
+                         verify_entry, zeta)
 
 GOLDEN_NOT_STRONG = Path(__file__).parent / "data" / "table4_not_strong.json"
 
@@ -151,6 +152,28 @@ class TestVerifyEntry:
         assert report.strong and not report.strong_ok and not report.ok
         assert report.problems == ("strong=True, expected False",)
 
+    @pytest.mark.parametrize("position,changes,problems", [
+        # T2#1 is E_12; with these weights C - 1 is singular, and the
+        # failed identity is reported, not raised
+        pytest.param(0, dict(weights=parse_weight_system("1,1,1;3"),
+                             partner_weights=parse_weight_system("1,1,1;3"),
+                             monomials="x^3, y^3, z^3"),
+                     ("classified plain, expected almost_primitive",
+                      "inverse-product identity fails",
+                      "transpose weight pair disagrees with partner entry"),
+                     id="singular-difference"),
+        pytest.param(1, dict(table="T1"),
+                     ("classified almost_primitive, expected primitive",),
+                     id="wrong-table"),
+    ])
+    def test_failed_claims_are_reported(self, catalog, position, changes,
+                                        problems):
+        entry = replace(catalog.table("T2")[position], **changes)
+        report = verify_entry(entry, catalog)
+        assert report.problems == problems
+        assert report.inverse_identity_ok == (
+            "inverse-product identity fails" not in problems)
+
     def test_flagged_entries_report_discrepancy(self, catalog):
         for entry in catalog.table("T4"):
             report = verify_entry(entry, catalog)
@@ -237,6 +260,22 @@ class TestFuchsianReport:
 
     def test_labels_pair_indices(self, catalog):
         assert fuchsian_report(catalog)[0].label == "42/68"
+
+
+def _respell_fuchsian_matrix(entries):
+    record = next(r for r in entries
+                  if (r["table"], r["seq"]) == ("Fuchs", 1))
+    record["monomials"] = "x^5z, xy^3, z^{2}"  # the same square
+    return entries
+
+
+def _drop_fuchsian_source(entries):
+    # the T3 partner of the dropped row now points at the Fuchs row
+    for r in entries:
+        if r["table"] == "T3" and r["index"] == 68:
+            r["partner_table"] = "Fuchs"
+    return [r for r in entries if not (
+        r["table"] == "T3" and (r["index"], r["partner"]) == (42, 68))]
 
 
 class TestLoading:
@@ -340,3 +379,17 @@ class TestLoading:
         record["partner"] = 9999
         with pytest.raises(CatalogError, match="resolves to 0 entries"):
             load_catalog(write_document(tmp_path, document))
+
+    @pytest.mark.parametrize("tamper,message", [
+        pytest.param(_respell_fuchsian_matrix, "Fuchs#1 no. 42 Z_2,0 "
+                     "disagrees with its T3 source row", id="respelled"),
+        pytest.param(_drop_fuchsian_source, "Fuchs#1 no. 42 Z_2,0 has no "
+                     "matching source row in T3", id="no-source"),
+    ])
+    def test_fuchsian_row_must_match_its_t3_source(self, tmp_path, tamper,
+                                                   message):
+        document = raw_document()
+        document["entries"] = tamper(document["entries"])
+        with pytest.raises(CatalogError) as raised:
+            load_catalog(write_document(tmp_path, document))
+        assert str(raised.value) == message

@@ -188,9 +188,14 @@ class TestZeta:
 
     def test_expand_above_ceiling_exits_2(self, capsys):
         assert MAX_EXPAND == 100_000
-        assert main(["zeta", "--wa", "6,14,21;42", "--matrix",
-                     "x^7, y^3, z^2", "--expand", str(MAX_EXPAND + 1)]) == 2
-        assert "ceiling of 100000" in capsys.readouterr().err
+        for expand, message in [
+                (MAX_EXPAND + 1,
+                 "error: --expand 100001 exceeds the ceiling of 100000\n"),
+                (-1, "error: --expand -1 is negative; give a degree of 0 "
+                     "or more\n")]:
+            assert main(["zeta", "--wa", "6,14,21;42", "--matrix",
+                         "x^7, y^3, z^2", "--expand", str(expand)]) == 2
+            assert capsys.readouterr().err == message
 
     def test_json_factors(self):
         code, document = run_json(["zeta", "--wa", "1,3,5;10",
@@ -285,8 +290,11 @@ class TestCatalog:
         assert fuchs and fuchs[0]["expected"]["mu"] == 21
 
     def test_show_unknown_key_exits_2(self, capsys):
-        assert main(["catalog", "show", "9999"]) == 2
-        assert "no catalog entry matches 9999" in capsys.readouterr().err
+        # "²" is a digit to str.isdigit but not a decimal number
+        for key, shown in [("9999", "9999"), ("²", "'²'")]:
+            assert main(["catalog", "show", key]) == 2
+            assert capsys.readouterr().err == \
+                f"error: no catalog entry matches {shown}\n"
 
     def test_verify_passes(self):
         code, document = run_json(["catalog", "verify"])

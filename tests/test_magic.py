@@ -48,8 +48,14 @@ class TestValidate:
             validate(entries, w, w)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            validate(((3, 0), (0, 2)), W42, W42)
+        for entries, wb, message in [
+                (((3, 0), (0, 2)), W42,
+                 "matrix must be 3x3 to match the weights"),
+                (DIAGONAL_42, parse_weight_system("2,3;6"),
+                 "weight systems disagree on size: 3 vs 2")]:
+            with pytest.raises(ValidationError) as raised:
+                validate(entries, W42, wb)
+            assert str(raised.value) == message
 
     def test_non_square(self):
         w = parse_weight_system("1,1;2")
@@ -250,6 +256,21 @@ class TestMonomialNotation:
         with pytest.raises(ParseError):
             parse_monomial_matrix("x^2, 5q, z", 3)
 
+    @pytest.mark.parametrize("text,n,message", [
+        pytest.param("x^5z, , z^2", 3, "empty monomial in 'x^5z, , z^2'",
+                     id="empty-monomial"),
+        pytest.param("x^5, y^3, t^2", 3,
+                     "variable 't^2' out of range for 3 variables",
+                     id="t-for-n=3"),
+        pytest.param("x, y, z, t, t", 5,
+                     "monomial matrices need n between 2 and 4, got 5",
+                     id="n=5"),
+    ])
+    def test_refusal_names_the_input(self, text, n, message):
+        with pytest.raises(ParseError) as raised:
+            parse_monomial_matrix(text, n)
+        assert str(raised.value) == message
+
     def test_format_plain_and_braces(self):
         assert format_monomial_matrix(((21, 0, 1), (0, 3, 0), (1, 0, 10))) == \
             "x^{21}z, y^3, xz^{10}"
@@ -271,5 +292,11 @@ class TestParseMatrix:
         assert parse_matrix("x^5z, xy^3, z^2", 3) == COUPLED_10_30
 
     def test_bad_integer_rows(self):
-        with pytest.raises(ParseError):
-            parse_matrix("5,0;1,3", 3)
+        for text, message in [
+                ("5,0;1,3", "expected a 3x3 matrix, got '5,0;1,3'"),
+                ("5,0,a;1,3,0;0,0,2",
+                 "cannot read integer matrix '5,0,a;1,3,0;0,0,2': "),
+                ("5,0,1;1,3;0,0,2", "ragged matrix '5,0,1;1,3;0,0,2'")]:
+            with pytest.raises(ParseError) as raised:
+                parse_matrix(text, 3)
+            assert str(raised.value).startswith(message)
