@@ -118,8 +118,10 @@ class Catalog:
     def __init__(self, entries: tuple[CatalogEntry, ...]):
         self.entries = tuple(entries)
         self._by_table: dict[str, list[CatalogEntry]] = {}
+        self._by_key: dict[tuple[str, int | str], list[CatalogEntry]] = {}
         for entry in self.entries:
             self._by_table.setdefault(entry.table, []).append(entry)
+            self._by_key.setdefault((entry.table, entry.key), []).append(entry)
         for entry in self.entries:
             self.partner_of(entry)
 
@@ -146,8 +148,8 @@ class Catalog:
 
     def partner_of(self, entry: CatalogEntry) -> CatalogEntry:
         """The unique reciprocal partner entry in ``entry.partner_table``."""
-        hits = [c for c in self._by_table.get(entry.partner_table, ())
-                if c.key == entry.partner and c.partner == entry.key]
+        named = self._by_key.get((entry.partner_table, entry.partner), ())
+        hits = [c for c in named if c.partner == entry.key]
         if len(hits) != 1:
             raise CatalogError(
                 f"partner reference of {entry.label} resolves to "

@@ -16,12 +16,16 @@ import io
 import json
 import sys
 from contextlib import redirect_stdout
+from typing import TYPE_CHECKING
 
-from . import catalog as catalog_lib
-from . import magic, polytope, search, verify, zeta
 from .errors import ValidationError, WeightMagicError
-from .magic import MagicSquare
 from .weights import is_calabi_yau, parse_weight_system, reduce_system
+
+# Each verb imports the modules it runs, so that it loads only what it
+# uses; these two names serve the annotations alone.
+if TYPE_CHECKING:
+    from .catalog import CatalogEntry
+    from .magic import MagicSquare
 
 _FILTER_NAMES = {"any": "any", "almost": "almost_primitive",
                  "primitive": "primitive"}
@@ -108,6 +112,7 @@ def _emit(args, document: dict, lines: list[str]) -> None:
 
 def _square_from_args(args) -> tuple[MagicSquare, bool]:
     """Build the square from --wa/--wb/--matrix; recover wb if absent."""
+    from . import magic
     wa = parse_weight_system(args.wa)
     entries = magic.parse_matrix(args.matrix, wa.n)
     if args.wb is None:
@@ -116,6 +121,7 @@ def _square_from_args(args) -> tuple[MagicSquare, bool]:
 
 
 def _square_document(square: MagicSquare, recovered: bool) -> dict:
+    from . import magic
     report = magic.classify(square)
     return {
         "wa": str(square.wa),
@@ -179,6 +185,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import search
     wa = parse_weight_system(args.wa)
     wb = parse_weight_system(args.wb) if args.wb else wa
     query = search.SearchQuery(wa, wb, filter=_FILTER_NAMES[args.filter],
@@ -204,6 +211,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    from . import zeta
     if args.expand is not None and args.expand < 0:
         raise ValidationError(
             f"--expand {args.expand} is negative; give a degree of 0 or more")
@@ -234,6 +242,7 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from . import zeta
     square, recovered = _square_from_args(args)
     inv = zeta.lattice_invariants(square)
     z = zeta.reduced_zeta(square)
@@ -266,6 +275,7 @@ def _vertex_lists(simplex) -> list[list[str]]:
 
 
 def _cmd_polar(args) -> int:
+    from . import polytope
     system = parse_weight_system(args.wa)
     diagram = polytope.extended_diagram(system)
     dual = polytope.polar_dual(diagram)
@@ -288,7 +298,7 @@ def _cmd_polar(args) -> int:
     return 0
 
 
-def _entry_document(entry: catalog_lib.CatalogEntry) -> dict:
+def _entry_document(entry: CatalogEntry) -> dict:
     return {
         "table": entry.table,
         "seq": entry.seq,
@@ -305,13 +315,14 @@ def _entry_document(entry: catalog_lib.CatalogEntry) -> dict:
     }
 
 
-def _entry_line(entry: catalog_lib.CatalogEntry) -> str:
+def _entry_line(entry: CatalogEntry) -> str:
     flags = f"  [{', '.join(entry.flags)}]" if entry.flags else ""
     return (f"{entry.label:28} {str(entry.weights):>16}  "
             f"{entry.monomials:28} -> {entry.partner}{flags}")
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog as catalog_lib
     catalog = catalog_lib.load_catalog(args.catalog_path)
     if args.action == "list":
         document = {"verb": "catalog-list", "count": len(catalog),
@@ -357,6 +368,7 @@ def _cmd_catalog(args) -> int:
 
     # catalog verify: the criteria and the per-table summary read the same
     # per-entry reports
+    from . import verify
     results, reports = verify.run_all(catalog)
     tables = {}
     for report in reports:

@@ -289,15 +289,19 @@ def parse_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     rows, e.g. ``5,0,1;1,3,0;0,0,2``."""
     if ";" not in text:
         return parse_monomial_matrix(text, n)
-    try:
-        rows = tuple(
-            tuple(int(p) for p in re.split(r"\s*,\s*", part.strip()))
-            for part in text.split(";")
-        )
-    except ValueError as exc:
-        raise ParseError(f"cannot read integer matrix {text!r}: {exc}") from exc
+    rows = []
+    for number, part in enumerate(text.split(";"), 1):
+        row = []
+        for entry in re.split(r"\s*,\s*", part.strip()):
+            try:
+                row.append(int(entry))
+            except ValueError:
+                raise ParseError(
+                    f"cannot read integer matrix {text!r}: entry {entry!r} "
+                    f"in row {number} is not an integer") from None
+        rows.append(tuple(row))
     if len({len(r) for r in rows}) != 1:
         raise ParseError(f"ragged matrix {text!r}")
     if len(rows) != n or len(rows[0]) != n:
         raise ParseError(f"expected a {n}x{n} matrix, got {text!r}")
-    return rows
+    return tuple(rows)

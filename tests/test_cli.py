@@ -139,6 +139,13 @@ class TestCheck:
         assert main(["check", "--wa", "1,1;2", "--matrix", "x^2, 5q"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_integer_entry_exits_2_and_names_it(self, capsys):
+        assert main(["check", "--wa", "1,3,5;10",
+                     "--matrix", "5,0,a;1,3,0;0,0,2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read integer matrix '5,0,a;1,3,0;0,0,2': "
+            "entry 'a' in row 1 is not an integer\n")
+
 
 class TestSearch:
     def test_human(self):
@@ -485,12 +492,40 @@ class TestArgumentErrors:
         assert info.value.code == 2
 
 
-def test_module_entry_point():
-    # the child imports the package under test, installed or not
+def child(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` on the package under test, installed or not."""
     src = str(Path(weightmagic.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "weightmagic", "reduce", "--wa", "6,14,21;42"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point():
+    proc = child("-m", "weightmagic", "reduce", "--wa", "6,14,21;42")
     assert proc.returncode == 0
     assert "reduced:        6,14,21;42" in proc.stdout
+
+
+# ``python -m weightmagic`` that prints, last on stderr, the package modules
+# loaded when the interpreter exits
+MODULES_AT_EXIT = """\
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(
+    m for m in sys.modules if m.startswith("weightmagic."))), file=sys.stderr))
+runpy.run_module("weightmagic", run_name="__main__", alter_sys=True)
+"""
+HEAVY = {"magic", "search", "zeta", "polytope", "catalog", "verify"}
+
+
+@pytest.mark.parametrize("argv,code,absent", [
+    (["reduce", "--wa", "6,14,21;42"], 0, HEAVY),
+    (["reduce", "--wa", "1,2;x"], 2, HEAVY),
+    (["catalog", "list"], 0, {"search", "verify"}),
+], ids=["reduce", "malformed", "catalog-list"])
+def test_verb_imports_only_the_modules_it_runs(argv, code, absent):
+    proc = child("-c", MODULES_AT_EXIT, *argv)
+    assert proc.returncode == code
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert "weightmagic.cli" in loaded
+    assert not loaded & {f"weightmagic.{name}" for name in absent}

@@ -295,8 +295,12 @@ class TestParseMatrix:
         for text, message in [
                 ("5,0;1,3", "expected a 3x3 matrix, got '5,0;1,3'"),
                 ("5,0,a;1,3,0;0,0,2",
-                 "cannot read integer matrix '5,0,a;1,3,0;0,0,2': "),
+                 "cannot read integer matrix '5,0,a;1,3,0;0,0,2': "
+                 "entry 'a' in row 1 is not an integer"),
+                ("5,0,1;1,3,0;0,1.5,2",
+                 "cannot read integer matrix '5,0,1;1,3,0;0,1.5,2': "
+                 "entry '1.5' in row 3 is not an integer"),
                 ("5,0,1;1,3;0,0,2", "ragged matrix '5,0,1;1,3;0,0,2'")]:
             with pytest.raises(ParseError) as raised:
                 parse_matrix(text, 3)
-            assert str(raised.value).startswith(message)
+            assert str(raised.value) == message
