@@ -435,7 +435,7 @@ def _fuchs_row(entry: CatalogEntry, partner: CatalogEntry) -> FuchsRow:
     nu_star = b0 * (rho + 3) - partner_inv.mu - 1
     d_star_abs = 0
     try:
-        value, _ = zeta.evaluate_at_one(zeta.reduced_zeta(partner.square))
+        value = zeta.evaluate_at_one(zeta.reduced_zeta(partner.square))
         if value.denominator != 1:
             errors.append(f"partner zeta value at 1 is {value}")
         else:

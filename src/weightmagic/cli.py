@@ -248,7 +248,9 @@ def _cmd_invariants(args) -> int:
     z = zeta.reduced_zeta(square)
     value = discriminant = None
     if z.exponent_sum == 0:
-        value, discriminant = zeta.evaluate_at_one(z, inv.rho)
+        value = zeta.evaluate_at_one(z)
+        if inv.rho is not None:
+            discriminant = (-1) ** (inv.rho - 1) * value
     document = {
         "verb": "invariants",
         "wa": str(square.wa),

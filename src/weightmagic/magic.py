@@ -25,7 +25,7 @@ PLAIN = "plain"
 
 
 _VARS = "xyzt"
-_TOKEN = re.compile(r"([xyzt])([1-4])?(?:\^(?:\{(\d+)\}|(\d+)))?")
+_TOKEN = re.compile(r"([xyzt])(?:\^(?:\{(\d+)\}|(\d+)))?")
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,10 @@ class MagicSquare:
     """A validated weighted magic square bound to its weight pair.
 
     Construction runs the defining relations, so an instance is valid by
-    the time it exists.  Only the search, whose squares are valid by
-    construction, skips them (through ``_trusted``).  A square keeps its
-    special subsets and inverse data; equality, hash and repr ignore them.
+    the time it exists.  Only the search and ``transpose``, whose squares
+    are valid by construction, skip them (through ``_trusted``).  A square
+    keeps its special subsets and its inverse data, or the refusal when
+    C - 1 is singular; equality, hash and repr ignore them.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -162,7 +163,9 @@ def inverse_data(ms: MagicSquare) -> InverseData:
     recovered systems are the reduced bound ones.  B is singular whenever
     a0 = 0 or b0 = 0.
 
-    The data is kept on the square; a failure is not kept and raises again.
+    The data is kept on the square, and so is the refusal when B is
+    singular: B is inverted once, and each later call on a singular B
+    raises a fresh SingularMatrixError with the same text.
     """
     data = ms.__dict__.get("_inverse_data")
     if data is None:
@@ -170,12 +173,14 @@ def inverse_data(ms: MagicSquare) -> InverseData:
         try:
             a = linalg.inverse(b)
         except SingularMatrixError:
-            raise SingularMatrixError(
-                "C - 1 is singular, so the inverse data does not exist"
-            ) from None
-        data = InverseData(a, _system_from_ratios([sum(row) for row in a]),
-                           _system_from_ratios([sum(col) for col in zip(*a)]))
+            data = SingularMatrixError(
+                "C - 1 is singular, so the inverse data does not exist")
+        else:
+            data = InverseData(a, _system_from_ratios([sum(row) for row in a]),
+                               _system_from_ratios([sum(col) for col in zip(*a)]))
         object.__setattr__(ms, "_inverse_data", data)
+    if isinstance(data, SingularMatrixError):
+        raise SingularMatrixError(*data.args)
     return data
 
 
@@ -203,8 +208,9 @@ def recover_partner(entries, wa: WeightSystem) -> MagicSquare:
 
 
 def transpose(ms: MagicSquare) -> MagicSquare:
-    """Swap rows with columns and the two weight systems; always valid."""
-    return MagicSquare(linalg.transpose(ms.entries), ms.wb, ms.wa)
+    """Swap rows with columns and the two weight systems; always valid
+    (each relation of C is the other one of C^t), so not checked again."""
+    return MagicSquare._trusted(linalg.transpose(ms.entries), ms.wb, ms.wa)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +218,10 @@ def transpose(ms: MagicSquare) -> MagicSquare:
 
 
 def parse_monomial_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Parse ``x^5z, xy^3, z^2`` (or x1..xn style) into exponent rows.
+    """Parse ``x^5z, xy^3, z^2`` into exponent rows.
 
-    Variables are x, y, z, t for the first, ..., fourth column, or x1..xn;
-    the two styles cannot be mixed.  Exponents use ^e or ^{e}, default 1.
-    Monomial i becomes row i.
+    Variables are x, y, z, t for the first, ..., fourth column.  Exponents
+    use ^e or ^{e}, default 1.  Monomial i becomes row i.
     """
     if not 2 <= n <= 4:
         raise ParseError(f"monomial matrices need n between 2 and 4, got {n}")
@@ -224,7 +229,6 @@ def parse_monomial_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     if len(monomials) != n:
         raise ParseError(f"expected {n} monomials, got {len(monomials)} in {text!r}")
     rows = []
-    indexed: bool | None = None
     for mono in monomials:
         s = re.sub(r"\s+", "", mono)
         if not s:
@@ -236,19 +240,8 @@ def parse_monomial_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
             m = _TOKEN.match(s, pos)
             if not m:
                 raise ParseError(f"cannot read monomial {mono!r} at {s[pos:]!r}")
-            letter, idx, brace_exp, plain_exp = m.groups()
-            if idx is not None:
-                if letter != "x":
-                    raise ParseError(
-                        f"indexed variables must be x1..x{n}, got {letter}{idx}"
-                    )
-                style, var = True, int(idx) - 1
-            else:
-                style, var = False, _VARS.index(letter)
-            if indexed is None:
-                indexed = style
-            elif indexed != style:
-                raise ParseError(f"mixed variable styles in {text!r}")
+            letter, brace_exp, plain_exp = m.groups()
+            var = _VARS.index(letter)
             if var >= n:
                 raise ParseError(
                     f"variable {m.group(0)!r} out of range for {n} variables"

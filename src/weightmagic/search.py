@@ -93,8 +93,18 @@ def canonicalize(rows, wb: WeightSystem) -> tuple[tuple[int, ...], ...] | None:
     The row relation is arrangement-independent, but the column relation
     weights row i by b_i, so not every ordering of a valid multiset is
     valid; the greatest valid ordering is the reported representative.
+
+    The permutations of the rows sorted descending are scanned and the
+    first valid one is returned.  ``permutations`` emits index tuples in
+    lexicographic order.  Let p be the first one that produces the
+    greatest valid tuple T.  An index tuple emitted before p first
+    differs from p at some position by a smaller index, whose row is not
+    smaller.  Nor is it equal: p places that index later, and swapping the
+    two equal rows in p would produce T from an earlier index tuple.  So
+    every permutation emitted before p is lexicographically greater than
+    T, hence invalid.
     """
-    for cand in sorted(set(permutations(rows)), reverse=True):
+    for cand in permutations(sorted(rows, reverse=True)):
         if _columns_valid(cand, wb):
             return cand
     return None

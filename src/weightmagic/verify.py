@@ -273,8 +273,8 @@ def check_algebraic_properties(catalog: Catalog, reports: Reports) -> Outcome:
         if z.degree != sign * inv.mu or z.exponent_sum != sign * inv.mu0:
             failures.append(f"{label}: degree or exponent-sum identity")
         if z.exponent_sum == 0:
-            value, _ = zeta.evaluate_at_one(z)
-            dual_value, _ = zeta.evaluate_at_one(zeta.saito_dual(z, h))
+            value = zeta.evaluate_at_one(z)
+            dual_value = zeta.evaluate_at_one(zeta.saito_dual(z, h))
             if value != dual_value:
                 failures.append(f"{label}: value at 1 not self-dual")
         if magic.transpose(magic.transpose(square)) != square:

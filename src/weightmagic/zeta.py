@@ -66,11 +66,6 @@ class CyclotomicProduct:
     def exponent_sum(self) -> int:
         return sum(a for _, a in self.factors)
 
-    def __mul__(self, other: CyclotomicProduct) -> CyclotomicProduct:
-        return CyclotomicProduct.from_exponents(
-            list(self.factors) + list(other.factors)
-        )
-
     def inverse(self) -> CyclotomicProduct:
         return CyclotomicProduct(tuple((l, -a) for l, a in self.factors))
 
@@ -224,14 +219,11 @@ def lattice_invariants(ms: MagicSquare) -> LatticeInvariants:
     return LatticeInvariants(mu, mu0, rho)
 
 
-def evaluate_at_one(
-    p: CyclotomicProduct, rho: int | None = None
-) -> tuple[Fraction, Fraction | None]:
+def evaluate_at_one(p: CyclotomicProduct) -> Fraction:
     """Evaluate lim_{t->1} p(t) / (1-t)^0 as the product of l^a_l.
 
     Requires the exponent sum to vanish (otherwise the limit is 0 or
-    infinite).  When rho is given, also return the lattice discriminant
-    (-1)^(rho-1) times the value.
+    infinite).
     """
     s = p.exponent_sum
     if s != 0:
@@ -241,8 +233,7 @@ def evaluate_at_one(
     value = Fraction(1)
     for l, a in p.factors:
         value *= Fraction(l) ** a
-    disc = None if rho is None else (-1) ** (rho - 1) * value
-    return value, disc
+    return value
 
 
 def characteristic_polynomial(ms: MagicSquare) -> CyclotomicProduct:

@@ -139,6 +139,12 @@ class TestCheck:
         assert main(["check", "--wa", "1,1;2", "--matrix", "x^2, 5q"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_numbered_variables_exit_2(self, capsys):
+        assert main(["check", "--wa", "1,1,1;6",
+                     "--matrix", "x1^5x3, x2^6, x3^6"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read monomial 'x1^5x3' at '1^5x3'\n")
+
     def test_non_integer_entry_exits_2_and_names_it(self, capsys):
         assert main(["check", "--wa", "1,3,5;10",
                      "--matrix", "5,0,a;1,3,0;0,0,2"]) == 2
@@ -241,6 +247,15 @@ class TestInvariants:
         assert "rho: n/a" in out
         assert "zeta value at 1: 1" in out
         assert "discriminant" not in out
+
+    def test_discriminant_sign_follows_rho(self):
+        # E_12: rho = 10, so the discriminant is -1 times the value 1
+        code, document = run_json(["invariants", "--wa", "6,14,21;42",
+                                   "--matrix", "x^7, y^3, z^2"])
+        assert code == 0
+        assert document["rho"] == 10
+        assert document["zeta_value_at_one"] == "1"
+        assert document["discriminant"] == "-1"
 
 
 class TestPolar:

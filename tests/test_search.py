@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import random
 from functools import cache
-from itertools import compress, product
+from itertools import compress, permutations, product
 
 import pytest
 
@@ -9,7 +10,7 @@ from weightmagic import (MagicSquare, SearchCapExceeded, SearchQuery,
                          ValidationError, WeightSystem, canonicalize,
                          classify, find_magic_squares, parse_weight_system,
                          search, validate)
-from weightmagic.search import enumerate_rows
+from weightmagic.search import _columns_valid, enumerate_rows
 
 W10 = parse_weight_system("1,3,5;10")
 W30 = parse_weight_system("4,10,13;30")
@@ -194,6 +195,15 @@ class TestFindMagicSquares:
             ((4, 0), (0, 4)), ((3, 1), (1, 3))]
 
 
+def reference_canonicalize(rows, wb):
+    """The greatest valid arrangement found by sorting every permutation,
+    the reference for :func:`canonicalize`'s early stop."""
+    for cand in sorted(set(permutations(rows)), reverse=True):
+        if _columns_valid(cand, wb):
+            return cand
+    return None
+
+
 def unpruned_search(wa, wb, filter="any", strong_only=False):
     """Every arrangement of rows, checked whole, one result per multiset.
 
@@ -218,7 +228,7 @@ def unpruned_search(wa, wb, filter="any", strong_only=False):
                                     map(sum, product(*placed)))):
         key = tuple(sorted(arrangement))
         if key not in found:
-            found[key] = canonicalize(key, wb)
+            found[key] = reference_canonicalize(key, wb)
     kept = []
     for canonical in found.values():
         report = classify(validate(canonical, wa, wb))
@@ -351,6 +361,25 @@ class TestCanonicalize:
     def test_none_when_no_arrangement_couples(self):
         assert canonicalize(((3, 0), (0, 2)),
                             parse_weight_system("1,2;5")) is None
+
+    def test_matches_the_reference_on_repeated_rows(self):
+        # rows drawn from a small pool, so most multisets repeat a row;
+        # k is a column sum of one arrangement, so some draws couple
+        rng = random.Random(20261019)
+        valid = 0
+        for _ in range(4000):
+            n = rng.randint(2, 4)
+            pool = [tuple(rng.randint(0, 2) for _ in range(n))
+                    for _ in range(rng.randint(1, n))]
+            rows = tuple(rng.choice(pool) for _ in range(n))
+            weights = tuple(rng.randint(1, 3) for _ in range(n))
+            shuffled = rng.sample(rows, n)
+            k = sum(b * row[0] for b, row in zip(weights, shuffled)) or 1
+            wb = WeightSystem(weights, k)
+            canonical = canonicalize(rows, wb)
+            assert canonical == reference_canonicalize(rows, wb), (rows, wb)
+            valid += canonical is not None
+        assert valid > 300
 
     def test_search_results_are_canonical(self):
         q = SearchQuery(W10, W30)

@@ -54,11 +54,13 @@ class TestCyclotomicProduct:
     def test_multiplication_merges(self):
         p = CyclotomicProduct(((2, 1), (6, -1)))
         q = CyclotomicProduct(((2, -1), (3, 1)))
-        assert (p * q).factors == ((3, 1), (6, -1))
+        assert CyclotomicProduct.from_exponents(
+            p.factors + q.factors).factors == ((3, 1), (6, -1))
 
     def test_inverse_cancels(self):
         p = CyclotomicProduct(((2, 1), (6, -1)))
-        assert p * p.inverse() == CyclotomicProduct()
+        assert CyclotomicProduct.from_exponents(
+            p.factors + p.inverse().factors) == CyclotomicProduct()
 
     def test_degree_and_exponent_sum(self):
         p = CyclotomicProduct(((1, -1), (2, 1), (10, 2)))
@@ -225,18 +227,10 @@ class TestLatticeInvariants:
 
 class TestEvaluateAtOne:
     def test_self_dual_value_is_one(self):
-        value, disc = evaluate_at_one(reduced_zeta(E12), 10)
-        assert value == 1
-        assert disc == -1
+        assert evaluate_at_one(reduced_zeta(E12)) == 1
 
     def test_almost_primitive_value(self):
-        value, disc = evaluate_at_one(reduced_zeta(Q17), 5)
-        assert value == Fraction(6)
-        assert disc == 6
-
-    def test_without_rank_no_discriminant(self):
-        value, disc = evaluate_at_one(reduced_zeta(Q17))
-        assert value == 6 and disc is None
+        assert evaluate_at_one(reduced_zeta(Q17)) == Fraction(6)
 
     def test_rejects_nonzero_exponent_sum(self):
         with pytest.raises(DomainError,
@@ -276,7 +270,8 @@ class TestExpandSeries:
         q = CyclotomicProduct(((2, 2),))
         pc, qc = expand_series(p, 8), expand_series(q, 8)
         conv = [sum(pc[i] * qc[k - i] for i in range(k + 1)) for k in range(9)]
-        assert expand_series(p * q, 8) == conv
+        product = CyclotomicProduct.from_exponents(p.factors + q.factors)
+        assert expand_series(product, 8) == conv
 
     def test_diagonal_square_expansion(self):
         assert expand_series(reduced_zeta(E12), 14) == [
@@ -285,7 +280,8 @@ class TestExpandSeries:
     def test_polynomial_expansion_is_exact(self):
         # a polynomial times its formal inverse gives back 1
         z = reduced_zeta(E12)
-        assert expand_series(z * z.inverse(), 10) == [1] + [0] * 10
+        one = CyclotomicProduct.from_exponents(z.factors + z.inverse().factors)
+        assert expand_series(one, 10) == [1] + [0] * 10
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValidationError):
