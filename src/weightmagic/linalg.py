@@ -2,8 +2,9 @@
 
 Everything works on tuples of tuples with int or Fraction entries; no
 floating point exists anywhere in the package.  `inverse` and `solve`
-share one integer fraction-free Gauss-Jordan elimination (Bareiss,
-Math. Comp. 22, 1968), which builds Fractions only for its outputs;
+share `eliminate`, one fraction-free Gauss-Jordan elimination (Bareiss,
+Math. Comp. 22, 1968) on Python ints, and build Fractions only for their
+outputs; `polytope.polar_dual` reads its integer block directly.
 `determinant` stays a cofactor expansion, so that the two algorithms
 can check each other.
 """
@@ -43,15 +44,16 @@ def transpose(rows):
     return tuple(zip(*_as_rows(rows)))
 
 
-def mat_mul(a, b):
-    a, b = _as_rows(a), _as_rows(b)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
+def common_denominator(rows):
+    """(d, N) with rows = N / d exactly: d is the lcm of the entries'
+    denominators and N the integer matrix of scaled numerators."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, tuple(
+        tuple(x.numerator * (d // x.denominator) for x in row) for row in rows
     )
 
 
-def _eliminate(rows, right):
+def eliminate(rows, right):
     """Fraction-free Gauss-Jordan (Bareiss) on the augmented [rows | right].
 
     Each augmented row is first scaled by the lcm of its denominators, so
@@ -61,7 +63,8 @@ def _eliminate(rows, right):
     prev the one before it; by Sylvester's identity every entry is then a
     minor of the scaled matrix, so the division is exact.  The left block
     ends as d * I and the right block as d * rows^-1 * right; returns d
-    and the right block.
+    and the right block, a list of integer rows.  d is nonzero and may be
+    negative.  Raises SingularMatrixError if rows is singular.
     """
     n = len(rows)
     work = []
@@ -98,7 +101,7 @@ def inverse(rows):
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("inverse needs a square matrix")
-    d, block = _eliminate(m, [[int(i == j) for j in range(n)] for i in range(n)])
+    d, block = eliminate(m, [[int(i == j) for j in range(n)] for i in range(n)])
     return tuple(tuple(Fraction(x, d) for x in row) for row in block)
 
 
@@ -112,5 +115,5 @@ def solve(rows, rhs):
     n = len(m)
     if any(len(r) != n for r in m) or len(rhs) != n:
         raise ValueError("solve needs a square matrix and a matching right-hand side")
-    d, block = _eliminate(m, [(b,) for b in rhs])
+    d, block = eliminate(m, [(b,) for b in rhs])
     return tuple(Fraction(x, d) for (x,) in block)

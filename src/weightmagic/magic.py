@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .errors import ParseError, SingularMatrixError, ValidationError
@@ -140,19 +140,20 @@ class InverseData:
     recovered_wb: WeightSystem
 
 
-def _system_from_ratios(ratios) -> WeightSystem:
-    """Rebuild a reduced weight system from the ratios weight_i / virtual.
+def _system_from_ratios(sums, d: int) -> WeightSystem:
+    """Rebuild a reduced weight system from the ratios weight_i / virtual,
+    given as integer sums over one positive denominator d.
 
-    The ratios determine (a0, a_1, ..., a_n) up to one rational scale.
-    a0 is the lcm of the denominators, negated when no ratio is positive
-    so that the weights are; no prime divides a0 and every weight, so
-    the tuple is the smallest integer one.
+    The ratios s_i / d determine (a0, a_1, ..., a_n) up to one rational
+    scale: (a0, a) is (d, s) divided by gcd(d, s), negated when no ratio
+    is positive so that the weights are; no prime then divides a0 and
+    every weight, so the tuple is the smallest integer one.
     """
-    q = lcm(*(r.denominator for r in ratios))
-    if all(r <= 0 for r in ratios):
+    q = gcd(d, *sums)
+    if all(s <= 0 for s in sums):
         q = -q  # negative virtual weight: flip the whole tuple positive
-    ws = [int(r * q) for r in ratios]
-    return reduce_system(WeightSystem(tuple(ws), q + sum(ws))).system
+    ws = tuple(s // q for s in sums)
+    return reduce_system(WeightSystem(ws, d // q + sum(ws))).system
 
 
 def inverse_data(ms: MagicSquare) -> InverseData:
@@ -161,7 +162,7 @@ def inverse_data(ms: MagicSquare) -> InverseData:
     B.a = a0.(1, ..., 1)^t and b^t.B = b0.(1, ..., 1), so the row sums of
     A are a_i / a0 and its column sums are b_j / b0: on a valid square the
     recovered systems are the reduced bound ones.  B is singular whenever
-    a0 = 0 or b0 = 0.
+    a0 = 0 or b0 = 0.  The sums are taken on ints, over A = N/d.
 
     The data is kept on the square, and so is the refusal when B is
     singular: B is inverted once, and each later call on a singular B
@@ -176,8 +177,10 @@ def inverse_data(ms: MagicSquare) -> InverseData:
             data = SingularMatrixError(
                 "C - 1 is singular, so the inverse data does not exist")
         else:
-            data = InverseData(a, _system_from_ratios([sum(row) for row in a]),
-                               _system_from_ratios([sum(col) for col in zip(*a)]))
+            d, numerators = linalg.common_denominator(a)
+            data = InverseData(
+                a, _system_from_ratios([sum(row) for row in numerators], d),
+                _system_from_ratios([sum(col) for col in zip(*numerators)], d))
         object.__setattr__(ms, "_inverse_data", data)
     if isinstance(data, SingularMatrixError):
         raise SingularMatrixError(*data.args)
@@ -202,7 +205,7 @@ def recover_partner(entries, wa: WeightSystem) -> MagicSquare:
             "C is singular, so the column weights are not determined"
         ) from None
     q = lcm(*(r.denominator for r in x))
-    ws = tuple(int(r * q) for r in x)
+    ws = tuple(r.numerator * (q // r.denominator) for r in x)
     k = sum(w * row[0] for w, row in zip(ws, entries))
     return validate(entries, wa, WeightSystem(ws, k))
 

@@ -112,11 +112,12 @@ def _subsets(n: int):
 def special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
     """All special column subsets of the square, smallest first.
 
-    J is special when |I(J)| = |J| for I(J) = {rows supported inside J};
-    the empty set and the full set always are.  |I(J)| > |J| means the
-    defining formula would depend on an arbitrary choice of rows, so it
-    is a hard error rather than a silent pick; it cannot happen for the
-    full set, whose I(J) holds exactly the n rows.
+    J is special when |I(J)| = |J| for I(J) = {rows supported inside J},
+    read off int bitmasks of the row supports; the empty set and the full
+    set always are.  |I(J)| > |J| means the defining formula would depend
+    on an arbitrary choice of rows, so it is a hard error rather than a
+    silent pick; it cannot happen for the full set, whose I(J) holds
+    exactly the n rows.
 
     On a valid square the order and the exponent are integers, so neither
     is checked.  A row of I(J) vanishes outside J, so
@@ -139,14 +140,12 @@ def special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
         )
     n = ms.n
     h = wa.degree
+    supports = [sum(1 << c for c, x in enumerate(row) if x)
+                for row in ms.entries]
     reports = []
     for j in _subsets(n):
-        inside = set(j)
-        i = tuple(
-            r
-            for r in range(n)
-            if all(ms.entries[r][c] == 0 for c in range(n) if c not in inside)
-        )
+        outside = ~sum(1 << c for c in j)
+        i = tuple(r for r, mask in enumerate(supports) if not mask & outside)
         if len(i) > len(j):
             raise DegenerateSupportError(
                 f"columns {tuple(c + 1 for c in j)} support rows "

@@ -4,16 +4,24 @@ Every test pulls its verdict from the shared verification run (session
 fixture ``criteria``), prints the pass/fail line unbuffered so it appears
 in the pytest output, and fails hard if the criterion did not pass.
 Criteria with small frozen oracles re-derive them here independently.
+Next to criterion 5, the paper's zeta relation is also tested beyond the
+catalog, on searched primitive squares with frozen counts.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from itertools import combinations_with_replacement
+from math import gcd
 from pathlib import Path
 
-from weightmagic import (Catalog, CriterionResult, MagicSquare, classify,
-                         fuchsian_report, verify)
+import pytest
+
+from weightmagic import (Catalog, CriterionResult, MagicSquare, SearchQuery,
+                         WeightSystem, classify, find_magic_squares,
+                         fuchsian_report, reduced_zeta, saito_dual,
+                         transpose, verify)
 from weightmagic.verify import check_table_fidelity
 
 GOLDEN_NOT_STRONG = Path(__file__).parent / "data" / "table4_not_strong.json"
@@ -87,6 +95,41 @@ def test_criterion_04_fuchsian_table(criteria, capsys, catalog):
 def test_criterion_05_zeta_duality(criteria, capsys):
     result = verdict(criteria, 5, capsys)
     assert "31" in result.detail  # the full set of unimodular primitive pairs
+
+
+def primitive_squares(n, a0, max_degree):
+    """Every primitive square, up to row order, coupling an ordered pair of
+    reduced systems (ascending weights, gcd 1) with n weights, virtual
+    weight a0 and one degree h <= max_degree."""
+    for h in range(1, max_degree + 1):
+        systems = [WeightSystem(ws, h)
+                   for ws in combinations_with_replacement(range(1, h), n)
+                   if sum(ws) == h - a0 and gcd(*ws) == 1]
+        for wa in systems:
+            for wb in systems:
+                yield from find_magic_squares(
+                    SearchQuery(wa, wb, filter="primitive"))
+
+
+@pytest.mark.parametrize("a0, count", [(1, 40), (2, 32), (3, 72)])
+def test_zeta_relation_beyond_the_catalog_n3(a0, count):
+    # criterion 5 checks catalog squares with a0 = b0 = 1 only; at n = 3
+    # the transpose's zeta is the Saito dual for a0 = 2 and 3 as well
+    squares = list(primitive_squares(3, a0, 24))
+    assert len(squares) == count
+    for ms in squares:
+        dual = saito_dual(reduced_zeta(ms), ms.wa.degree)
+        assert reduced_zeta(transpose(ms)) == dual, ms.entries
+
+
+@pytest.mark.parametrize("n, max_degree, count", [(2, 40, 3), (4, 8, 467)])
+def test_zeta_relation_beyond_the_catalog_even_n(n, max_degree, count):
+    # for even n the transpose's zeta is the inverse of the Saito dual
+    squares = list(primitive_squares(n, 1, max_degree))
+    assert len(squares) == count
+    for ms in squares:
+        dual = saito_dual(reduced_zeta(ms), ms.wa.degree)
+        assert reduced_zeta(transpose(ms)) == dual.inverse(), ms.entries
 
 
 def test_criterion_06_elliptic_polynomials(criteria, capsys):

@@ -1,15 +1,23 @@
 from __future__ import annotations
 
-import pytest
+from fractions import Fraction
+from math import lcm
 
-from weightmagic import (ALMOST_PRIMITIVE, PLAIN, PRIMITIVE, ParseError,
-                         SingularMatrixError, ValidationError, classify,
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from weightmagic import (ALMOST_PRIMITIVE, PLAIN, PRIMITIVE, InverseData,
+                         ParseError, SingularMatrixError, ValidationError,
+                         WeightSystem, classify,
                          format_monomial_matrix, inverse_data, parse_matrix,
                          parse_monomial_matrix, parse_weight_system,
-                         recover_partner, transpose, validate,
+                         recover_partner, reduce_system, transpose, validate,
                          verify_duality_identity)
 from weightmagic import linalg
-from weightmagic.linalg import mat_mul
+from weightmagic.magic import _system_from_ratios
+
+from support import KERNEL_SQUARES, mat_mul, outcome
 
 W42 = parse_weight_system("6,14,21;42")
 W10 = parse_weight_system("1,3,5;10")
@@ -17,6 +25,31 @@ W30 = parse_weight_system("4,10,13;30")
 
 DIAGONAL_42 = ((7, 0, 0), (0, 3, 0), (0, 0, 2))
 COUPLED_10_30 = ((5, 0, 1), (1, 3, 0), (0, 0, 2))
+
+
+def reference_system_from_ratios(ratios):
+    """The Fraction body of ``_system_from_ratios``, the reference for the
+    integer one: a0 is the lcm of the ratios' denominators, negated when
+    no ratio is positive."""
+    q = lcm(*(r.denominator for r in ratios))
+    if all(r <= 0 for r in ratios):
+        q = -q
+    ws = [int(r * q) for r in ratios]
+    return reduce_system(WeightSystem(tuple(ws), q + sum(ws))).system
+
+
+def reference_inverse_data(ms):
+    """The Fraction body of ``inverse_data``, without keeping anything on
+    the square: row and column sums of A itself."""
+    b = tuple(tuple(c - 1 for c in row) for row in ms.entries)
+    try:
+        a = linalg.inverse(b)
+    except SingularMatrixError:
+        raise SingularMatrixError(
+            "C - 1 is singular, so the inverse data does not exist") from None
+    return InverseData(
+        a, reference_system_from_ratios([sum(row) for row in a]),
+        reference_system_from_ratios([sum(col) for col in zip(*a)]))
 
 
 class TestValidate:
@@ -191,6 +224,26 @@ class TestInverseData:
             assert det_c * square.wa.a0 == det_b * h
             assert det_c * square.wb.a0 == det_b * k
             assert det_c % h == 0 and det_c % k == 0
+
+
+class TestInverseDataMatchesReference:
+    def test_kernel_squares(self):
+        kinds = set()
+        for ms in KERNEL_SQUARES:
+            got = outcome(inverse_data, ms)
+            assert got == outcome(reference_inverse_data, ms), ms.entries
+            if isinstance(got, InverseData):
+                kinds.add("negative a0" if ms.wa.a0 < 0 else "data")
+                assert all(type(x) is Fraction for row in got.a for x in row)
+            else:
+                kinds.add(got[0].__name__)
+        assert kinds == {"data", "negative a0", "SingularMatrixError"}
+
+    @given(st.lists(st.integers(-30, 30), min_size=2, max_size=4),
+           st.integers(1, 60))
+    def test_system_from_integer_sums(self, sums, d):
+        assert outcome(_system_from_ratios, sums, d) == outcome(
+            reference_system_from_ratios, [Fraction(s, d) for s in sums])
 
 
 class TestRecoverPartner:

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from weightmagic import (DomainError, RationalSimplex, SingularMatrixError,
-                         ValidationError, WeightSystem, closed_form_dual,
-                         extended_diagram, inverse_data, parse_weight_system,
-                         polar_dual, validate, verify_duality_identity)
+from weightmagic import (DomainError, MagicSquare, RationalSimplex,
+                         SingularMatrixError, ValidationError, WeightSystem,
+                         closed_form_dual, extended_diagram, inverse_data,
+                         parse_weight_system, polar_dual, validate,
+                         verify_duality_identity)
 from weightmagic import linalg
-from weightmagic.linalg import mat_mul, solve
+from weightmagic.linalg import solve
+
+from support import KERNEL_SQUARES, mat_mul
 
 W6 = parse_weight_system("2,3;6")
 W42 = parse_weight_system("6,14,21;42")
@@ -48,6 +53,20 @@ def reference_polar_dual(s):
             if sum(a * b for a, b in zip(v, y)) < -1:
                 raise DomainError("polar dual violates its defining inequalities")
     return RationalSimplex(tuple(duals))
+
+
+def reference_duality_identity(ms):
+    """The Fraction body of ``verify_duality_identity``: the product A*C
+    against E + A*1, entry (i, j) being delta_ij + a_i/a0."""
+    product = mat_mul(inverse_data(ms).a, ms.entries)
+    a0 = ms.wa.a0
+    n = ms.n
+    expected = tuple(
+        tuple((1 if i == j else 0) + Fraction(ms.wa.weights[i], a0)
+              for j in range(n))
+        for i in range(n)
+    )
+    return product == expected
 
 
 def outcome(f, s):
@@ -96,6 +115,20 @@ class TestRationalSimplex:
                               (Fraction(0), Fraction(1)),
                               (Fraction(-1), Fraction(-1)))
         assert s.dimension == 2
+
+    def test_keeps_fractions_as_given(self):
+        third = Fraction(1, 3)
+        s = RationalSimplex(((third, 0), (0, 1), (-1, -1)))
+        assert s.vertices[0][0] is third
+
+    @pytest.mark.parametrize("bad", [0.1, "1/3", True, Decimal("0.5")],
+                             ids=["float", "str", "bool", "Decimal"])
+    def test_refuses_other_coordinates(self, bad):
+        with pytest.raises(ValidationError,
+                           match=r"^coordinate 2 of vertex 3 is "
+                                 + re.escape(repr(bad))
+                                 + ", not an int or a Fraction$"):
+            RationalSimplex(((1, 0), (0, 1), (-1, bad)))
 
     def test_str(self):
         s = RationalSimplex(((2, -1), (-1, 1), (-1, -1)))
@@ -255,6 +288,29 @@ class TestDualityIdentity:
     def test_every_catalog_square(self, catalog):
         for entry in catalog:
             assert verify_duality_identity(entry.square), entry.label
+
+    def test_matches_the_fraction_reference(self):
+        # each square, and a twin bound to its row weights rotated, on
+        # which the identity fails unless the weights are all equal
+        verdicts = []
+        for ms in KERNEL_SQUARES:
+            w = ms.wa.weights
+            twin = MagicSquare._trusted(
+                ms.entries, WeightSystem(w[1:] + w[:1], ms.wa.degree), ms.wb)
+            for square in (ms, twin):
+                try:
+                    got = verify_duality_identity(square)
+                except SingularMatrixError as exc:
+                    with pytest.raises(SingularMatrixError) as reference:
+                        reference_duality_identity(square)
+                    assert str(reference.value) == str(exc)
+                    got = "singular"
+                else:
+                    assert got is reference_duality_identity(square), \
+                        square.entries
+                verdicts.append((got, square.wa.a0))
+        assert {got for got, _ in verdicts} == {True, False, "singular"}
+        assert {a0 for got, a0 in verdicts if got is True} >= {-1, 1, 3}
 
     def test_reads_the_kept_inverse(self, monkeypatch):
         square = validate(((5, 0, 1), (1, 3, 0), (0, 0, 2)),

@@ -18,6 +18,8 @@ from weightmagic import (CyclotomicProduct, DegenerateSupportError,
                          verify_duality_identity)
 from weightmagic.linalg import determinant
 
+from support import SEARCHED
+
 _CATALOG = load_catalog()
 
 weight_systems = st.builds(
@@ -41,17 +43,10 @@ factor_pairs = st.lists(
 products = factor_pairs.map(CyclotomicProduct.from_exponents)
 
 
-_SEARCHED = [
-    ms for wa, wb in [("1,1,1;6", "1,1,1;6"), ("1,1,2;4", "1,1,2;4"),
-                      ("1,1,1,1;4", "1,1,1,1;4"), ("1,3,5;10", "4,10,13;30")]
-    for ms in find_magic_squares(SearchQuery(parse_weight_system(wa),
-                                             parse_weight_system(wb)))
-]
-
 # Squares with det C != 0 from small searches, so C alone determines the
 # partner; most of the 1,1,1,1;4 ones have a singular C - 1.
 searched_squares = st.sampled_from(
-    [ms for ms in _SEARCHED if determinant(ms.entries) != 0])
+    [ms for ms in SEARCHED if determinant(ms.entries) != 0])
 
 
 def positive_entry(entry):
@@ -251,7 +246,7 @@ class TestCatalogSquareProperties:
         # h | a_J det C_IJ hold on every valid square (its docstring
         # proves both); catalog and searched squares, n = 2, 3 and 4
         squares = [e.square for e in _CATALOG.entries
-                   if positive_entry(e)] + _SEARCHED
+                   if positive_entry(e)] + SEARCHED
         checked = 0
         for square in squares:
             try:

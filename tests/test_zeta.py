@@ -1,19 +1,63 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from weightmagic import (CyclotomicProduct, DegenerateSupportError,
-                         DomainError, ValidationError,
+                         DomainError, SpecialSubsetReport, ValidationError,
                          characteristic_polynomial, evaluate_at_one,
                          expand_series, lattice_invariants,
                          parse_weight_system, reduced_zeta, saito_dual,
                          special_subsets, transpose, validate)
+from weightmagic.linalg import determinant
+
+from support import KERNEL_SQUARES, outcome
 
 
 def square(rows, wa, wb):
     return validate(rows, parse_weight_system(wa), parse_weight_system(wb))
+
+
+def reference_special_subsets(ms):
+    """The reference for ``special_subsets``, keeping nothing on the
+    square: I(J) is found by reading every entry outside J, not by
+    comparing support bitmasks."""
+    wa = ms.wa
+    if 0 in wa.weights:
+        raise ValidationError("special subsets require strictly positive weights")
+    if gcd(*wa.weights) != 1:
+        raise ValidationError(
+            f"special subsets require weights with gcd 1, got {wa}; reduce first"
+        )
+    n = ms.n
+    h = wa.degree
+    reports = []
+    for j in (j for size in range(n + 1) for j in combinations(range(n), size)):
+        inside = set(j)
+        i = tuple(
+            r
+            for r in range(n)
+            if all(ms.entries[r][c] == 0 for c in range(n) if c not in inside)
+        )
+        if len(i) > len(j):
+            raise DegenerateSupportError(
+                f"columns {tuple(c + 1 for c in j)} support rows "
+                f"{tuple(r + 1 for r in i)}: more rows than columns, so the "
+                "zeta factor would depend on an arbitrary row choice"
+            )
+        if len(i) != len(j):
+            continue
+        a_j = h if not j else gcd(*(wa.weights[c] for c in j))
+        sub = tuple(tuple(ms.entries[r][c] for c in j) for r in i)
+        det = 1 if not j else abs(determinant(sub))
+        reports.append(SpecialSubsetReport(
+            j=tuple(c + 1 for c in j), i=tuple(r + 1 for r in i), a_j=a_j,
+            det_cij=det, order=h // a_j,
+            exponent=(-1) ** (len(j) + 1) * a_j * det // h))
+    return tuple(reports)
 
 
 E12 = square(((7, 0, 0), (0, 3, 0), (0, 0, 2)), "6,14,21;42", "6,14,21;42")
@@ -135,6 +179,23 @@ class TestSpecialSubsets:
         for _ in range(2):
             with pytest.raises(DegenerateSupportError):
                 special_subsets(ambiguous)
+
+
+class TestSpecialSubsetsMatchReference:
+    def test_kernel_squares(self):
+        degenerate = 0
+        for ms in KERNEL_SQUARES:
+            got = outcome(special_subsets, ms)
+            assert got == outcome(reference_special_subsets, ms), ms.entries
+            degenerate += got[0] is DegenerateSupportError
+        assert degenerate
+
+    def test_other_refusals(self, catalog):
+        zero_weight = next(e.square for e in catalog if not e.positive)
+        for ms in (square(((6, 0), (0, 3)), "2,4;12", "2,4;12"), zero_weight):
+            got = outcome(special_subsets, ms)
+            assert got == outcome(reference_special_subsets, ms)
+            assert got[0] is ValidationError
 
 
 class TestReducedZeta:
