@@ -22,21 +22,36 @@ def _as_rows(rows):
 
 
 def determinant(rows):
-    """Cofactor expansion along the first row; exact for int or Fraction."""
+    """Cofactor expansion along the first row; exact for int or Fraction.
+
+    The input is checked and converted to tuples once; the minors are
+    expanded by `_expand`, and the determinant of the 0 x 0 matrix is the
+    empty product, 1.
+    """
     m = _as_rows(rows)
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant needs a square matrix")
+    return _expand(m) if n else 1
+
+
+def _expand(m):
+    """Cofactor expansion of a non-empty square tuple matrix along its
+    first row, written out for n <= 3."""
+    n = len(m)
     if n == 1:
         return m[0][0]
     if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = tuple(r[:j] + r[j + 1 :] for r in m[1:])
-        total += (-1) ** j * m[0][j] * determinant(minor)
+    for j, x in enumerate(m[0]):
+        if x:
+            minor = tuple(r[:j] + r[j + 1:] for r in m[1:])
+            total += (-1) ** j * x * _expand(minor)
     return total
 
 
@@ -56,9 +71,10 @@ def common_denominator(rows):
 def eliminate(rows, right):
     """Fraction-free Gauss-Jordan (Bareiss) on the augmented [rows | right].
 
-    Each augmented row is first scaled by the lcm of its denominators, so
-    the elimination runs on Python ints; scaling a row of both blocks
-    leaves the solution unchanged.  Each step replaces every non-pivot row
+    Each augmented row holding a Fraction is first scaled by the lcm of
+    its denominators, so the elimination runs on Python ints; scaling a
+    row of both blocks leaves the solution unchanged, and a row of ints
+    is taken as it is.  Each step replaces every non-pivot row
     r by (p * r - r[k] * pivot_row) / prev, where p is the new pivot and
     prev the one before it; by Sylvester's identity every entry is then a
     minor of the scaled matrix, so the division is exact.  The left block
@@ -69,6 +85,9 @@ def eliminate(rows, right):
     n = len(rows)
     work = []
     for row in (tuple(r) + tuple(e) for r, e in zip(rows, right)):
+        if all(type(x) is int for x in row):
+            work.append(list(row))
+            continue
         scale = lcm(*(x.denominator for x in row))
         work.append([x.numerator * (scale // x.denominator) for x in row])
     prev = 1

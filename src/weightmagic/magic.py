@@ -35,8 +35,9 @@ class MagicSquare:
     Construction runs the defining relations, so an instance is valid by
     the time it exists.  Only the search and ``transpose``, whose squares
     are valid by construction, skip them (through ``_trusted``).  A square
-    keeps its special subsets and its inverse data, or the refusal when
-    C - 1 is singular; equality, hash and repr ignore them.
+    keeps its classification, its special subsets and its inverse data,
+    or the refusal when one of the last two does not exist; equality,
+    hash and repr ignore them.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -115,7 +116,13 @@ def classify(ms: MagicSquare) -> CouplingReport:
     A square is *strong* when every row and every column contains a zero.
     Primitive implies the almost-primitive equalities with a0 = b0 = 1,
     so the strongest applicable label is reported.
+
+    The report is kept on the square, so det C is expanded once per
+    square; `zeta.special_subsets` reads it for the full column set.
     """
+    report = ms.__dict__.get("_coupling_report")
+    if report is not None:
+        return report
     det = linalg.determinant(ms.entries)
     h, k = ms.wa.degree, ms.wb.degree
     a0, b0 = ms.wa.a0, ms.wb.a0
@@ -127,7 +134,9 @@ def classify(ms: MagicSquare) -> CouplingReport:
         label = PLAIN
     strong = (all(0 in row for row in ms.entries)
               and all(0 in col for col in zip(*ms.entries)))
-    return CouplingReport(det, label, strong)
+    report = CouplingReport(det, label, strong)
+    object.__setattr__(ms, "_coupling_report", report)
+    return report
 
 
 @dataclass(frozen=True)
@@ -147,13 +156,20 @@ def _system_from_ratios(sums, d: int) -> WeightSystem:
     The ratios s_i / d determine (a0, a_1, ..., a_n) up to one rational
     scale: (a0, a) is (d, s) divided by gcd(d, s), negated when no ratio
     is positive so that the weights are; no prime then divides a0 and
-    every weight, so the tuple is the smallest integer one.
+    every weight, so the tuple is the smallest integer one.  It is
+    validated in the recovered order; weights of gcd 1 are then only
+    sorted.  Any others share a prime that does not divide the degree,
+    so `reduce_system` refuses them.
     """
     q = gcd(d, *sums)
     if all(s <= 0 for s in sums):
         q = -q  # negative virtual weight: flip the whole tuple positive
     ws = tuple(s // q for s in sums)
-    return reduce_system(WeightSystem(ws, d // q + sum(ws))).system
+    system = WeightSystem(ws, d // q + sum(ws))
+    if gcd(*ws) != 1:
+        return reduce_system(system).system
+    ascending = tuple(sorted(ws))
+    return system if ascending == ws else WeightSystem(ascending, system.degree)
 
 
 def inverse_data(ms: MagicSquare) -> InverseData:

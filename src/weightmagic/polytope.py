@@ -35,7 +35,13 @@ def _coordinate(x, i: int, j: int) -> Fraction:
 @dataclass(frozen=True)
 class RationalSimplex:
     """A full simplex: n+1 distinct vertices with exact rational
-    coordinates in dimension n, each given as an int or a Fraction."""
+    coordinates in dimension n, each given as an int or a Fraction.
+
+    Construction checks all of this and stores every coordinate as a
+    Fraction.  Only `extended_diagram` and `polar_dual`, which build
+    Fraction vertices distinct by construction, skip the checks (through
+    ``_trusted``).
+    """
 
     vertices: tuple[Point, ...]
 
@@ -58,6 +64,14 @@ class RationalSimplex:
         if len(set(vertices)) != len(vertices):
             raise ValidationError("vertices must be pairwise distinct")
 
+    @classmethod
+    def _trusted(cls, vertices) -> RationalSimplex:
+        """A simplex the caller built to satisfy the checks above, as a
+        tuple of n+1 distinct tuples of n Fractions; skips them."""
+        simplex = object.__new__(cls)
+        object.__setattr__(simplex, "vertices", vertices)
+        return simplex
+
     @property
     def dimension(self) -> int:
         return len(self.vertices[0])
@@ -72,7 +86,8 @@ def extended_diagram(wa: WeightSystem) -> RationalSimplex:
     """The full Newton diagram coned at the origin and shifted by -1.
 
     Vertices are (-1 + h/a_i) e_i - (1,...,1) for each weight, followed
-    by (-1, ..., -1) for the coned origin.
+    by (-1, ..., -1) for the coned origin.  They are pairwise distinct:
+    coordinate i is h/a_i - 1 > -1 on vertex i and -1 on every other.
     """
     if 0 in wa.weights:
         raise ValidationError("the extended diagram needs strictly positive weights")
@@ -86,7 +101,7 @@ def extended_diagram(wa: WeightSystem) -> RationalSimplex:
     vertices = [tuple(Fraction(h - a, a) if j == i else minus_one
                       for j in range(n)) for i, a in enumerate(wa.weights)]
     vertices.append((minus_one,) * n)
-    return RationalSimplex(tuple(vertices))
+    return RationalSimplex._trusted(tuple(vertices))
 
 
 def polar_dual(s: RationalSimplex) -> RationalSimplex:
@@ -100,7 +115,9 @@ def polar_dual(s: RationalSimplex) -> RationalSimplex:
     dual vertex y_i = u_i / lam_i satisfies <v_j, y_i> = -1 for j != i
     and <v_i, y_i> = (1 - lam_i) / lam_i, which exceeds -1 exactly when
     lam_i > 0.  Hence lam > 0 is the whole interior test, and every
-    defining inequality <v, y> >= -1 holds without a second check.
+    defining inequality <v, y> >= -1 holds without a second check.  The
+    dual vertices are pairwise distinct, since <v_i, y_i> > -1 while
+    <v_i, y_j> = -1 for j != i.
 
     W is read on ints, as the block D = d * W of linalg.eliminate: every
     D_ni has the sign of d, and each coordinate is the Fraction D_ki / D_ni.
@@ -119,7 +136,7 @@ def polar_dual(s: RationalSimplex) -> RationalSimplex:
             "the origin is not in the interior of the simplex, "
             "so the polar dual is not a simplex"
         )
-    return RationalSimplex(tuple(
+    return RationalSimplex._trusted(tuple(
         tuple(Fraction(w[k][i], lam[i]) for k in range(n)) for i in range(n + 1)
     ))
 

@@ -40,26 +40,28 @@ class WeightSystem:
     a0: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        ws = tuple(self.weights)
-        object.__setattr__(self, "weights", ws)
-        if not all(type(a) is int for a in ws + (self.degree,)):
+        ws, degree = self.weights, self.degree
+        if type(ws) is not tuple:
+            ws = tuple(ws)
+            object.__setattr__(self, "weights", ws)
+        if type(degree) is not int or not set(map(type, ws)) <= {int}:
             raise ValidationError(
-                f"weights {ws} and degree {self.degree!r} must be integers")
+                f"weights {ws} and degree {degree!r} must be integers")
         n = len(ws)
         if not MIN_WEIGHTS <= n <= MAX_WEIGHTS:
             raise ValidationError(
                 f"need between {MIN_WEIGHTS} and {MAX_WEIGHTS} weights, got {n}"
             )
-        if self.degree <= 0:
-            raise ValidationError(f"degree must be positive, got {self.degree}")
-        if any(a < 0 for a in ws):
+        if degree <= 0:
+            raise ValidationError(f"degree must be positive, got {degree}")
+        if min(ws) < 0:
             raise ValidationError(f"negative weight in {ws}")
         zeros = ws.count(0)
         if zeros == n:
             raise ValidationError("all weights are zero")
         if zeros > 1:
             raise ValidationError("at most one weight may be zero")
-        object.__setattr__(self, "a0", self.degree - sum(ws))
+        object.__setattr__(self, "a0", degree - sum(ws))
 
     @property
     def n(self) -> int:

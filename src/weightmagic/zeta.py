@@ -17,8 +17,8 @@ from math import gcd
 
 from . import linalg
 from .errors import DegenerateSupportError, DomainError, ValidationError
-from .magic import MagicSquare
-from .weights import is_calabi_yau
+from .magic import MagicSquare, classify
+from .weights import MAX_WEIGHTS, MIN_WEIGHTS, is_calabi_yau
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,12 @@ class SpecialSubsetReport:
     exponent: int
 
 
-def _subsets(n: int):
-    """All subsets of {0..n-1} ordered by size, then lexicographically."""
-    for size in range(n + 1):
-        yield from combinations(range(n), size)
+#: For each n, every subset J of {0..n-1}, ordered by size, then
+#: lexicographically, with the bitmask of the columns outside J.
+_SUBSETS = {n: tuple((j, ~sum(1 << c for c in j))
+                     for size in range(n + 1)
+                     for j in combinations(range(n), size))
+            for n in range(MIN_WEIGHTS, MAX_WEIGHTS + 1)}
 
 
 def special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
@@ -124,13 +126,27 @@ def special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
     h = sum_{j in J} c_ij a_j and a_J | h.  C_IJ (a_j)_{j in J} =
     h (1, ..., 1), so by Cramer's rule det(C_IJ) a_j = h det(M_j) for an
     integer matrix M_j; h divides every det(C_IJ) a_j, hence, by Bezout
-    on a_J = gcd(a_j), also det(C_IJ) a_J.
+    on a_J = gcd(a_j), also det(C_IJ) a_J.  For the full set C_IJ is C,
+    whose determinant is read off the square's kept `classify` report.
 
-    The tuple is kept on the square; a failure is not kept and raises again.
+    The tuple is kept on the square, and so is the refusal: each later
+    call on a refused square raises a fresh error of the same type and
+    text.
     """
     kept = ms.__dict__.get("_special_subsets")
-    if kept is not None:
-        return kept
+    if kept is None:
+        try:
+            kept = _special_subsets(ms)
+        except (DegenerateSupportError, ValidationError) as exc:
+            kept = exc
+        object.__setattr__(ms, "_special_subsets", kept)
+    if isinstance(kept, Exception):
+        raise type(kept)(*kept.args)
+    return kept
+
+
+def _special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
+    """The special subsets of ms, computed; see `special_subsets`."""
     wa = ms.wa
     if 0 in wa.weights:
         raise ValidationError("special subsets require strictly positive weights")
@@ -143,8 +159,7 @@ def special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
     supports = [sum(1 << c for c, x in enumerate(row) if x)
                 for row in ms.entries]
     reports = []
-    for j in _subsets(n):
-        outside = ~sum(1 << c for c in j)
+    for j, outside in _SUBSETS[n]:
         i = tuple(r for r, mask in enumerate(supports) if not mask & outside)
         if len(i) > len(j):
             raise DegenerateSupportError(
@@ -155,8 +170,13 @@ def special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
         if len(i) != len(j):
             continue
         a_j = h if not j else gcd(*(wa.weights[c] for c in j))
-        sub = tuple(tuple(ms.entries[r][c] for c in j) for r in i)
-        det = 1 if not j else abs(linalg.determinant(sub))
+        if not j:
+            det = 1
+        elif len(j) == n:
+            det = abs(classify(ms).determinant)
+        else:
+            sub = tuple(tuple(ms.entries[r][c] for c in j) for r in i)
+            det = abs(linalg.determinant(sub))
         reports.append(
             SpecialSubsetReport(
                 j=tuple(c + 1 for c in j),
@@ -167,8 +187,7 @@ def special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
                 exponent=(-1) ** (len(j) + 1) * a_j * det // h,
             )
         )
-    object.__setattr__(ms, "_special_subsets", tuple(reports))
-    return ms._special_subsets
+    return tuple(reports)
 
 
 def reduced_zeta(ms: MagicSquare) -> CyclotomicProduct:

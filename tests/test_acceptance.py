@@ -5,7 +5,8 @@ fixture ``criteria``), prints the pass/fail line unbuffered so it appears
 in the pytest output, and fails hard if the criterion did not pass.
 Criteria with small frozen oracles re-derive them here independently.
 Next to criterion 5, the paper's zeta relation is also tested beyond the
-catalog, on searched primitive squares with frozen counts.
+catalog, on searched primitive squares with frozen counts, and so is the
+catalog's completeness for strong primitive pairs within a degree bound.
 """
 
 from __future__ import annotations
@@ -97,18 +98,19 @@ def test_criterion_05_zeta_duality(criteria, capsys):
     assert "31" in result.detail  # the full set of unimodular primitive pairs
 
 
-def primitive_squares(n, a0, max_degree):
+def primitive_squares(n, a0, max_degree, strong_only=False):
     """Every primitive square, up to row order, coupling an ordered pair of
     reduced systems (ascending weights, gcd 1) with n weights, virtual
-    weight a0 and one degree h <= max_degree."""
+    weight a0 and one degree h <= max_degree; only the strong ones when
+    strong_only is set."""
     for h in range(1, max_degree + 1):
         systems = [WeightSystem(ws, h)
                    for ws in combinations_with_replacement(range(1, h), n)
                    if sum(ws) == h - a0 and gcd(*ws) == 1]
         for wa in systems:
             for wb in systems:
-                yield from find_magic_squares(
-                    SearchQuery(wa, wb, filter="primitive"))
+                yield from find_magic_squares(SearchQuery(
+                    wa, wb, filter="primitive", strong_only=strong_only))
 
 
 @pytest.mark.parametrize("a0, count", [(1, 40), (2, 32), (3, 72)])
@@ -130,6 +132,29 @@ def test_zeta_relation_beyond_the_catalog_even_n(n, max_degree, count):
     for ms in squares:
         dual = saito_dual(reduced_zeta(ms), ms.wa.degree)
         assert reduced_zeta(transpose(ms)) == dual.inverse(), ms.entries
+
+
+def _up_to_order(w):
+    return tuple(sorted(w.weights)), w.degree
+
+
+#: Weight pairs, compared up to weight order, of the strong primitive
+#: squares below that are not catalog pairs: the self-couplings of
+#: 2,2,3;8 and 2,3,4;10.
+NOT_CATALOG_PAIRS = {(((2, 2, 3), 8), ((2, 2, 3), 8)),
+                     (((2, 3, 4), 10), ((2, 3, 4), 10))}
+
+
+def test_strong_completeness_within_a_bound(catalog):
+    # every strong primitive square coupling reduced n = 3 systems with
+    # a0 = 1 and h <= 30 couples a catalog pair, up to weight order,
+    # except the frozen pairs above
+    squares = list(primitive_squares(3, 1, 30, strong_only=True))
+    pairs = {(_up_to_order(ms.wa), _up_to_order(ms.wb)) for ms in squares}
+    assert len(squares) == len(pairs) == 20
+    listed = {(_up_to_order(e.weights), _up_to_order(e.partner_weights))
+              for e in catalog}
+    assert pairs - listed == NOT_CATALOG_PAIRS
 
 
 def test_criterion_06_elliptic_polynomials(criteria, capsys):

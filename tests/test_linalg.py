@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,21 @@ def reference_inverse(rows):
     return tuple(tuple(r) for r in inv)
 
 
+def leibniz_determinant(rows):
+    """The Leibniz formula, the reference for the cofactor expansion: the
+    sum over permutations of the sign times the product of the entries
+    they pick; 1 for the 0 x 0 matrix."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[a] > perm[b]
+                           for a, b in combinations(range(n), 2))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
 entries = st.one_of(
     st.integers(-4, 4),
     st.fractions(min_value=-6, max_value=6, max_denominator=7),
@@ -49,6 +65,39 @@ def systems(draw):
     n = draw(st.integers(1, 4))
     row = st.lists(entries, min_size=n, max_size=n).map(tuple)
     return draw(st.lists(row, min_size=n, max_size=n).map(tuple)), draw(row)
+
+
+@st.composite
+def square_matrices(draw):
+    """A square matrix of size 0..5 of small ints or Fractions, with the
+    first entries of its first row zeroed (possibly all of them) and
+    perhaps one more zero row."""
+    n = draw(st.integers(0, 5))
+    cells = draw(st.sampled_from([st.integers(-4, 4), entries]))
+    rows = [draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(n)]
+    if n:
+        lead = draw(st.integers(0, n))
+        rows[0][:lead] = [0] * lead
+        zero_row = draw(st.none() | st.integers(0, n - 1))
+        if zero_row is not None:
+            rows[zero_row] = [0] * n
+    return [tuple(r) for r in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_determinant_matches_the_leibniz_formula(m):
+    got = determinant(m)
+    assert got == leibniz_determinant(m)
+    if all(type(x) is int for row in m for x in row):
+        assert type(got) is int
+
+
+def test_determinant_of_the_empty_matrix_is_one():
+    # the empty product, as inverse treats the 0 x 0 matrix as invertible
+    assert determinant([]) == 1
+    assert determinant(()) == 1
+    assert inverse([]) == ()
 
 
 def test_determinant_sizes():

@@ -134,6 +134,25 @@ class TestClassify:
         assert report.determinant == 0
         assert report.classification == ALMOST_PRIMITIVE
 
+    def test_kept_on_the_square(self, monkeypatch):
+        calls = []
+        determinant = linalg.determinant
+
+        def counting(rows):
+            calls.append(rows)
+            return determinant(rows)
+
+        monkeypatch.setattr(linalg, "determinant", counting)
+        first = validate(COUPLED_10_30, W10, W30)
+        report = classify(first)
+        assert classify(first) is report
+        assert len(calls) == 1
+        again = validate(COUPLED_10_30, W10, W30)
+        assert classify(again) is not report
+        assert classify(again) == report
+        assert again == first and hash(again) == hash(first)
+        assert repr(again) == repr(first)
+
     def test_primitive_implies_matching_degrees(self, catalog):
         for entry in catalog:
             square = entry.square

@@ -271,6 +271,31 @@ class TestPolarDualMatchesReference:
         assert compared
 
 
+class TestTrustedSimplices:
+    def test_every_catalog_system(self, catalog):
+        # extended_diagram and polar_dual skip RationalSimplex's checks;
+        # what they build passes them and is stored unchanged by them
+        systems = {w for entry in catalog
+                   for w in (entry.weights, entry.partner_weights)}
+        diagrams, duals = [], []
+        for w in systems:
+            try:
+                diagrams.append(extended_diagram(w))
+            except ValidationError:
+                continue
+            try:
+                duals.append(polar_dual(diagrams[-1]))
+            except DomainError:
+                pass
+        assert diagrams and duals
+        for s in diagrams + duals:
+            checked = RationalSimplex(s.vertices)
+            assert checked == s and repr(checked) == repr(s)
+            assert type(s.vertices) is tuple
+            assert all(type(v) is tuple for v in s.vertices)
+            assert all(type(x) is Fraction for v in s.vertices for x in v)
+
+
 class TestDualityIdentity:
     def test_diagonal_square(self):
         square = validate(((7, 0, 0), (0, 3, 0), (0, 0, 2)), W42, W42)

@@ -76,6 +76,27 @@ class TestWeightSystem:
         with pytest.raises(ValidationError, match="must be integers"):
             WeightSystem(weights, degree)
 
+    @pytest.mark.parametrize("weights,degree,message", [
+        ((1,), 2, "need between 2 and 4 weights, got 1"),
+        ((), 5, "need between 2 and 4 weights, got 0"),
+        ((), "5", "weights () and degree '5' must be integers"),
+        ([2.5, 3], 6, "weights (2.5, 3) and degree 6 must be integers"),
+        ((1, 2), 0, "degree must be positive, got 0"),
+        ([1, -2], 4, "negative weight in (1, -2)"),
+        ((-1, 0, 0), 4, "negative weight in (-1, 0, 0)"),
+        ((0, 0, 2), 4, "at most one weight may be zero"),
+        ((0, 0), 4, "all weights are zero"),
+    ])
+    def test_refusal_messages(self, weights, degree, message):
+        with pytest.raises(ValidationError) as info:
+            WeightSystem(weights, degree)
+        assert str(info.value) == message
+
+    def test_weights_are_stored_as_a_tuple(self):
+        w = WeightSystem([2, 3], 6)
+        assert w.weights == (2, 3) and type(w.weights) is tuple
+        assert w == WeightSystem((2, 3), 6) and w.a0 == 1
+
     def test_one_zero_weight_is_valid(self, catalog):
         # validity depends on the value alone, as for I_1,0 in the catalog
         w = WeightSystem((2, 3, 0), 6)

@@ -8,10 +8,10 @@ import pytest
 
 from weightmagic import (CyclotomicProduct, DegenerateSupportError,
                          DomainError, SpecialSubsetReport, ValidationError,
-                         characteristic_polynomial, evaluate_at_one,
-                         expand_series, lattice_invariants,
-                         parse_weight_system, reduced_zeta, saito_dual,
-                         special_subsets, transpose, validate)
+                         characteristic_polynomial, classify,
+                         evaluate_at_one, expand_series, lattice_invariants,
+                         linalg, parse_weight_system, reduced_zeta,
+                         saito_dual, special_subsets, transpose, validate)
 from weightmagic.linalg import determinant
 
 from support import KERNEL_SQUARES, outcome
@@ -65,6 +65,20 @@ E13 = square(((5, 1, 0), (0, 3, 0), (0, 0, 2)), "4,10,15;30", "6,8,15;30")
 Q17 = square(((5, 1, 0), (0, 3, 0), (1, 0, 2)), "4,10,13;30", "1,3,5;10")
 Z20 = square(((5, 0, 1), (1, 3, 0), (0, 0, 2)), "1,3,5;10", "4,10,13;30")
 E8_TILDE = square(((3, 0), (0, 2)), "2,3;6", "2,3;6")
+
+
+def counting_determinant(monkeypatch):
+    """Route linalg.determinant through a counter; returns the list of the
+    sizes of the matrices it is called on."""
+    sizes = []
+    original = linalg.determinant
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "determinant", counting)
+    return sizes
 
 
 class TestCyclotomicProduct:
@@ -152,10 +166,15 @@ class TestSpecialSubsets:
             special_subsets(ambiguous)
 
     def test_requires_reduced_gcd(self):
+        # the refusal is kept: a later call raises a fresh, equal error
         ms = square(((6, 0), (0, 3)), "2,4;12", "2,4;12")
-        with pytest.raises(ValidationError,
-                           match="gcd 1, got 2,4;12; reduce first"):
-            special_subsets(ms)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ValidationError) as info:
+                special_subsets(ms)
+            assert str(info.value).endswith("gcd 1, got 2,4;12; reduce first")
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
 
     def test_rows_need_not_be_sorted(self):
         # ascending weights are not required, only gcd 1
@@ -179,6 +198,43 @@ class TestSpecialSubsets:
         for _ in range(2):
             with pytest.raises(DegenerateSupportError):
                 special_subsets(ambiguous)
+
+    @pytest.mark.parametrize("calls", [
+        (classify, reduced_zeta, lattice_invariants),
+        (reduced_zeta, lattice_invariants, classify),
+        (lattice_invariants, classify, reduced_zeta),
+    ])
+    def test_det_c_expanded_once(self, monkeypatch, calls):
+        # classify keeps det C on the square and special_subsets reads it
+        # for the full column set, in whichever order they run
+        sizes = counting_determinant(monkeypatch)
+        ms = square(Z20.entries, "1,3,5;10", "4,10,13;30")
+        for f in calls:
+            f(ms)
+        # one minor per non-empty special subset: (3,), (1, 3) and C
+        assert sorted(sizes) == [1, 2, 3]
+        assert classify(ms).determinant == 30
+        assert special_subsets(ms)[-1].det_cij == 30
+
+    def test_refusal_kept_on_the_square(self, monkeypatch):
+        # column 1 alone supports row 1, so its 1 x 1 minor is expanded
+        # before columns (2,) are found to support rows 2 and 3; the first
+        # call does that once, and every later call raises a fresh error
+        sizes = counting_determinant(monkeypatch)
+        ms = square(((2, 0, 0, 0), (0, 2, 0, 0), (0, 2, 0, 0), (0, 0, 1, 1)),
+                    "1,1,1,1;2", "2,1,1,4;4")
+        raised = []
+        for f in (special_subsets, special_subsets, reduced_zeta,
+                  lattice_invariants):
+            with pytest.raises(DegenerateSupportError) as info:
+                f(ms)
+            raised.append(info.value)
+        assert sizes == [1]
+        assert len({id(e) for e in raised}) == 4
+        assert {type(e) for e in raised} == {DegenerateSupportError}
+        assert {str(e) for e in raised} == {
+            "columns (2,) support rows (2, 3): more rows than columns, so "
+            "the zeta factor would depend on an arbitrary row choice"}
 
 
 class TestSpecialSubsetsMatchReference:
