@@ -20,13 +20,12 @@ and the criteria of :mod:`weightmagic.verify` read both.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+import os
 
 from . import magic, polytope, zeta
 from .errors import CatalogError, ParseError, ValidationError, WeightMagicError
 from .magic import MagicSquare
-from .weights import WeightSystem, equivalent
+from .weights import WeightSystem, _Value, equivalent
 
 SCHEMA_VERSION = 1
 TABLES = ("T1", "T2", "T3", "T4", "Fuchs", "NonMirror")
@@ -34,28 +33,29 @@ KNOWN_FLAGS = frozenset({"zero_weight", "non_mirror_example", "not_strong"})
 _FIXED_COUNTS = {"T1": 3, "T4": 16, "Fuchs": 8}
 
 
-@dataclass(frozen=True)
-class FuchsExpected:
+class FuchsExpected(_Value):
     """Stored invariant columns for one row of the Fuchsian table.
 
     ``d`` is kept verbatim; it is recomputable from the zeta value at 1 only
     when ``mu0`` vanishes, which fails for every left-hand entry here.
     """
 
-    mu: int
-    mu0: int
-    rho: int
-    d: int
-    b0: int
-    d_star: int
-    mu0_star: int
-    mu_star: int
-    nu_star: int
+    def __init__(self, mu: int, mu0: int, rho: int, d: int, b0: int,
+                 d_star: int, mu0_star: int, mu_star: int, nu_star: int):
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "b0", b0)
+        object.__setattr__(self, "d_star", d_star)
+        object.__setattr__(self, "mu0_star", mu0_star)
+        object.__setattr__(self, "mu_star", mu_star)
+        object.__setattr__(self, "nu_star", nu_star)
 
     @classmethod
     def from_mapping(cls, data) -> FuchsExpected:
         """Read the nine stored columns, each an int and not a bool."""
-        names = [f.name for f in fields(cls)]
+        names = cls._fields
         if not isinstance(data, dict):
             raise CatalogError(f"expected values must be an object, got {data!r}")
         wrong = {f: data.get(f) for f in names if type(data.get(f)) is not int}
@@ -64,25 +64,29 @@ class FuchsExpected:
         return cls(**{f: data[f] for f in names})
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One catalog row: a weight system coupled to a partner by a matrix."""
+class CatalogEntry(_Value):
+    """One catalog row: a weight system coupled to a partner by a matrix.
 
-    table: str
-    seq: int
-    index: int | None
-    name: str | None
-    weights: WeightSystem
-    monomials: str
-    partner: int | str
-    partner_table: str
-    partner_weights: WeightSystem
-    expected: FuchsExpected | None
-    flags: tuple[str, ...]
-    #: the validated square of ``monomials`` on the weight pair
-    square: MagicSquare = field(init=False, compare=False, repr=False)
+    ``square``, the validated square of ``monomials`` on the weight pair,
+    is built with the entry and is not one of its fields.
+    """
 
-    def __post_init__(self):
+    def __init__(self, table: str, seq: int, index: int | None,
+                 name: str | None, weights: WeightSystem, monomials: str,
+                 partner: int | str, partner_table: str,
+                 partner_weights: WeightSystem,
+                 expected: FuchsExpected | None, flags: tuple[str, ...]):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "monomials", monomials)
+        object.__setattr__(self, "partner", partner)
+        object.__setattr__(self, "partner_table", partner_table)
+        object.__setattr__(self, "partner_weights", partner_weights)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "flags", flags)
         try:
             rows = magic.parse_monomial_matrix(self.monomials, self.weights.n)
             square = magic.validate(rows, self.weights, self.partner_weights)
@@ -214,7 +218,7 @@ def _entry_from_record(record: dict) -> CatalogEntry:
     return entry
 
 
-def load_catalog(path: str | Path | None = None) -> Catalog:
+def load_catalog(path: str | os.PathLike | None = None) -> Catalog:
     """Load and validate the embedded catalog (or one from ``path``).
 
     Validation covers the schema version, fixed table counts, the virtual
@@ -222,8 +226,9 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     resolution, and consistency of the Fuchsian rows with their sources.
     """
     if path is None:
-        path = Path(__file__).with_name("data") / "catalog.json"
-    text = Path(path).read_text(encoding="utf-8")
+        path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+    with open(os.fspath(path), encoding="utf-8") as f:
+        text = f.read()
     try:
         document = json.loads(text)
     except ValueError as exc:
@@ -287,26 +292,35 @@ def _weights_agree(left: WeightSystem, right: WeightSystem) -> bool:
     return equivalent(left, right)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Recomputed facts about one entry, compared with its stated claims."""
+class VerificationReport(_Value):
+    """Recomputed facts about one entry, compared with its stated claims.
 
-    label: str
-    table: str
-    determinant: int
-    classification: str
-    classification_ok: bool
-    strong: bool
-    strong_ok: bool
-    inverse_identity_ok: bool
-    zeta_duality_applicable: bool
-    zeta_duality_ok: bool
-    #: zeta factors (order, exponent) with an exponent outside {-1, 0, 1};
-    #: None where the exponent range is not claimed
-    exponent_outliers: tuple[tuple[int, int], ...] | None
-    #: the recomputed Fuchsian row; None where no columns are stored
-    fuchs: FuchsRow | None
-    problems: tuple[str, ...]
+    ``exponent_outliers`` holds the zeta factors (order, exponent) with an
+    exponent outside {-1, 0, 1}, and is None where the exponent range is
+    not claimed; ``fuchs`` is the recomputed Fuchsian row, None where no
+    columns are stored.
+    """
+
+    def __init__(self, label: str, table: str, determinant: int,
+                 classification: str, classification_ok: bool, strong: bool,
+                 strong_ok: bool, inverse_identity_ok: bool,
+                 zeta_duality_applicable: bool, zeta_duality_ok: bool,
+                 exponent_outliers: tuple[tuple[int, int], ...] | None,
+                 fuchs: FuchsRow | None, problems: tuple[str, ...]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "determinant", determinant)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "classification_ok", classification_ok)
+        object.__setattr__(self, "strong", strong)
+        object.__setattr__(self, "strong_ok", strong_ok)
+        object.__setattr__(self, "inverse_identity_ok", inverse_identity_ok)
+        object.__setattr__(self, "zeta_duality_applicable",
+                           zeta_duality_applicable)
+        object.__setattr__(self, "zeta_duality_ok", zeta_duality_ok)
+        object.__setattr__(self, "exponent_outliers", exponent_outliers)
+        object.__setattr__(self, "fuchs", fuchs)
+        object.__setattr__(self, "problems", problems)
 
     @property
     def ok(self) -> bool:
@@ -385,21 +399,23 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
         problems=tuple(problems))
 
 
-@dataclass(frozen=True)
-class FuchsRow:
+class FuchsRow(_Value):
     """One recomputed row of the Fuchsian table."""
 
-    label: str
-    mu: int
-    mu0: int
-    rho: int
-    b0: int
-    mu_star: int
-    mu0_star: int
-    nu_star: int
-    d_star_abs: int
-    expected: FuchsExpected
-    errors: tuple[str, ...]
+    def __init__(self, label: str, mu: int, mu0: int, rho: int, b0: int,
+                 mu_star: int, mu0_star: int, nu_star: int, d_star_abs: int,
+                 expected: FuchsExpected, errors: tuple[str, ...]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "b0", b0)
+        object.__setattr__(self, "mu_star", mu_star)
+        object.__setattr__(self, "mu0_star", mu0_star)
+        object.__setattr__(self, "nu_star", nu_star)
+        object.__setattr__(self, "d_star_abs", d_star_abs)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "errors", errors)
 
     @property
     def columns(self) -> tuple[int, ...]:

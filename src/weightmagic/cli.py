@@ -16,16 +16,13 @@ import io
 import json
 import sys
 from contextlib import redirect_stdout
-from typing import TYPE_CHECKING
 
 from .errors import ValidationError, WeightMagicError
 from .weights import is_calabi_yau, parse_weight_system, reduce_system
 
 # Each verb imports the modules it runs, so that it loads only what it
-# uses; these two names serve the annotations alone.
-if TYPE_CHECKING:
-    from .catalog import CatalogEntry
-    from .magic import MagicSquare
+# uses; the annotations that name CatalogEntry and MagicSquare are never
+# evaluated.
 
 _FILTER_NAMES = {"any": "any", "almost": "almost_primitive",
                  "primitive": "primitive"}

@@ -74,12 +74,13 @@ def eliminate(rows, right):
     Each augmented row holding a Fraction is first scaled by the lcm of
     its denominators, so the elimination runs on Python ints; scaling a
     row of both blocks leaves the solution unchanged, and a row of ints
-    is taken as it is.  Each step replaces every non-pivot row
-    r by (p * r - r[k] * pivot_row) / prev, where p is the new pivot and
-    prev the one before it; by Sylvester's identity every entry is then a
-    minor of the scaled matrix, so the division is exact.  The left block
-    ends as d * I and the right block as d * rows^-1 * right; returns d
-    and the right block, a list of integer rows.  d is nonzero and may be
+    is taken as it is.  Each step replaces every non-pivot row r by
+    (p * r - r[k] * pivot_row) / prev, where p is the new pivot and prev
+    the one before it, or by p * r / prev when r[k] is 0; by Sylvester's
+    identity every entry is then a minor of the scaled matrix, so the
+    division is exact.  The left block ends as d * I and the right block
+    as d * rows^-1 * right; returns d and the right block, a list of
+    integer rows.  d is nonzero and may be
     negative.  Raises SingularMatrixError if rows is singular.
     """
     n = len(rows)
@@ -102,7 +103,11 @@ def eliminate(rows, right):
             if r != k:
                 row = work[r]
                 f = row[k]
-                work[r] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+                if f:
+                    work[r] = [(p * x - f * y) // prev
+                               for x, y in zip(row, pivot_row)]
+                else:
+                    work[r] = [p * x // prev for x in row]
         prev = p
     return prev, [row[n:] for row in work]
 

@@ -11,13 +11,12 @@ alone, and handles the monomial notation used to write the rows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
 from .errors import ParseError, SingularMatrixError, ValidationError
-from .weights import WeightSystem, reduce_system
+from .weights import WeightSystem, _Value, reduce_system
 
 PRIMITIVE = "primitive"
 ALMOST_PRIMITIVE = "almost_primitive"
@@ -28,8 +27,7 @@ _VARS = "xyzt"
 _TOKEN = re.compile(r"([xyzt])(?:\^(?:\{(\d+)\}|(\d+)))?")
 
 
-@dataclass(frozen=True)
-class MagicSquare:
+class MagicSquare(_Value):
     """A validated weighted magic square bound to its weight pair.
 
     Construction runs the defining relations, so an instance is valid by
@@ -40,13 +38,12 @@ class MagicSquare:
     hash and repr ignore them.
     """
 
-    entries: tuple[tuple[int, ...], ...]
-    wa: WeightSystem
-    wb: WeightSystem
-
-    def __post_init__(self):
-        entries = tuple(tuple(row) for row in self.entries)
+    def __init__(self, entries: tuple[tuple[int, ...], ...],
+                 wa: WeightSystem, wb: WeightSystem):
+        entries = tuple(tuple(row) for row in entries)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "wa", wa)
+        object.__setattr__(self, "wb", wb)
         n = self.wa.n
         if self.wb.n != n:
             raise ValidationError(
@@ -97,13 +94,13 @@ def validate(entries, wa: WeightSystem, wb: WeightSystem) -> MagicSquare:
     return MagicSquare(entries, wa, wb)
 
 
-@dataclass(frozen=True)
-class CouplingReport:
+class CouplingReport(_Value):
     """Determinant-level classification and strongness."""
 
-    determinant: int
-    classification: str
-    strong: bool
+    def __init__(self, determinant: int, classification: str, strong: bool):
+        object.__setattr__(self, "determinant", determinant)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "strong", strong)
 
 
 def classify(ms: MagicSquare) -> CouplingReport:
@@ -139,14 +136,15 @@ def classify(ms: MagicSquare) -> CouplingReport:
     return report
 
 
-@dataclass(frozen=True)
-class InverseData:
+class InverseData(_Value):
     """The exact rational inverse A of B = C - 1 and the weight systems
     recovered from its row and column sums."""
 
-    a: tuple[tuple[Fraction, ...], ...]
-    recovered_wa: WeightSystem
-    recovered_wb: WeightSystem
+    def __init__(self, a: tuple[tuple[Fraction, ...], ...],
+                 recovered_wa: WeightSystem, recovered_wb: WeightSystem):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "recovered_wa", recovered_wa)
+        object.__setattr__(self, "recovered_wb", recovered_wb)
 
 
 def _system_from_ratios(sums, d: int) -> WeightSystem:

@@ -10,12 +10,11 @@ is available for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, magic
 from .errors import DomainError, SingularMatrixError, ValidationError
-from .weights import WeightSystem
+from .weights import WeightSystem, _Value
 
 Point = tuple[Fraction, ...]
 
@@ -32,8 +31,7 @@ def _coordinate(x, i: int, j: int) -> Fraction:
         "not an int or a Fraction")
 
 
-@dataclass(frozen=True)
-class RationalSimplex:
+class RationalSimplex(_Value):
     """A full simplex: n+1 distinct vertices with exact rational
     coordinates in dimension n, each given as an int or a Fraction.
 
@@ -43,12 +41,10 @@ class RationalSimplex:
     ``_trusted``).
     """
 
-    vertices: tuple[Point, ...]
-
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[Point, ...]):
         vertices = tuple(
             tuple(_coordinate(x, i, j) for j, x in enumerate(v))
-            for i, v in enumerate(self.vertices)
+            for i, v in enumerate(vertices)
         )
         object.__setattr__(self, "vertices", vertices)
         if not vertices:

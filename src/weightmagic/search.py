@@ -9,31 +9,33 @@ search and why they leave its output unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 from . import magic
 from .errors import SearchCapExceeded, ValidationError
-from .weights import WeightSystem
+from .weights import WeightSystem, _Value
 
 FILTERS = ("any", "almost_primitive", "primitive")
 
 
-@dataclass(slots=True)
-class SearchQuery:
+class SearchQuery(_Value):
     """Parameters for one search over a fixed weight pair, validated when
-    built.  Not frozen: a frozen dataclass sets each field through
-    ``object.__setattr__``, which is most of the cost of a query that
-    fails k * a0 = h * b0 and searches nothing."""
+    built.  Not frozen: setting each field through ``object.__setattr__``,
+    as the frozen value types do, is most of the cost of a query that
+    fails k * a0 = h * b0 and searches nothing; so it is slotted, mutable
+    and unhashable."""
 
-    wa: WeightSystem
-    wb: WeightSystem
-    filter: str = "any"
-    strong_only: bool = False
-    cap: int = 10**6
+    __slots__ = ("wa", "wb", "filter", "strong_only", "cap")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, wa: WeightSystem, wb: WeightSystem,
+                 filter: str = "any", strong_only: bool = False,
+                 cap: int = 10**6):
+        self.wa, self.wb, self.filter = wa, wb, filter
+        self.strong_only, self.cap = strong_only, cap
         if self.filter not in FILTERS:
             raise ValidationError(
                 f"filter must be one of {FILTERS}, got {self.filter!r}"

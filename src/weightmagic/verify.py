@@ -20,13 +20,12 @@ search, the property sweep and the elliptic polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import magic, polytope, search, zeta
 from .catalog import Catalog, VerificationReport, verify_entry
 from .magic import MagicSquare
-from .weights import WeightSystem, reduce_system
+from .weights import WeightSystem, _Value, reduce_system
 
 #: Names of the rows whose matrices are *not* strong, although the tables
 #: present them as strongly dual pairs; frozen by direct inspection.
@@ -54,12 +53,12 @@ Reports = tuple[VerificationReport, ...]
 Outcome = tuple[str, list[str], str]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    detail: str
+class CriterionResult(_Value):
+    def __init__(self, number: int, title: str, passed: bool, detail: str):
+        object.__setattr__(self, "number", number)
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def line(self) -> str:

@@ -7,14 +7,17 @@ systems are equivalent when one is a permutation of a rational rescaling
 of the other; each class with an integer representative of weight-gcd
 dividing its degree has a unique reduced (gcd 1, ascending)
 representative.
+
+``_Value``, the base of the package's immutable value types, lives here
+because every module that defines one already imports this one.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from .errors import ParseError, ValidationError
 
@@ -24,8 +27,50 @@ MAX_WEIGHTS = 4
 _GRAMMAR = re.compile(r"(\d+(?:\s*,\s*\d+)*)\s*;\s*(\d+)")
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class _Value:
+    """Base of the package's immutable value types.
+
+    The fields of a value are the parameters of its class's ``__init__``,
+    in order (``_fields``); ``__eq__`` (within one class), ``__hash__``
+    and ``__repr__`` read them and nothing else, such as
+    ``WeightSystem.a0`` or the facts a ``MagicSquare`` keeps.
+    Constructors set attributes through ``object.__setattr__``;
+    assignment and deletion raise AttributeError, so a changed value is
+    built again through its constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = names = code.co_varnames[1:code.co_argcount]
+        get = attrgetter(*names)  # for one name, the value, not a 1-tuple
+        cls._values = staticmethod(
+            get if len(names) > 1 else lambda value: (get(value),))
+        shown = ", ".join(f"{name}=%r" for name in names)
+        cls._repr = f"{cls.__qualname__}({shown})"
+
+    def __eq__(self, other):
+        cls = type(self)
+        if type(other) is cls:
+            return cls._values(self) == cls._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(type(self)._values(self))
+
+    def __repr__(self):
+        return self._repr % type(self)._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class WeightSystem(_Value):
     """Weights (a_1, ..., a_n) of degree h, written ``a1,...,an;h``.
 
     Weights are non-negative ints, and at most one of them may be zero, as
@@ -34,16 +79,10 @@ class WeightSystem:
     zero-weight system itself, and the text form admits none.
     """
 
-    weights: tuple[int, ...]
-    degree: int
-    #: virtual weight h - sum(a_i); may be zero or negative
-    a0: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        ws, degree = self.weights, self.degree
-        if type(ws) is not tuple:
-            ws = tuple(ws)
-            object.__setattr__(self, "weights", ws)
+    def __init__(self, weights: tuple[int, ...], degree: int):
+        ws = weights if type(weights) is tuple else tuple(weights)
+        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "degree", degree)
         if type(degree) is not int or not set(map(type, ws)) <= {int}:
             raise ValidationError(
                 f"weights {ws} and degree {degree!r} must be integers")
@@ -61,6 +100,7 @@ class WeightSystem:
             raise ValidationError("all weights are zero")
         if zeros > 1:
             raise ValidationError("at most one weight may be zero")
+        # the virtual weight h - sum(a_i); may be zero or negative
         object.__setattr__(self, "a0", degree - sum(ws))
 
     @property
@@ -75,13 +115,16 @@ class WeightSystem:
         return f"{self.a0}," + str(self)
 
 
-@dataclass(frozen=True)
-class Reduction:
-    """A reduced ascending representative plus how it was obtained."""
+class Reduction(_Value):
+    """A reduced ascending representative plus how it was obtained: reduced
+    weight i came from input position ``permutation[i]``, and the reduced
+    weights are ``scale`` times the original ones."""
 
-    system: WeightSystem
-    permutation: tuple[int, ...]  # reduced weight i came from input position permutation[i]
-    scale: Fraction  # reduced weights = scale * original weights
+    def __init__(self, system: WeightSystem, permutation: tuple[int, ...],
+                 scale: Fraction):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "permutation", permutation)
+        object.__setattr__(self, "scale", scale)
 
 
 def parse_weight_system(text: str) -> WeightSystem:

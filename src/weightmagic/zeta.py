@@ -10,7 +10,6 @@ inside the columns J, and each special J contributes the factor
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -18,11 +17,10 @@ from math import gcd
 from . import linalg
 from .errors import DegenerateSupportError, DomainError, ValidationError
 from .magic import MagicSquare, classify
-from .weights import MAX_WEIGHTS, MIN_WEIGHTS, is_calabi_yau
+from .weights import MAX_WEIGHTS, MIN_WEIGHTS, _Value, is_calabi_yau
 
 
-@dataclass(frozen=True)
-class CyclotomicProduct:
+class CyclotomicProduct(_Value):
     """A finite product prod (1 - t^l)^a_l with integer exponents.
 
     Factors are stored as (order, exponent) pairs, strictly ascending in
@@ -30,10 +28,8 @@ class CyclotomicProduct:
     1.  Use from_exponents to build one from unmerged data.
     """
 
-    factors: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        factors = tuple((l, a) for l, a in self.factors)
+    def __init__(self, factors: tuple[tuple[int, int], ...] = ()):
+        factors = tuple((l, a) for l, a in factors)
         if not all(type(x) is int for factor in factors for x in factor):
             raise ValidationError(
                 f"orders and exponents must be integers: {factors}")
@@ -86,8 +82,7 @@ class CyclotomicProduct:
         return f"{num or '1'} / {den}"
 
 
-@dataclass(frozen=True)
-class SpecialSubsetReport:
+class SpecialSubsetReport(_Value):
     """One special column subset J with its factor data.
 
     Columns and rows are reported 1-based.  det_cij is |det C_IJ| (1 for
@@ -95,12 +90,14 @@ class SpecialSubsetReport:
     (-1)^(|J|+1) * a_J * det_cij / h.
     """
 
-    j: tuple[int, ...]
-    i: tuple[int, ...]
-    a_j: int
-    det_cij: int
-    order: int
-    exponent: int
+    def __init__(self, j: tuple[int, ...], i: tuple[int, ...], a_j: int,
+                 det_cij: int, order: int, exponent: int):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "a_j", a_j)
+        object.__setattr__(self, "det_cij", det_cij)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "exponent", exponent)
 
 
 #: For each n, every subset J of {0..n-1}, ordered by size, then
@@ -212,14 +209,14 @@ def saito_dual(p: CyclotomicProduct, h: int) -> CyclotomicProduct:
     return CyclotomicProduct.from_exponents((h // l, -a) for l, a in p.factors)
 
 
-@dataclass(frozen=True)
-class LatticeInvariants:
+class LatticeInvariants(_Value):
     """mu (rank), mu0 (radical dimension), and, for n = 3 Calabi-Yau row
     weights, the Picard number rho = 22 - (mu - mu0)."""
 
-    mu: int
-    mu0: int
-    rho: int | None
+    def __init__(self, mu: int, mu0: int, rho: int | None):
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "rho", rho)
 
 
 def lattice_invariants(ms: MagicSquare) -> LatticeInvariants:

@@ -1,6 +1,8 @@
 """Helpers shared by the test modules.
 
 ``outcome`` compares a kernel with its reference by value or by error.
+``rebuilt`` changes fields of a value by building it again through its
+class's constructor, which checks it again.
 ``mat_mul`` is the plain matrix product the tests use as an independent
 check of the package's exact linear algebra, which has no product of its
 own.  ``SEARCHED`` and ``KERNEL_SQUARES`` are the squares on which the
@@ -8,6 +10,8 @@ integer kernels are compared with their Fraction references.
 """
 
 from __future__ import annotations
+
+import inspect
 
 from weightmagic import (SearchQuery, WeightMagicError, find_magic_squares,
                          load_catalog, parse_weight_system)
@@ -19,6 +23,15 @@ def outcome(f, *args):
         return f(*args)
     except WeightMagicError as exc:
         return type(exc), str(exc)
+
+
+def rebuilt(value, **changes):
+    """``value`` with the given fields changed, built again through its
+    class's constructor; an unknown field name is a TypeError."""
+    cls = type(value)
+    fields = {name: getattr(value, name)
+              for name in inspect.signature(cls).parameters}
+    return cls(**{**fields, **changes})
 
 
 def mat_mul(a, b):

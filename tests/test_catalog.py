@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from support import rebuilt
 
 from weightmagic import (CatalogError, ValidationError, fuchsian_report,
                          load_catalog, magic, parse_weight_system, polytope,
@@ -147,7 +147,7 @@ class TestVerifyEntry:
     @pytest.mark.parametrize("name", ["E_12", "E~_8", "Q_17"])
     def test_not_strong_flag_is_checked_on_every_table(self, catalog, name):
         entry = catalog.lookup(name)[0]
-        flagged = replace(entry, flags=entry.flags + ("not_strong",))
+        flagged = rebuilt(entry, flags=entry.flags + ("not_strong",))
         report = verify_entry(flagged, catalog)
         assert report.strong and not report.strong_ok and not report.ok
         assert report.problems == ("strong=True, expected False",)
@@ -168,7 +168,7 @@ class TestVerifyEntry:
     ])
     def test_failed_claims_are_reported(self, catalog, position, changes,
                                         problems):
-        entry = replace(catalog.table("T2")[position], **changes)
+        entry = rebuilt(catalog.table("T2")[position], **changes)
         report = verify_entry(entry, catalog)
         assert report.problems == problems
         assert report.inverse_identity_ok == (
@@ -202,7 +202,7 @@ class TestVerifyEntry:
 
     def test_broken_matrix_is_refused_when_the_entry_is_built(self, catalog):
         with pytest.raises(ValidationError) as raised:
-            replace(catalog.lookup("E_12")[0], monomials="x^7, y^3, z^3")
+            rebuilt(catalog.lookup("E_12")[0], monomials="x^7, y^3, z^3")
         assert str(raised.value) == (
             "matrix of T2#1 no. 14 E_12 fails validation: row 3 has "
             "a-weighted sum 63, expected the degree 42")
@@ -221,8 +221,8 @@ class TestVerifyEntry:
 
         monkeypatch.setattr(module, name, broken)
         with pytest.raises(TypeError, match="a bug"):
-            # a replaced entry validates its square again
-            verify_entry(replace(catalog.table(table)[0]), catalog)
+            # a rebuilt entry validates its square again
+            verify_entry(rebuilt(catalog.table(table)[0]), catalog)
 
     def test_report_carries_the_fuchsian_row(self, catalog):
         rows = fuchsian_report(catalog)
@@ -235,7 +235,7 @@ class TestVerifyEntry:
 
     def test_wrong_starred_column_fails_the_entry(self, catalog):
         entry = catalog.table("Fuchs")[0]
-        tampered = replace(entry, expected=replace(
+        tampered = rebuilt(entry, expected=rebuilt(
             entry.expected, d_star=entry.expected.d_star + 1))
         report = verify_entry(tampered, catalog)
         assert not report.ok and not report.fuchs.matches

@@ -522,12 +522,11 @@ def test_module_entry_point():
     assert "reduced:        6,14,21;42" in proc.stdout
 
 
-# ``python -m weightmagic`` that prints, last on stderr, the package modules
-# loaded when the interpreter exits
+# ``python -m weightmagic`` that prints, last on stderr, the modules loaded
+# when the interpreter exits
 MODULES_AT_EXIT = """\
 import atexit, json, runpy, sys
-atexit.register(lambda: print(json.dumps(sorted(
-    m for m in sys.modules if m.startswith("weightmagic."))), file=sys.stderr))
+atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))
 runpy.run_module("weightmagic", run_name="__main__", alter_sys=True)
 """
 HEAVY = {"magic", "search", "zeta", "polytope", "catalog", "verify"}
@@ -544,3 +543,34 @@ def test_verb_imports_only_the_modules_it_runs(argv, code, absent):
     loaded = set(json.loads(proc.stderr.splitlines()[-1]))
     assert "weightmagic.cli" in loaded
     assert not loaded & {f"weightmagic.{name}" for name in absent}
+
+
+#: The argv of each of the benchmark's ten CLI cases, and its exit code.
+BENCHMARK_CLI_CASES = [
+    (["reduce", "--wa", "28,12,42;84"], 0),
+    (["check", "--wa", "1,3,5;10", "--matrix", "x^5z, xy^3, z^2"], 0),
+    (["check", "--wa", "1,3,5;10", "--wb", "4,10,13;30",
+      "--matrix", "x^5z, xy^3, z^2"], 0),
+    (["zeta", "--wa", "1,3,5;10", "--matrix", "x^5z, xy^3, z^2",
+      "--saito-dual", "--expand", "12"], 0),
+    (["invariants", "--wa", "4,10,13;30", "--wb", "1,3,5;10",
+      "--matrix", "x^5y, y^3, xz^2"], 0),
+    (["polar", "--wa", "6,14,21;42"], 0),
+    (["catalog", "list"], 0),
+    (["catalog", "show", "E_12"], 0),
+    (["search", "--wa", "6,14,21;42"], 0),
+    (["reduce", "--wa", "1,2;x"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code", BENCHMARK_CLI_CASES + [(["catalog", "verify"], 0)],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_no_verb_imports_dataclasses_inspect_typing_or_pathlib(argv, code):
+    # -S leaves out the site packages' .pth files, which may import any
+    # of these before the package runs
+    proc = child("-S", "-c", MODULES_AT_EXIT, *argv)
+    assert proc.returncode == code, proc.stderr
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert "weightmagic.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "pathlib"}

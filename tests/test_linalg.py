@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from weightmagic import SingularMatrixError
 from weightmagic.linalg import determinant, inverse, solve, transpose
 
-from support import mat_mul
+from support import KERNEL_SQUARES, mat_mul
 
 
 def reference_inverse(rows):
@@ -173,3 +173,22 @@ def test_kernel_matches_the_fraction_reference(system):
     assert x == tuple(sum(a * Fraction(b) for a, b in zip(row, rhs))
                       for row in expected)
     assert all(type(v) is Fraction for v in x)
+
+
+def test_kernel_squares_match_the_fraction_reference():
+    """C and C - 1 of every kernel square: most rows already hold a zero
+    in the pivot column, which the elimination only scales."""
+    singular = 0
+    for ms in KERNEL_SQUARES:
+        c = ms.entries
+        ones = (1,) * ms.n
+        for m in (c, tuple(tuple(x - 1 for x in row) for row in c)):
+            expected = reference_inverse(m)
+            if expected is None:
+                singular += 1
+                with pytest.raises(SingularMatrixError):
+                    inverse(m)
+                continue
+            assert inverse(m) == expected, m
+            assert solve(m, ones) == tuple(sum(row) for row in expected), m
+    assert 0 < singular < 2 * len(KERNEL_SQUARES)
