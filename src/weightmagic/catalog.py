@@ -22,9 +22,8 @@ from __future__ import annotations
 import json
 import os
 
-from . import magic, polytope, zeta
+from . import magic
 from .errors import CatalogError, ParseError, ValidationError, WeightMagicError
-from .magic import MagicSquare
 from .weights import WeightSystem, _Value, equivalent
 
 SCHEMA_VERSION = 1
@@ -40,17 +39,8 @@ class FuchsExpected(_Value):
     when ``mu0`` vanishes, which fails for every left-hand entry here.
     """
 
-    def __init__(self, mu: int, mu0: int, rho: int, d: int, b0: int,
-                 d_star: int, mu0_star: int, mu_star: int, nu_star: int):
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "d_star", d_star)
-        object.__setattr__(self, "mu0_star", mu0_star)
-        object.__setattr__(self, "mu_star", mu_star)
-        object.__setattr__(self, "nu_star", nu_star)
+    _fields = ("mu", "mu0", "rho", "d", "b0", "d_star", "mu0_star",
+               "mu_star", "nu_star")
 
     @classmethod
     def from_mapping(cls, data) -> FuchsExpected:
@@ -61,7 +51,7 @@ class FuchsExpected(_Value):
         wrong = {f: data.get(f) for f in names if type(data.get(f)) is not int}
         if wrong:
             raise CatalogError(f"expected values {wrong} must be integers")
-        return cls(**{f: data[f] for f in names})
+        return cls(*(data[f] for f in names))
 
 
 class CatalogEntry(_Value):
@@ -71,25 +61,21 @@ class CatalogEntry(_Value):
     is built with the entry and is not one of its fields.
     """
 
+    _fields = ("table", "seq", "index", "name", "weights", "monomials",
+               "partner", "partner_table", "partner_weights", "expected",
+               "flags")
+
     def __init__(self, table: str, seq: int, index: int | None,
                  name: str | None, weights: WeightSystem, monomials: str,
                  partner: int | str, partner_table: str,
                  partner_weights: WeightSystem,
                  expected: FuchsExpected | None, flags: tuple[str, ...]):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "monomials", monomials)
-        object.__setattr__(self, "partner", partner)
-        object.__setattr__(self, "partner_table", partner_table)
-        object.__setattr__(self, "partner_weights", partner_weights)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "flags", flags)
+        super().__init__(table, seq, index, name, weights, monomials,
+                         partner, partner_table, partner_weights, expected,
+                         flags)
         try:
-            rows = magic.parse_monomial_matrix(self.monomials, self.weights.n)
-            square = magic.validate(rows, self.weights, self.partner_weights)
+            rows = magic.parse_monomial_matrix(monomials, weights.n)
+            square = magic.validate(rows, weights, partner_weights)
         except (ParseError, ValidationError) as exc:
             raise ValidationError(
                 f"matrix of {self.label} fails validation: {exc}") from exc
@@ -301,26 +287,10 @@ class VerificationReport(_Value):
     columns are stored.
     """
 
-    def __init__(self, label: str, table: str, determinant: int,
-                 classification: str, classification_ok: bool, strong: bool,
-                 strong_ok: bool, inverse_identity_ok: bool,
-                 zeta_duality_applicable: bool, zeta_duality_ok: bool,
-                 exponent_outliers: tuple[tuple[int, int], ...] | None,
-                 fuchs: FuchsRow | None, problems: tuple[str, ...]):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "determinant", determinant)
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "classification_ok", classification_ok)
-        object.__setattr__(self, "strong", strong)
-        object.__setattr__(self, "strong_ok", strong_ok)
-        object.__setattr__(self, "inverse_identity_ok", inverse_identity_ok)
-        object.__setattr__(self, "zeta_duality_applicable",
-                           zeta_duality_applicable)
-        object.__setattr__(self, "zeta_duality_ok", zeta_duality_ok)
-        object.__setattr__(self, "exponent_outliers", exponent_outliers)
-        object.__setattr__(self, "fuchs", fuchs)
-        object.__setattr__(self, "problems", problems)
+    _fields = ("label", "table", "determinant", "classification",
+               "classification_ok", "strong", "strong_ok",
+               "inverse_identity_ok", "zeta_duality_applicable",
+               "zeta_duality_ok", "exponent_outliers", "fuchs", "problems")
 
     @property
     def ok(self) -> bool:
@@ -329,6 +299,7 @@ class VerificationReport(_Value):
 
 def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
     """Recompute every claim the catalog makes about ``entry``."""
+    from . import polytope, zeta  # here, so that loading a catalog skips them
     problems: list[str] = []
     report = magic.classify(entry.square)
     classification_ok = report.classification == _expected_classification(entry)
@@ -402,20 +373,8 @@ def verify_entry(entry: CatalogEntry, catalog: Catalog) -> VerificationReport:
 class FuchsRow(_Value):
     """One recomputed row of the Fuchsian table."""
 
-    def __init__(self, label: str, mu: int, mu0: int, rho: int, b0: int,
-                 mu_star: int, mu0_star: int, nu_star: int, d_star_abs: int,
-                 expected: FuchsExpected, errors: tuple[str, ...]):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "mu_star", mu_star)
-        object.__setattr__(self, "mu0_star", mu0_star)
-        object.__setattr__(self, "nu_star", nu_star)
-        object.__setattr__(self, "d_star_abs", d_star_abs)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "errors", errors)
+    _fields = ("label", "mu", "mu0", "rho", "b0", "mu_star", "mu0_star",
+               "nu_star", "d_star_abs", "expected", "errors")
 
     @property
     def columns(self) -> tuple[int, ...]:
@@ -441,6 +400,7 @@ def _fuchs_row(entry: CatalogEntry, partner: CatalogEntry) -> FuchsRow:
     mu* + nu* + 1 = b0 (rho + 3), and |d*| from the partner zeta function
     evaluated at 1 (well defined because mu0* vanishes).
     """
+    from . import zeta
     errors: list[str] = []
     inv = zeta.lattice_invariants(entry.square)
     partner_inv = zeta.lattice_invariants(partner.square)

@@ -11,7 +11,6 @@ alone, and handles the monomial notation used to write the rows.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
@@ -32,51 +31,55 @@ class MagicSquare(_Value):
 
     Construction runs the defining relations, so an instance is valid by
     the time it exists.  Only the search and ``transpose``, whose squares
-    are valid by construction, skip them (through ``_trusted``).  A square
-    keeps its classification, its special subsets and its inverse data,
-    or the refusal when one of the last two does not exist; equality,
-    hash and repr ignore them.
+    are valid by construction, with entries already tuples of ints, skip
+    them (through ``_trusted``).  A square keeps the facts computed from
+    it (``_kept``); equality, hash and repr ignore them.
     """
+
+    _fields = ("entries", "wa", "wb")
 
     def __init__(self, entries: tuple[tuple[int, ...], ...],
                  wa: WeightSystem, wb: WeightSystem):
         entries = tuple(tuple(row) for row in entries)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "wa", wa)
-        object.__setattr__(self, "wb", wb)
-        n = self.wa.n
-        if self.wb.n != n:
+        super().__init__(entries, wa, wb)
+        n = wa.n
+        if wb.n != n:
             raise ValidationError(
-                f"weight systems disagree on size: {self.wa.n} vs {self.wb.n}"
+                f"weight systems disagree on size: {wa.n} vs {wb.n}"
             )
         if len(entries) != n or any(len(r) != n for r in entries):
             raise ValidationError(f"matrix must be {n}x{n} to match the weights")
         if any(type(c) is not int or c < 0 for row in entries for c in row):
             raise ValidationError("matrix entries must be non-negative integers")
-        h, k = self.wa.degree, self.wb.degree
+        h, k = wa.degree, wb.degree
         for i, row in enumerate(entries):
-            s = sum(c * a for c, a in zip(row, self.wa.weights))
+            s = sum(c * a for c, a in zip(row, wa.weights))
             if s != h:
                 raise ValidationError(
                     f"row {i + 1} has a-weighted sum {s}, expected the degree {h}"
                 )
         for j in range(n):
-            s = sum(self.wb.weights[i] * entries[i][j] for i in range(n))
+            s = sum(wb.weights[i] * entries[i][j] for i in range(n))
             if s != k:
                 raise ValidationError(
                     f"column {j + 1} has b-weighted sum {s}, expected the degree {k}"
                 )
 
-    @classmethod
-    def _trusted(cls, entries, wa: WeightSystem, wb: WeightSystem
-                 ) -> MagicSquare:
-        """A square the caller built to satisfy both relations, with
-        entries already tuples of ints; skips the checks above."""
-        square = object.__new__(cls)
-        object.__setattr__(square, "entries", entries)
-        object.__setattr__(square, "wa", wa)
-        object.__setattr__(square, "wb", wb)
-        return square
+    def _kept(self, name: str, compute, refusals=()):
+        """``compute(self)``, computed once and kept on the square under
+        ``name``.  A refusal of one of the types ``refusals`` is kept in
+        its place, and every call, the first included, raises a fresh
+        error of the same type and text."""
+        kept = self.__dict__.get(name)
+        if kept is None:
+            try:
+                kept = compute(self)
+            except refusals as exc:
+                kept = type(exc)(*exc.args)  # a copy: no traceback, no frames
+            self.__dict__[name] = kept
+        if isinstance(kept, Exception):
+            raise type(kept)(*kept.args)
+        return kept
 
     @property
     def n(self) -> int:
@@ -97,10 +100,7 @@ def validate(entries, wa: WeightSystem, wb: WeightSystem) -> MagicSquare:
 class CouplingReport(_Value):
     """Determinant-level classification and strongness."""
 
-    def __init__(self, determinant: int, classification: str, strong: bool):
-        object.__setattr__(self, "determinant", determinant)
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "strong", strong)
+    _fields = ("determinant", "classification", "strong")
 
 
 def classify(ms: MagicSquare) -> CouplingReport:
@@ -117,9 +117,10 @@ def classify(ms: MagicSquare) -> CouplingReport:
     The report is kept on the square, so det C is expanded once per
     square; `zeta.special_subsets` reads it for the full column set.
     """
-    report = ms.__dict__.get("_coupling_report")
-    if report is not None:
-        return report
+    return ms._kept("_coupling_report", _classify)
+
+
+def _classify(ms: MagicSquare) -> CouplingReport:
     det = linalg.determinant(ms.entries)
     h, k = ms.wa.degree, ms.wb.degree
     a0, b0 = ms.wa.a0, ms.wb.a0
@@ -131,20 +132,14 @@ def classify(ms: MagicSquare) -> CouplingReport:
         label = PLAIN
     strong = (all(0 in row for row in ms.entries)
               and all(0 in col for col in zip(*ms.entries)))
-    report = CouplingReport(det, label, strong)
-    object.__setattr__(ms, "_coupling_report", report)
-    return report
+    return CouplingReport(det, label, strong)
 
 
 class InverseData(_Value):
     """The exact rational inverse A of B = C - 1 and the weight systems
     recovered from its row and column sums."""
 
-    def __init__(self, a: tuple[tuple[Fraction, ...], ...],
-                 recovered_wa: WeightSystem, recovered_wb: WeightSystem):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "recovered_wa", recovered_wa)
-        object.__setattr__(self, "recovered_wb", recovered_wb)
+    _fields = ("a", "recovered_wa", "recovered_wb")
 
 
 def _system_from_ratios(sums, d: int) -> WeightSystem:
@@ -179,26 +174,22 @@ def inverse_data(ms: MagicSquare) -> InverseData:
     a0 = 0 or b0 = 0.  The sums are taken on ints, over A = N/d.
 
     The data is kept on the square, and so is the refusal when B is
-    singular: B is inverted once, and each later call on a singular B
-    raises a fresh SingularMatrixError with the same text.
+    singular, so B is inverted once.
     """
-    data = ms.__dict__.get("_inverse_data")
-    if data is None:
-        b = tuple(tuple(c - 1 for c in row) for row in ms.entries)
-        try:
-            a = linalg.inverse(b)
-        except SingularMatrixError:
-            data = SingularMatrixError(
-                "C - 1 is singular, so the inverse data does not exist")
-        else:
-            d, numerators = linalg.common_denominator(a)
-            data = InverseData(
-                a, _system_from_ratios([sum(row) for row in numerators], d),
-                _system_from_ratios([sum(col) for col in zip(*numerators)], d))
-        object.__setattr__(ms, "_inverse_data", data)
-    if isinstance(data, SingularMatrixError):
-        raise SingularMatrixError(*data.args)
-    return data
+    return ms._kept("_inverse_data", _inverse_data, SingularMatrixError)
+
+
+def _inverse_data(ms: MagicSquare) -> InverseData:
+    b = tuple(tuple(c - 1 for c in row) for row in ms.entries)
+    try:
+        a = linalg.inverse(b)
+    except SingularMatrixError:
+        raise SingularMatrixError(
+            "C - 1 is singular, so the inverse data does not exist") from None
+    d, numerators = linalg.common_denominator(a)
+    return InverseData(
+        a, _system_from_ratios([sum(row) for row in numerators], d),
+        _system_from_ratios([sum(col) for col in zip(*numerators)], d))
 
 
 def recover_partner(entries, wa: WeightSystem) -> MagicSquare:
@@ -296,19 +287,19 @@ def format_monomial_matrix(entries) -> str:
 
 def parse_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Accept either monomial notation or semicolon-separated integer
-    rows, e.g. ``5,0,1;1,3,0;0,0,2``."""
+    rows, e.g. ``5,0,1;1,3,0;0,0,2``; each entry is a run of digits, as
+    in a weight system, so ``3_0`` and ``+3`` are refused."""
     if ";" not in text:
         return parse_monomial_matrix(text, n)
     rows = []
     for number, part in enumerate(text.split(";"), 1):
         row = []
         for entry in re.split(r"\s*,\s*", part.strip()):
-            try:
-                row.append(int(entry))
-            except ValueError:
+            if not entry.isdecimal():  # the weight-system grammar's \d+
                 raise ParseError(
                     f"cannot read integer matrix {text!r}: entry {entry!r} "
-                    f"in row {number} is not an integer") from None
+                    f"in row {number} is not an integer")
+            row.append(int(entry))
         rows.append(tuple(row))
     if len({len(r) for r in rows}) != 1:
         raise ParseError(f"ragged matrix {text!r}")

@@ -36,17 +36,19 @@ class RationalSimplex(_Value):
     coordinates in dimension n, each given as an int or a Fraction.
 
     Construction checks all of this and stores every coordinate as a
-    Fraction.  Only `extended_diagram` and `polar_dual`, which build
-    Fraction vertices distinct by construction, skip the checks (through
-    ``_trusted``).
+    Fraction.  Only `extended_diagram` and `polar_dual`, which build n+1
+    distinct tuples of n Fractions by construction, skip the checks
+    (through ``_trusted``).
     """
+
+    _fields = ("vertices",)
 
     def __init__(self, vertices: tuple[Point, ...]):
         vertices = tuple(
             tuple(_coordinate(x, i, j) for j, x in enumerate(v))
             for i, v in enumerate(vertices)
         )
-        object.__setattr__(self, "vertices", vertices)
+        super().__init__(vertices)
         if not vertices:
             raise ValidationError("a simplex needs at least one vertex")
         n = len(vertices[0])
@@ -59,14 +61,6 @@ class RationalSimplex(_Value):
             )
         if len(set(vertices)) != len(vertices):
             raise ValidationError("vertices must be pairwise distinct")
-
-    @classmethod
-    def _trusted(cls, vertices) -> RationalSimplex:
-        """A simplex the caller built to satisfy the checks above, as a
-        tuple of n+1 distinct tuples of n Fractions; skips them."""
-        simplex = object.__new__(cls)
-        object.__setattr__(simplex, "vertices", vertices)
-        return simplex
 
     @property
     def dimension(self) -> int:

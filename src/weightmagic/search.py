@@ -21,12 +21,12 @@ FILTERS = ("any", "almost_primitive", "primitive")
 
 class SearchQuery(_Value):
     """Parameters for one search over a fixed weight pair, validated when
-    built.  Not frozen: setting each field through ``object.__setattr__``,
-    as the frozen value types do, is most of the cost of a query that
-    fails k * a0 = h * b0 and searches nothing; so it is slotted, mutable
+    built.  Not frozen: setting the fields of a frozen value is most of
+    the cost of a query that fails k * a0 = h * b0 and searches nothing,
+    while plain assignment to slots is cheap; so it is slotted, mutable
     and unhashable."""
 
-    __slots__ = ("wa", "wb", "filter", "strong_only", "cap")
+    __slots__ = _fields = ("wa", "wb", "filter", "strong_only", "cap")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None

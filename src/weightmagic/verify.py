@@ -54,11 +54,7 @@ Outcome = tuple[str, list[str], str]
 
 
 class CriterionResult(_Value):
-    def __init__(self, number: int, title: str, passed: bool, detail: str):
-        object.__setattr__(self, "number", number)
-        object.__setattr__(self, "title", title)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+    _fields = ("number", "title", "passed", "detail")
 
     @property
     def line(self) -> str:

@@ -30,26 +30,66 @@ _GRAMMAR = re.compile(r"(\d+(?:\s*,\s*\d+)*)\s*;\s*(\d+)")
 class _Value:
     """Base of the package's immutable value types.
 
-    The fields of a value are the parameters of its class's ``__init__``,
-    in order (``_fields``); ``__eq__`` (within one class), ``__hash__``
-    and ``__repr__`` read them and nothing else, such as
-    ``WeightSystem.a0`` or the facts a ``MagicSquare`` keeps.
-    Constructors set attributes through ``object.__setattr__``;
-    assignment and deletion raise AttributeError, so a changed value is
-    built again through its constructor.
+    Each class declares its fields, in order, as ``_fields``; its
+    constructor takes them by position or by keyword, and a missing,
+    unknown, extra or repeated field is a TypeError naming the class.  A
+    class that checks its fields has its own ``__init__`` with exactly
+    these parameters, which checks them and sets them through
+    ``super().__init__``; ``_trusted`` builds a value its caller made to
+    pass those checks without running them.  ``__eq__`` (within one
+    class), ``__hash__`` and ``__repr__`` read the fields and nothing
+    else, such as ``WeightSystem.a0`` or the facts a ``MagicSquare``
+    keeps.  Assignment and deletion raise AttributeError, so a changed
+    value is built again through its constructor.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        code = cls.__init__.__code__
-        cls._fields = names = code.co_varnames[1:code.co_argcount]
+        names = cls._fields
         get = attrgetter(*names)  # for one name, the value, not a 1-tuple
         cls._values = staticmethod(
             get if len(names) > 1 else lambda value: (get(value),))
         shown = ", ".join(f"{name}=%r" for name in names)
         cls._repr = f"{cls.__qualname__}({shown})"
+
+    def __init__(self, *values, **named):
+        names = self._fields
+        if named or len(values) != len(names):
+            values = self._bind(values, named)
+        # not through __dict__: on CPython 3.11 a materialised instance
+        # dict makes every later read of a field slower
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, values, named) -> tuple:
+        """Every field in order, from a call that did not give exactly
+        one value per field by position."""
+        names, call = cls._fields, f"{cls.__qualname__}()"
+        if len(values) > len(names):
+            raise TypeError(f"{call} takes {len(names)} fields, "
+                            f"got {len(values)} by position")
+        for name in named:
+            if name not in names:
+                raise TypeError(f"{call} has no field {name!r}")
+            if names.index(name) < len(values):
+                raise TypeError(f"{call} got field {name!r} twice")
+        missing = [name for name in names[len(values):] if name not in named]
+        if missing:
+            raise TypeError(f"{call} is missing the fields {missing}")
+        return values + tuple(named[name] for name in names[len(values):])
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A value whose fields, given by position, the caller built to
+        pass the class's checks; skips them.  Filling the instance dict
+        in one step is cheaper than the constructor's writes, and a square
+        built this way keeps its facts in that dict anyway."""
+        value = object.__new__(cls)
+        value.__dict__.update(zip(cls._fields, values))
+        return value
 
     def __eq__(self, other):
         cls = type(self)
@@ -79,10 +119,11 @@ class WeightSystem(_Value):
     zero-weight system itself, and the text form admits none.
     """
 
+    _fields = ("weights", "degree")
+
     def __init__(self, weights: tuple[int, ...], degree: int):
         ws = weights if type(weights) is tuple else tuple(weights)
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "degree", degree)
+        super().__init__(ws, degree)
         if type(degree) is not int or not set(map(type, ws)) <= {int}:
             raise ValidationError(
                 f"weights {ws} and degree {degree!r} must be integers")
@@ -120,11 +161,7 @@ class Reduction(_Value):
     weight i came from input position ``permutation[i]``, and the reduced
     weights are ``scale`` times the original ones."""
 
-    def __init__(self, system: WeightSystem, permutation: tuple[int, ...],
-                 scale: Fraction):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "permutation", permutation)
-        object.__setattr__(self, "scale", scale)
+    _fields = ("system", "permutation", "scale")
 
 
 def parse_weight_system(text: str) -> WeightSystem:

@@ -28,12 +28,14 @@ class CyclotomicProduct(_Value):
     1.  Use from_exponents to build one from unmerged data.
     """
 
+    _fields = ("factors",)
+
     def __init__(self, factors: tuple[tuple[int, int], ...] = ()):
         factors = tuple((l, a) for l, a in factors)
         if not all(type(x) is int for factor in factors for x in factor):
             raise ValidationError(
                 f"orders and exponents must be integers: {factors}")
-        object.__setattr__(self, "factors", factors)
+        super().__init__(factors)
         orders = [l for l, _ in factors]
         if any(l < 1 for l in orders):
             raise ValidationError(f"orders must be positive: {orders}")
@@ -90,14 +92,7 @@ class SpecialSubsetReport(_Value):
     (-1)^(|J|+1) * a_J * det_cij / h.
     """
 
-    def __init__(self, j: tuple[int, ...], i: tuple[int, ...], a_j: int,
-                 det_cij: int, order: int, exponent: int):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "a_j", a_j)
-        object.__setattr__(self, "det_cij", det_cij)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "exponent", exponent)
+    _fields = ("j", "i", "a_j", "det_cij", "order", "exponent")
 
 
 #: For each n, every subset J of {0..n-1}, ordered by size, then
@@ -126,20 +121,10 @@ def special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
     on a_J = gcd(a_j), also det(C_IJ) a_J.  For the full set C_IJ is C,
     whose determinant is read off the square's kept `classify` report.
 
-    The tuple is kept on the square, and so is the refusal: each later
-    call on a refused square raises a fresh error of the same type and
-    text.
+    The tuple is kept on the square, and so is the refusal.
     """
-    kept = ms.__dict__.get("_special_subsets")
-    if kept is None:
-        try:
-            kept = _special_subsets(ms)
-        except (DegenerateSupportError, ValidationError) as exc:
-            kept = exc
-        object.__setattr__(ms, "_special_subsets", kept)
-    if isinstance(kept, Exception):
-        raise type(kept)(*kept.args)
-    return kept
+    return ms._kept("_special_subsets", _special_subsets,
+                    (DegenerateSupportError, ValidationError))
 
 
 def _special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
@@ -174,16 +159,9 @@ def _special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
         else:
             sub = tuple(tuple(ms.entries[r][c] for c in j) for r in i)
             det = abs(linalg.determinant(sub))
-        reports.append(
-            SpecialSubsetReport(
-                j=tuple(c + 1 for c in j),
-                i=tuple(r + 1 for r in i),
-                a_j=a_j,
-                det_cij=det,
-                order=h // a_j,
-                exponent=(-1) ** (len(j) + 1) * a_j * det // h,
-            )
-        )
+        reports.append(SpecialSubsetReport(
+            tuple(c + 1 for c in j), tuple(r + 1 for r in i), a_j, det,
+            h // a_j, (-1) ** (len(j) + 1) * a_j * det // h))
     return tuple(reports)
 
 
@@ -213,10 +191,7 @@ class LatticeInvariants(_Value):
     """mu (rank), mu0 (radical dimension), and, for n = 3 Calabi-Yau row
     weights, the Picard number rho = 22 - (mu - mu0)."""
 
-    def __init__(self, mu: int, mu0: int, rho: int | None):
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "rho", rho)
+    _fields = ("mu", "mu0", "rho")
 
 
 def lattice_invariants(ms: MagicSquare) -> LatticeInvariants:

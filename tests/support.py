@@ -11,8 +11,6 @@ integer kernels are compared with their Fraction references.
 
 from __future__ import annotations
 
-import inspect
-
 from weightmagic import (SearchQuery, WeightMagicError, find_magic_squares,
                          load_catalog, parse_weight_system)
 
@@ -29,8 +27,7 @@ def rebuilt(value, **changes):
     """``value`` with the given fields changed, built again through its
     class's constructor; an unknown field name is a TypeError."""
     cls = type(value)
-    fields = {name: getattr(value, name)
-              for name in inspect.signature(cls).parameters}
+    fields = {name: getattr(value, name) for name in cls._fields}
     return cls(**{**fields, **changes})
 
 

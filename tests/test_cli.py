@@ -152,6 +152,15 @@ class TestCheck:
             "error: cannot read integer matrix '5,0,a;1,3,0;0,0,2': "
             "entry 'a' in row 1 is not an integer\n")
 
+    @pytest.mark.parametrize("entry", ["3_0", "+3"])
+    def test_entry_int_reads_but_the_grammar_refuses_exits_2(self, entry,
+                                                               capsys):
+        assert main(["check", "--wa", "2,3;6", "--wb", "2,3;6",
+                     "--matrix", f"{entry},0;0,2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read integer matrix '{entry},0;0,2': "
+            f"entry '{entry}' in row 1 is not an integer\n")
+
 
 class TestSearch:
     def test_human(self):
@@ -535,7 +544,7 @@ HEAVY = {"magic", "search", "zeta", "polytope", "catalog", "verify"}
 @pytest.mark.parametrize("argv,code,absent", [
     (["reduce", "--wa", "6,14,21;42"], 0, HEAVY),
     (["reduce", "--wa", "1,2;x"], 2, HEAVY),
-    (["catalog", "list"], 0, {"search", "verify"}),
+    (["catalog", "list"], 0, {"polytope", "search", "verify", "zeta"}),
 ], ids=["reduce", "malformed", "catalog-list"])
 def test_verb_imports_only_the_modules_it_runs(argv, code, absent):
     proc = child("-c", MODULES_AT_EXIT, *argv)

@@ -397,3 +397,16 @@ class TestParseMatrix:
             with pytest.raises(ParseError) as raised:
                 parse_matrix(text, 3)
             assert str(raised.value) == message
+
+    @pytest.mark.parametrize("entry", ["3_0", "+3", "0x3", "3.0"])
+    def test_entries_are_read_with_the_weight_system_grammar(self, entry):
+        # int() reads '3_0' as 30 and '+3' as 3; a weight system refuses
+        # both, and so does an integer row
+        text = f"{entry},0;0,2"
+        with pytest.raises(ParseError) as raised:
+            parse_matrix(text, 2)
+        assert str(raised.value) == (
+            f"cannot read integer matrix {text!r}: entry {entry!r} in row 1 "
+            "is not an integer")
+        with pytest.raises(ParseError):
+            parse_weight_system(f"{entry},3;6")

@@ -1,10 +1,13 @@
 """The package's value types behave as immutable records.
 
 For one instance of each of the fifteen value types: its repr, equality
-and hash read exactly the constructor's parameters; it refuses
-assignment and deletion (``SearchQuery`` alone is mutable and
-unhashable); it survives ``copy.copy`` and a pickle round trip; and it
-can be rebuilt from those parameters by position or by keyword.
+and hash read exactly its declared fields; it refuses assignment and
+deletion (``SearchQuery`` alone is mutable and unhashable); it survives
+``copy.copy`` and a pickle round trip; and it can be rebuilt from its
+fields by position or by keyword.  Each class declares its fields once:
+a class with its own constructor takes exactly those fields, the record
+types share the base's, which refuses a wrong set of fields, and the
+base's ``_trusted`` builds the value the checked constructor builds.
 """
 
 from __future__ import annotations
@@ -128,9 +131,14 @@ REPRS = {
 
 NAMES = sorted(BUILDERS)
 
+#: The value types that check nothing, built by the base's constructor.
+RECORDS = ("CouplingReport", "CriterionResult", "FuchsExpected", "FuchsRow",
+           "InverseData", "LatticeInvariants", "Reduction",
+           "SpecialSubsetReport", "VerificationReport")
+
 
 def params(cls) -> list[str]:
-    return list(inspect.signature(cls).parameters)
+    return list(cls._fields)
 
 
 def fields_of(value) -> tuple:
@@ -221,3 +229,38 @@ def test_constructor_defaults():
     query = SearchQuery(w, w)
     assert (query.filter, query.strong_only, query.cap) == ("any", False,
                                                             10**6)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fields_are_declared_once(name):
+    cls = type(BUILDERS[name]())
+    assert "_fields" in vars(cls) and "_trusted" not in vars(cls)
+    assert ("__init__" in vars(cls)) == (name not in RECORDS)
+    if name not in RECORDS:
+        assert tuple(inspect.signature(cls).parameters) == cls._fields
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_takes_its_fields_by_position_or_keyword(name):
+    value = BUILDERS[name]()
+    cls, names, values = type(value), params(type(value)), fields_of(value)
+    assert cls(*values[:2], **dict(zip(names[2:], values[2:]))) == value
+    for args, kwargs, message in [
+            (values[:-1], {}, f"is missing the fields {[names[-1]]}"),
+            (values + (None,), {},
+             f"takes {len(names)} fields, got {len(names) + 1} by position"),
+            (values, {"colour": None}, "has no field 'colour'"),
+            (values[:-1], {names[0]: values[0]},
+             f"got field {names[0]!r} twice")]:
+        with pytest.raises(TypeError) as raised:
+            cls(*args, **kwargs)
+        assert str(raised.value) == f"{name}() {message}"
+
+
+@pytest.mark.parametrize("name", ["MagicSquare", "RationalSimplex"])
+def test_trusted_builds_the_checked_value(name):
+    value = BUILDERS[name]()
+    twin = type(value)._trusted(*fields_of(value))
+    assert type(twin) is type(value)
+    assert twin == value and repr(twin) == repr(value)
+    assert str(twin) == str(value)
