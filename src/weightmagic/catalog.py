@@ -42,17 +42,6 @@ class FuchsExpected(_Value):
     _fields = ("mu", "mu0", "rho", "d", "b0", "d_star", "mu0_star",
                "mu_star", "nu_star")
 
-    @classmethod
-    def from_mapping(cls, data) -> FuchsExpected:
-        """Read the nine stored columns, each an int and not a bool."""
-        names = cls._fields
-        if not isinstance(data, dict):
-            raise CatalogError(f"expected values must be an object, got {data!r}")
-        wrong = {f: data.get(f) for f in names if type(data.get(f)) is not int}
-        if wrong:
-            raise CatalogError(f"expected values {wrong} must be integers")
-        return cls(*(data[f] for f in names))
-
 
 class CatalogEntry(_Value):
     """One catalog row: a weight system coupled to a partner by a matrix.
@@ -180,8 +169,17 @@ def _entry_from_record(record: dict) -> CatalogEntry:
         if weights.a0 != record["a0"]:
             raise CatalogError(f"stored a0 {record['a0']} disagrees "
                                f"with derived {weights.a0}")
-        expected = (FuchsExpected.from_mapping(record["expected"])
-                    if record["expected"] is not None else None)
+        expected = record["expected"]
+        if expected is not None:  # nine int columns, none a bool
+            if not isinstance(expected, dict):
+                raise CatalogError(
+                    f"expected values must be an object, got {expected!r}")
+            names = FuchsExpected._fields
+            wrong = {f: expected.get(f) for f in names
+                     if type(expected.get(f)) is not int}
+            if wrong:
+                raise CatalogError(f"expected values {wrong} must be integers")
+            expected = FuchsExpected(*(expected[f] for f in names))
         scalars = {key: record[key] for key in (
             "seq", "index", "name", "monomials", "partner", "partner_table")}
     except KeyError as exc:

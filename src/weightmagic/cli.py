@@ -342,8 +342,10 @@ def _cmd_catalog(args) -> int:
                 "strong": report.strong,
                 "problems": list(report.problems),
             }
-            if entry.expected is not None:
-                record["expected"] = entry.expected.__dict__
+            expected = entry.expected
+            if expected is not None:
+                record["expected"] = {f: getattr(expected, f)
+                                      for f in expected._fields}
             documents.append(record)
             lines.extend([
                 entry.label,

@@ -288,7 +288,7 @@ def format_monomial_matrix(entries) -> str:
 def parse_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Accept either monomial notation or semicolon-separated integer
     rows, e.g. ``5,0,1;1,3,0;0,0,2``; each entry is a run of digits, as
-    in a weight system, so ``3_0`` and ``+3`` are refused."""
+    in a weight system, so ``-3``, ``3_0`` and ``+3`` are refused."""
     if ";" not in text:
         return parse_monomial_matrix(text, n)
     rows = []
@@ -298,7 +298,8 @@ def parse_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
             if not entry.isdecimal():  # the weight-system grammar's \d+
                 raise ParseError(
                     f"cannot read integer matrix {text!r}: entry {entry!r} "
-                    f"in row {number} is not an integer")
+                    f"in row {number} must be a non-negative integer in "
+                    "decimal digits only")
             row.append(int(entry))
         rows.append(tuple(row))
     if len({len(r) for r in rows}) != 1:

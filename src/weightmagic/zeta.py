@@ -23,36 +23,24 @@ from .weights import MAX_WEIGHTS, MIN_WEIGHTS, _Value, is_calabi_yau
 class CyclotomicProduct(_Value):
     """A finite product prod (1 - t^l)^a_l with integer exponents.
 
-    Factors are stored as (order, exponent) pairs, strictly ascending in
-    the order, with no zero exponents; the empty product is the constant
-    1.  Use from_exponents to build one from unmerged data.
+    The constructor takes (order, exponent) pairs in any order.  It merges
+    the exponents of equal orders, drops zero exponents and stores the
+    factors ascending in the order, so equal products have equal factors;
+    the empty product is the constant 1.
     """
 
     _fields = ("factors",)
 
     def __init__(self, factors: tuple[tuple[int, int], ...] = ()):
-        factors = tuple((l, a) for l, a in factors)
-        if not all(type(x) is int for factor in factors for x in factor):
-            raise ValidationError(
-                f"orders and exponents must be integers: {factors}")
-        super().__init__(factors)
-        orders = [l for l, _ in factors]
-        if any(l < 1 for l in orders):
-            raise ValidationError(f"orders must be positive: {orders}")
-        if orders != sorted(set(orders)):
-            raise ValidationError(
-                f"factors must be strictly ascending in the order: {orders}"
-            )
-        if any(a == 0 for _, a in factors):
-            raise ValidationError("zero exponents must be dropped, not stored")
-
-    @classmethod
-    def from_exponents(cls, pairs) -> CyclotomicProduct:
-        """Merge (order, exponent) pairs, dropping zeros."""
         merged: dict[int, int] = {}
-        for l, a in pairs:
+        for l, a in factors:
+            if type(l) is not int or type(a) is not int:
+                raise ValidationError(
+                    f"orders and exponents must be integers, got {(l, a)}")
+            if l < 1:
+                raise ValidationError(f"orders must be positive, got {l}")
             merged[l] = merged.get(l, 0) + a
-        return cls(tuple(sorted((l, a) for l, a in merged.items() if a != 0)))
+        super().__init__(tuple(sorted((l, a) for l, a in merged.items() if a)))
 
     @property
     def degree(self) -> int:
@@ -65,7 +53,7 @@ class CyclotomicProduct(_Value):
         return sum(a for _, a in self.factors)
 
     def inverse(self) -> CyclotomicProduct:
-        return CyclotomicProduct(tuple((l, -a) for l, a in self.factors))
+        return CyclotomicProduct((l, -a) for l, a in self.factors)
 
     def __str__(self) -> str:
         def render(sub) -> str:
@@ -168,9 +156,7 @@ def _special_subsets(ms: MagicSquare) -> tuple[SpecialSubsetReport, ...]:
 def reduced_zeta(ms: MagicSquare) -> CyclotomicProduct:
     """The reduced zeta function: factors (1-t^order)^exponent over all
     special subsets, with exponents at equal orders merged."""
-    return CyclotomicProduct.from_exponents(
-        (r.order, r.exponent) for r in special_subsets(ms)
-    )
+    return CyclotomicProduct((r.order, r.exponent) for r in special_subsets(ms))
 
 
 def saito_dual(p: CyclotomicProduct, h: int) -> CyclotomicProduct:
@@ -184,7 +170,7 @@ def saito_dual(p: CyclotomicProduct, h: int) -> CyclotomicProduct:
     for l, _ in p.factors:
         if h % l:
             raise DomainError(f"order {l} does not divide {h}, so the dual is undefined")
-    return CyclotomicProduct.from_exponents((h // l, -a) for l, a in p.factors)
+    return CyclotomicProduct((h // l, -a) for l, a in p.factors)
 
 
 class LatticeInvariants(_Value):

@@ -150,16 +150,19 @@ class TestCheck:
                      "--matrix", "5,0,a;1,3,0;0,0,2"]) == 2
         assert capsys.readouterr().err == (
             "error: cannot read integer matrix '5,0,a;1,3,0;0,0,2': "
-            "entry 'a' in row 1 is not an integer\n")
+            "entry 'a' in row 1 must be a non-negative integer in decimal "
+            "digits only\n")
 
-    @pytest.mark.parametrize("entry", ["3_0", "+3"])
+    @pytest.mark.parametrize("entry", ["3_0", "+3", "-3"])
     def test_entry_int_reads_but_the_grammar_refuses_exits_2(self, entry,
                                                                capsys):
+        # '=' keeps argparse from reading '-3,0;0,2' as an option
         assert main(["check", "--wa", "2,3;6", "--wb", "2,3;6",
-                     "--matrix", f"{entry},0;0,2"]) == 2
+                     f"--matrix={entry},0;0,2"]) == 2
         assert capsys.readouterr().err == (
             f"error: cannot read integer matrix '{entry},0;0,2': "
-            f"entry '{entry}' in row 1 is not an integer\n")
+            f"entry '{entry}' in row 1 must be a non-negative integer in "
+            "decimal digits only\n")
 
 
 class TestSearch:
@@ -319,6 +322,14 @@ class TestCatalog:
         assert code == 0
         fuchs = [r for r in document["entries"] if r["table"] == "Fuchs"]
         assert fuchs and fuchs[0]["expected"]["mu"] == 21
+
+    def test_show_expected_holds_the_declared_fields_in_order(self):
+        code, document = run_json(["catalog", "show", "Z_2,0"])
+        assert code == 0
+        shown = [list(r["expected"]) for r in document["entries"]
+                 if "expected" in r]
+        assert shown and all(
+            keys == list(weightmagic.FuchsExpected._fields) for keys in shown)
 
     def test_show_unknown_key_exits_2(self, capsys):
         # "²" is a digit to str.isdigit but not a decimal number

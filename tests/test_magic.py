@@ -389,24 +389,26 @@ class TestParseMatrix:
                 ("5,0;1,3", "expected a 3x3 matrix, got '5,0;1,3'"),
                 ("5,0,a;1,3,0;0,0,2",
                  "cannot read integer matrix '5,0,a;1,3,0;0,0,2': "
-                 "entry 'a' in row 1 is not an integer"),
+                 "entry 'a' in row 1 must be a non-negative integer in "
+                 "decimal digits only"),
                 ("5,0,1;1,3,0;0,1.5,2",
                  "cannot read integer matrix '5,0,1;1,3,0;0,1.5,2': "
-                 "entry '1.5' in row 3 is not an integer"),
+                 "entry '1.5' in row 3 must be a non-negative integer in "
+                 "decimal digits only"),
                 ("5,0,1;1,3;0,0,2", "ragged matrix '5,0,1;1,3;0,0,2'")]:
             with pytest.raises(ParseError) as raised:
                 parse_matrix(text, 3)
             assert str(raised.value) == message
 
-    @pytest.mark.parametrize("entry", ["3_0", "+3", "0x3", "3.0"])
+    @pytest.mark.parametrize("entry", ["3_0", "+3", "-3", "0x3", "3.0"])
     def test_entries_are_read_with_the_weight_system_grammar(self, entry):
-        # int() reads '3_0' as 30 and '+3' as 3; a weight system refuses
-        # both, and so does an integer row
+        # int() reads '3_0' as 30, '+3' as 3 and '-3' as -3; a weight
+        # system refuses all three, and so does an integer row
         text = f"{entry},0;0,2"
         with pytest.raises(ParseError) as raised:
             parse_matrix(text, 2)
         assert str(raised.value) == (
             f"cannot read integer matrix {text!r}: entry {entry!r} in row 1 "
-            "is not an integer")
+            "must be a non-negative integer in decimal digits only")
         with pytest.raises(ParseError):
             parse_weight_system(f"{entry},3;6")

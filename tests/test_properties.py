@@ -40,7 +40,7 @@ catalog_entries = st.sampled_from(_CATALOG.entries)
 
 factor_pairs = st.lists(
     st.tuples(st.integers(1, 12), st.integers(-3, 3)), max_size=6)
-products = factor_pairs.map(CyclotomicProduct.from_exponents)
+products = factor_pairs.map(CyclotomicProduct)
 
 
 # Squares with det C != 0 from small searches, so C alone determines the
@@ -265,13 +265,13 @@ class TestCatalogSquareProperties:
 class TestCyclotomicProductProperties:
     @given(products)
     def test_inverse_cancels(self, p):
-        one = CyclotomicProduct.from_exponents(p.factors + p.inverse().factors)
+        one = CyclotomicProduct(p.factors + p.inverse().factors)
         assert one == CyclotomicProduct()
         assert expand_series(one, 8) == [1] + [0] * 8
 
     @given(products, products)
     def test_degree_and_exponent_sum_are_additive(self, p, q):
-        product = CyclotomicProduct.from_exponents(p.factors + q.factors)
+        product = CyclotomicProduct(p.factors + q.factors)
         assert product.degree == p.degree + q.degree
         assert product.exponent_sum == p.exponent_sum + q.exponent_sum
 
@@ -280,13 +280,25 @@ class TestCyclotomicProductProperties:
         pc, qc = expand_series(p, 10), expand_series(q, 10)
         conv = [sum(pc[i] * qc[j - i] for i in range(j + 1))
                 for j in range(11)]
-        product = CyclotomicProduct.from_exponents(p.factors + q.factors)
+        product = CyclotomicProduct(p.factors + q.factors)
         assert expand_series(product, 10) == conv
+
+    @given(factor_pairs.flatmap(
+        lambda pairs: st.tuples(st.just(pairs), st.permutations(pairs))))
+    def test_any_order_of_the_pairs_gives_one_product(self, both):
+        pairs, permuted = both
+        merged = {}
+        for l, a in pairs:
+            merged[l] = merged.get(l, 0) + a
+        p = CyclotomicProduct(permuted)
+        assert p == CyclotomicProduct(pairs)
+        assert p.factors == tuple(sorted(
+            (l, a) for l, a in merged.items() if a != 0))
 
     @given(st.lists(st.tuples(st.sampled_from((1, 2, 3, 4, 6, 8, 12, 24)),
                               st.integers(-3, 3)), max_size=5))
     def test_saito_dual_is_an_involution(self, pairs):
-        p = CyclotomicProduct.from_exponents(pairs)
+        p = CyclotomicProduct(pairs)
         assert saito_dual(saito_dual(p, 24), 24) == p
 
     @given(st.integers(1, 8))

@@ -7,7 +7,8 @@ deletion (``SearchQuery`` alone is mutable and unhashable); it survives
 fields by position or by keyword.  Each class declares its fields once:
 a class with its own constructor takes exactly those fields, the record
 types share the base's, which refuses a wrong set of fields, and the
-base's ``_trusted`` builds the value the checked constructor builds.
+base's ``_trusted`` builds the value the checked constructor builds.  No
+class has a second, public builder.
 """
 
 from __future__ import annotations
@@ -238,6 +239,15 @@ def test_fields_are_declared_once(name):
     assert ("__init__" in vars(cls)) == (name not in RECORDS)
     if name not in RECORDS:
         assert tuple(inspect.signature(cls).parameters) == cls._fields
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_constructor_is_the_only_public_builder(name):
+    cls = type(BUILDERS[name]())
+    public = [attr for klass in cls.__mro__ for attr, member
+              in vars(klass).items()
+              if isinstance(member, classmethod) and not attr.startswith("_")]
+    assert public == []
 
 
 @pytest.mark.parametrize("name", RECORDS)
