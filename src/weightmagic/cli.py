@@ -329,7 +329,8 @@ def _cmd_catalog(args) -> int:
         _emit(args, document, [_entry_line(e) for e in catalog])
         return 0
     if args.action == "show":
-        key = int(args.key) if args.key.isdecimal() else args.key
+        key = (int(args.key) if args.key.isascii() and args.key.isdecimal()
+               else args.key)
         hits = catalog.lookup(key)
         documents = []
         lines = []

@@ -23,7 +23,7 @@ PLAIN = "plain"
 
 
 _VARS = "xyzt"
-_TOKEN = re.compile(r"([xyzt])(?:\^(?:\{(\d+)\}|(\d+)))?")
+_TOKEN = re.compile(r"([xyzt])(?:\^(?:\{([0-9]+)\}|([0-9]+)))?")
 
 
 class MagicSquare(_Value):
@@ -32,8 +32,9 @@ class MagicSquare(_Value):
     Construction runs the defining relations, so an instance is valid by
     the time it exists.  Only the search and ``transpose``, whose squares
     are valid by construction, with entries already tuples of ints, skip
-    them (through ``_trusted``).  A square keeps the facts computed from
-    it (``_kept``); equality, hash and repr ignore them.
+    them (through ``_trusted``); ``recover_partner`` checks all but the
+    column relation, which holds by construction.  A square keeps the
+    facts computed from it (``_Value._kept``).
     """
 
     _fields = ("entries", "wa", "wb")
@@ -42,44 +43,12 @@ class MagicSquare(_Value):
                  wa: WeightSystem, wb: WeightSystem):
         entries = tuple(tuple(row) for row in entries)
         super().__init__(entries, wa, wb)
-        n = wa.n
-        if wb.n != n:
-            raise ValidationError(
-                f"weight systems disagree on size: {wa.n} vs {wb.n}"
-            )
-        if len(entries) != n or any(len(r) != n for r in entries):
-            raise ValidationError(f"matrix must be {n}x{n} to match the weights")
-        if any(type(c) is not int or c < 0 for row in entries for c in row):
-            raise ValidationError("matrix entries must be non-negative integers")
-        h, k = wa.degree, wb.degree
-        for i, row in enumerate(entries):
-            s = sum(c * a for c, a in zip(row, wa.weights))
-            if s != h:
-                raise ValidationError(
-                    f"row {i + 1} has a-weighted sum {s}, expected the degree {h}"
-                )
-        for j in range(n):
-            s = sum(wb.weights[i] * entries[i][j] for i in range(n))
-            if s != k:
-                raise ValidationError(
-                    f"column {j + 1} has b-weighted sum {s}, expected the degree {k}"
-                )
-
-    def _kept(self, name: str, compute, refusals=()):
-        """``compute(self)``, computed once and kept on the square under
-        ``name``.  A refusal of one of the types ``refusals`` is kept in
-        its place, and every call, the first included, raises a fresh
-        error of the same type and text."""
-        kept = self.__dict__.get(name)
-        if kept is None:
-            try:
-                kept = compute(self)
-            except refusals as exc:
-                kept = type(exc)(*exc.args)  # a copy: no traceback, no frames
-            self.__dict__[name] = kept
-        if isinstance(kept, Exception):
-            raise type(kept)(*kept.args)
-        return kept
+        _check_rows(entries, wa, wb)
+        for j in range(wa.n):
+            s = sum(b * row[j] for b, row in zip(wb.weights, entries))
+            if s != wb.degree:
+                raise ValidationError(f"column {j + 1} has b-weighted sum {s}, "
+                                      f"expected the degree {wb.degree}")
 
     @property
     def n(self) -> int:
@@ -90,6 +59,23 @@ class MagicSquare(_Value):
 
     def __str__(self) -> str:
         return self.monomials()
+
+
+def _check_rows(entries, wa: WeightSystem, wb: WeightSystem) -> None:
+    """Every check of a square but the column relation: the sizes agree,
+    the entries are non-negative ints and each a-weighted row sum is h."""
+    n = wa.n
+    if wb.n != n:
+        raise ValidationError(f"weight systems disagree on size: {n} vs {wb.n}")
+    if len(entries) != n or any(len(r) != n for r in entries):
+        raise ValidationError(f"matrix must be {n}x{n} to match the weights")
+    if any(type(c) is not int or c < 0 for row in entries for c in row):
+        raise ValidationError("matrix entries must be non-negative integers")
+    for i, row in enumerate(entries):
+        s = sum(c * a for c, a in zip(row, wa.weights))
+        if s != wa.degree:
+            raise ValidationError(f"row {i + 1} has a-weighted sum {s}, "
+                                  f"expected the degree {wa.degree}")
 
 
 def validate(entries, wa: WeightSystem, wb: WeightSystem) -> MagicSquare:
@@ -200,8 +186,9 @@ def recover_partner(entries, wa: WeightSystem) -> MagicSquare:
     virtual weight 0, where C - 1 is singular.  The smallest positive
     integers proportional to x are kept in column order (not sorted), so
     the returned square validates as-is; k is their first b-weighted
-    column sum.
+    column sum, so the column relation holds and is not checked again.
     """
+    entries = tuple(tuple(row) for row in entries)
     n = len(entries)
     try:
         x = linalg.solve(linalg.transpose(entries), (1,) * n)
@@ -212,7 +199,9 @@ def recover_partner(entries, wa: WeightSystem) -> MagicSquare:
     q = lcm(*(r.denominator for r in x))
     ws = tuple(r.numerator * (q // r.denominator) for r in x)
     k = sum(w * row[0] for w, row in zip(ws, entries))
-    return validate(entries, wa, WeightSystem(ws, k))
+    wb = WeightSystem(ws, k)
+    _check_rows(entries, wa, wb)
+    return MagicSquare._trusted(entries, wa, wb)
 
 
 def transpose(ms: MagicSquare) -> MagicSquare:
@@ -229,7 +218,7 @@ def parse_monomial_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Parse ``x^5z, xy^3, z^2`` into exponent rows.
 
     Variables are x, y, z, t for the first, ..., fourth column.  Exponents
-    use ^e or ^{e}, default 1.  Monomial i becomes row i.
+    use ^e or ^{e} in ASCII digits, default 1.  Monomial i becomes row i.
     """
     if not 2 <= n <= 4:
         raise ParseError(f"monomial matrices need n between 2 and 4, got {n}")
@@ -287,15 +276,15 @@ def format_monomial_matrix(entries) -> str:
 
 def parse_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Accept either monomial notation or semicolon-separated integer
-    rows, e.g. ``5,0,1;1,3,0;0,0,2``; each entry is a run of digits, as
-    in a weight system, so ``-3``, ``3_0`` and ``+3`` are refused."""
+    rows, e.g. ``5,0,1;1,3,0;0,0,2``; each entry is a run of ASCII
+    digits, as in a weight system, so ``-3``, ``3_0`` and ``+3`` are refused."""
     if ";" not in text:
         return parse_monomial_matrix(text, n)
     rows = []
     for number, part in enumerate(text.split(";"), 1):
         row = []
         for entry in re.split(r"\s*,\s*", part.strip()):
-            if not entry.isdecimal():  # the weight-system grammar's \d+
+            if not (entry.isascii() and entry.isdecimal()):  # as [0-9]+
                 raise ParseError(
                     f"cannot read integer matrix {text!r}: entry {entry!r} "
                     f"in row {number} must be a non-negative integer in "

@@ -11,6 +11,7 @@ is available for comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg, magic
 from .errors import DomainError, SingularMatrixError, ValidationError
@@ -38,7 +39,7 @@ class RationalSimplex(_Value):
     Construction checks all of this and stores every coordinate as a
     Fraction.  Only `extended_diagram` and `polar_dual`, which build n+1
     distinct tuples of n Fractions by construction, skip the checks
-    (through ``_trusted``).
+    (through ``_trusted``).  A simplex keeps its polar dual (``_kept``).
     """
 
     _fields = ("vertices",)
@@ -72,12 +73,14 @@ class RationalSimplex(_Value):
         ) + "}"
 
 
+@lru_cache(maxsize=64)
 def extended_diagram(wa: WeightSystem) -> RationalSimplex:
     """The full Newton diagram coned at the origin and shifted by -1.
 
     Vertices are (-1 + h/a_i) e_i - (1,...,1) for each weight, followed
     by (-1, ..., -1) for the coned origin.  They are pairwise distinct:
     coordinate i is h/a_i - 1 > -1 on vertex i and -1 on every other.
+    Equal systems share one simplex and its kept polar dual (the last 64).
     """
     if 0 in wa.weights:
         raise ValidationError("the extended diagram needs strictly positive weights")
@@ -97,7 +100,8 @@ def extended_diagram(wa: WeightSystem) -> RationalSimplex:
 def polar_dual(s: RationalSimplex) -> RationalSimplex:
     """The polar dual simplex, dual vertex i opposite primal vertex i.
 
-    Requires the origin strictly inside the simplex.  One exact inverse
+    Requires the origin strictly inside the simplex.  The dual, or either
+    refusal, is kept on ``s``, so ``s`` is eliminated once.  One inverse
     W of M = [V | 1], the vertex rows bordered by a column of ones, gives
     everything.  Its last row is the barycentric vector lam of the
     origin, since lam^T M = (0, ..., 0, 1).
@@ -112,6 +116,10 @@ def polar_dual(s: RationalSimplex) -> RationalSimplex:
     W is read on ints, as the block D = d * W of linalg.eliminate: every
     D_ni has the sign of d, and each coordinate is the Fraction D_ki / D_ni.
     """
+    return s._kept("_polar_dual", _polar_dual, (ValidationError, DomainError))
+
+
+def _polar_dual(s: RationalSimplex) -> RationalSimplex:
     n = s.dimension
     identity = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
     try:

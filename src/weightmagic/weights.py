@@ -24,7 +24,7 @@ from .errors import ParseError, ValidationError
 MIN_WEIGHTS = 2
 MAX_WEIGHTS = 4
 
-_GRAMMAR = re.compile(r"(\d+(?:\s*,\s*\d+)*)\s*;\s*(\d+)")
+_GRAMMAR = re.compile(r"([0-9]+(?:\s*,\s*[0-9]+)*)\s*;\s*([0-9]+)")
 
 
 class _Value:
@@ -36,11 +36,12 @@ class _Value:
     class that checks its fields has its own ``__init__`` with exactly
     these parameters, which checks them and sets them through
     ``super().__init__``; ``_trusted`` builds a value its caller made to
-    pass those checks without running them.  ``__eq__`` (within one
+    pass those checks without running them.  A value with an instance
+    dict keeps facts computed from it (``_kept``).  ``__eq__`` (within one
     class), ``__hash__`` and ``__repr__`` read the fields and nothing
-    else, such as ``WeightSystem.a0`` or the facts a ``MagicSquare``
-    keeps.  Assignment and deletion raise AttributeError, so a changed
-    value is built again through its constructor.
+    else, such as ``WeightSystem.a0`` or the kept facts.  Assignment and
+    deletion raise AttributeError, so a changed value is built again
+    through its constructor.
     """
 
     __slots__ = ()
@@ -85,11 +86,27 @@ class _Value:
     def _trusted(cls, *values):
         """A value whose fields, given by position, the caller built to
         pass the class's checks; skips them.  Filling the instance dict
-        in one step is cheaper than the constructor's writes, and a square
+        in one step is cheaper than the constructor's writes, and a value
         built this way keeps its facts in that dict anyway."""
         value = object.__new__(cls)
         value.__dict__.update(zip(cls._fields, values))
         return value
+
+    def _kept(self, name: str, compute, refusals=()):
+        """``compute(self)``, computed once and kept on the value under
+        ``name``.  A refusal of one of the types ``refusals`` is kept in
+        its place, and every call, the first included, raises a fresh
+        error of the same type and text."""
+        kept = self.__dict__.get(name)
+        if kept is None:
+            try:
+                kept = compute(self)
+            except refusals as exc:
+                kept = type(exc)(*exc.args)  # a copy: no traceback, no frames
+            self.__dict__[name] = kept
+        if isinstance(kept, Exception):
+            raise type(kept)(*kept.args)
+        return kept
 
     def __eq__(self, other):
         cls = type(self)
@@ -169,7 +186,7 @@ def parse_weight_system(text: str) -> WeightSystem:
     m = _GRAMMAR.fullmatch(text.strip())
     if not m:
         raise ParseError(f"weight system must match 'a1,...,an;h', got {text!r}")
-    ws = tuple(int(p) for p in re.split(r"\s*,\s*", m.group(1)))
+    ws = tuple(map(int, m.group(1).split(",")))  # int() skips the spaces
     try:
         w = WeightSystem(ws, int(m.group(2)))
     except ValidationError as exc:

@@ -81,6 +81,12 @@ class TestReduce:
                 in err)
         assert "allows_zero_weight" not in err
 
+    def test_digits_outside_ascii_exit_2(self, capsys):
+        assert main(["reduce", "--wa", "\u0662,\u0663;\u0666"]) == 2
+        assert capsys.readouterr().err == (
+            "error: weight system must match 'a1,...,an;h', got "
+            "'\u0662,\u0663;\u0666'\n")
+
 
 class TestCheck:
     def test_valid_square(self):
@@ -128,6 +134,15 @@ class TestCheck:
         assert captured.out == ""
         assert "check failed: row 2 has a-weighted sum 5" in captured.err
 
+    def test_failed_row_relation_without_wb(self, capsys):
+        # the partner is recovered first; the row relation is still checked
+        assert main(["check", "--wa", "1,3,5;10",
+                     "--matrix", "5,0,1;1,3,1;0,0,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("check failed: row 2 has a-weighted sum 15, "
+                                "expected the degree 10\n")
+
     def test_failed_relation_json_document(self, capsys):
         assert main(["check", "--wa", "2,3;6", "--wb", "2,3;6",
                      "--matrix", "3,0;1,1", "--format", "json"]) == 1
@@ -163,6 +178,18 @@ class TestCheck:
             f"error: cannot read integer matrix '{entry},0;0,2': "
             f"entry '{entry}' in row 1 must be a non-negative integer in "
             "decimal digits only\n")
+
+    @pytest.mark.parametrize("matrix, error", [
+        ("5,0,1;1,3,0;0,0,\u0662",
+         "cannot read integer matrix '5,0,1;1,3,0;0,0,\u0662': entry "
+         "'\u0662' in row 3 must be a non-negative integer in decimal "
+         "digits only"),
+        ("x^\u0665z, xy^3, z^2",
+         "cannot read monomial 'x^\u0665z' at '^\u0665z'"),
+    ], ids=["integer-row", "exponent"])
+    def test_digits_outside_ascii_exit_2(self, matrix, error, capsys):
+        assert main(["check", "--wa", "1,3,5;10", "--matrix", matrix]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 class TestSearch:
@@ -337,6 +364,15 @@ class TestCatalog:
             assert main(["catalog", "show", key]) == 2
             assert capsys.readouterr().err == \
                 f"error: no catalog entry matches {shown}\n"
+
+    def test_show_key_in_digits_outside_ascii_exits_2(self, capsys):
+        # an Arabic-Indic 1 is a decimal number to str.isdecimal, but an
+        # index is written in ASCII digits, so it is read as a name
+        assert main(["catalog", "show", "1"]) == 0
+        capsys.readouterr()
+        assert main(["catalog", "show", "\u0661"]) == 2
+        assert capsys.readouterr().err == \
+            "error: no catalog entry matches '\u0661'\n"
 
     def test_verify_passes(self):
         code, document = run_json(["catalog", "verify"])

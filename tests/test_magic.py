@@ -14,7 +14,7 @@ from weightmagic import (ALMOST_PRIMITIVE, PLAIN, PRIMITIVE, InverseData,
                          parse_monomial_matrix, parse_weight_system,
                          recover_partner, reduce_system, transpose, validate,
                          verify_duality_identity)
-from weightmagic import linalg
+from weightmagic import linalg, magic
 from weightmagic.magic import _system_from_ratios
 
 from support import KERNEL_SQUARES, mat_mul, outcome
@@ -284,6 +284,34 @@ class TestRecoverPartner:
         with pytest.raises(SingularMatrixError):
             recover_partner(((1, 1), (1, 1)), parse_weight_system("1,1;2"))
 
+    def test_builds_the_validated_square_without_validating(self,
+                                                             monkeypatch):
+        # the solved weights satisfy the column relation by construction
+        expected = validate(COUPLED_10_30, W10, W30)
+        validations = []
+
+        def record(*args):
+            validations.append(args)
+
+        monkeypatch.setattr(magic, "validate", record)
+        monkeypatch.setattr(magic.MagicSquare, "__init__", record)
+        rows = [list(row) for row in COUPLED_10_30]
+        square = recover_partner(rows, W10)
+        assert validations == []
+        assert square == expected and type(square.entries[0]) is tuple
+
+    @pytest.mark.parametrize("rows, w, message", [
+        (((5, 0, 1), (1, 3, 1), (0, 0, 2)), "1,3,5;10",
+         "row 2 has a-weighted sum 15, expected the degree 10"),
+        (((1, 0), (0, 1)), "1,1,1;3", "weight systems disagree on size: 3 vs 2"),
+        (((2, 0), (-1, 2)), "1,1;2",
+         "matrix entries must be non-negative integers"),
+    ], ids=["row-relation", "size", "negative-entry"])
+    def test_refuses_what_validate_refuses(self, rows, w, message):
+        with pytest.raises(ValidationError) as raised:
+            recover_partner(rows, parse_weight_system(w))
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("monomials, system", [
         ("x^3, y^3, z^3", "1,1,1;3"),
         ("x^2, y^2", "1,1;2"),
@@ -412,3 +440,18 @@ class TestParseMatrix:
             "must be a non-negative integer in decimal digits only")
         with pytest.raises(ParseError):
             parse_weight_system(f"{entry},3;6")
+
+    @pytest.mark.parametrize("text, message", [
+        ("5,0,1;1,3,0;0,0,\u0662",
+         "cannot read integer matrix '5,0,1;1,3,0;0,0,\u0662': entry "
+         "'\u0662' in row 3 must be a non-negative integer in decimal "
+         "digits only"),
+        ("x^\u0665z, xy^3, z^2",
+         "cannot read monomial 'x^\u0665z' at '^\u0665z'"),
+        ("x^{\uff15}z, xy^3, z^2",
+         "cannot read monomial 'x^{\uff15}z' at '^{\uff15}z'"),
+    ], ids=["integer-row", "exponent", "braced-exponent"])
+    def test_refuses_digits_outside_ascii(self, text, message):
+        with pytest.raises(ParseError) as raised:
+            parse_matrix(text, 3)
+        assert str(raised.value) == message

@@ -230,6 +230,82 @@ class TestPolarDual:
             closed_form_dual(parse_weight_system("1,2,3;6"))
 
 
+def counting_eliminate(monkeypatch) -> list:
+    """Patch linalg.eliminate to record each matrix it is given."""
+    calls = []
+    eliminate = linalg.eliminate
+
+    def counting(rows, right):
+        calls.append(rows)
+        return eliminate(rows, right)
+
+    monkeypatch.setattr(linalg, "eliminate", counting)
+    return calls
+
+
+class TestKeptDual:
+    def test_eliminated_once_per_simplex(self, monkeypatch):
+        calls = counting_eliminate(monkeypatch)
+        s = RationalSimplex(((2, -1), (-1, 1), (-1, -1)))
+        dual = polar_dual(s)
+        assert polar_dual(s) is dual and len(calls) == 1
+        twin = RationalSimplex(s.vertices)
+        assert polar_dual(twin) == dual and len(calls) == 2
+        assert polar_dual(dual) == s and len(calls) == 3
+        assert polar_dual(dual) == s and len(calls) == 3
+
+    @pytest.mark.parametrize("vertices, error, text", [
+        pytest.param(((1, 0), (0, 1), (-1, 0)), DomainError,
+                     "the origin is not in the interior of the simplex, "
+                     "so the polar dual is not a simplex", id="on-facet"),
+        pytest.param(((1, 0), (2, 0), (3, 0)), ValidationError,
+                     "degenerate simplex: vertices are affinely dependent",
+                     id="degenerate"),
+    ])
+    def test_refusal_kept_on_the_simplex(self, monkeypatch, vertices, error,
+                                         text):
+        calls = counting_eliminate(monkeypatch)
+        s = RationalSimplex(vertices)
+        raised = []
+        for _ in range(3):
+            with pytest.raises(error) as info:
+                polar_dual(s)
+            raised.append(info.value)
+        assert len(calls) == 1
+        assert len({id(e) for e in raised}) == 3
+        assert {type(e) for e in raised} == {error}
+        assert {str(e) for e in raised} == {text}
+
+    def test_equal_systems_share_one_diagram(self, monkeypatch):
+        extended_diagram.cache_clear()
+        calls = counting_eliminate(monkeypatch)
+        w = parse_weight_system("4,10,13;30")
+        s = extended_diagram(w)
+        assert extended_diagram(WeightSystem(w.weights, w.degree)) is s
+        duals = {id(polar_dual(extended_diagram(parse_weight_system(text))))
+                 for text in ("4,10,13;30", "4, 10, 13; 30")}
+        assert duals == {id(polar_dual(s))} and len(calls) == 1
+        assert extended_diagram.cache_info().maxsize == 64
+
+    def test_diagram_refusal_is_raised_afresh(self):
+        w = parse_weight_system("1,2,3;6")
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ValidationError) as info:
+                extended_diagram(w)
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        assert str(raised[0]) == str(raised[1])
+
+    def test_equality_hash_and_repr_ignore_the_dual(self):
+        s = extended_diagram(W42)
+        polar_dual(s)
+        fresh = RationalSimplex(s.vertices)
+        assert "_polar_dual" in vars(s) and "_polar_dual" not in vars(fresh)
+        assert s == fresh and hash(s) == hash(fresh)
+        assert repr(s) == repr(fresh) and str(s) == str(fresh)
+
+
 class TestPolarDualMatchesReference:
     @pytest.mark.parametrize("fractions", [False, True],
                              ids=["int", "fraction"])

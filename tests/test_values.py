@@ -8,7 +8,9 @@ fields by position or by keyword.  Each class declares its fields once:
 a class with its own constructor takes exactly those fields, the record
 types share the base's, which refuses a wrong set of fields, and the
 base's ``_trusted`` builds the value the checked constructor builds.  No
-class has a second, public builder.
+class has a second, public builder.  A value keeps a fact, or a refusal it
+re-raises afresh, through the base's ``_kept``, and equality, hash and
+repr ignore what it keeps.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from weightmagic import (CatalogEntry, CouplingReport, CriterionResult,
                          CyclotomicProduct, FuchsExpected, FuchsRow,
                          InverseData, LatticeInvariants, MagicSquare,
                          RationalSimplex, Reduction, SearchQuery,
-                         SpecialSubsetReport, VerificationReport,
-                         WeightSystem, classify, fuchsian_report,
+                         SpecialSubsetReport, ValidationError,
+                         VerificationReport, WeightSystem, classify, fuchsian_report,
                          inverse_data, lattice_invariants, load_catalog,
                          parse_monomial_matrix, parse_weight_system,
                          reduce_system, reduced_zeta, special_subsets,
@@ -274,3 +276,60 @@ def test_trusted_builds_the_checked_value(name):
     assert type(twin) is type(value)
     assert twin == value and repr(twin) == repr(value)
     assert str(twin) == str(value)
+
+
+#: The value types the package keeps facts on, through the base's _kept.
+KEEPERS = ["MagicSquare", "RationalSimplex"]
+
+
+@pytest.mark.parametrize("name", KEEPERS)
+def test_a_kept_fact_is_computed_once(name):
+    value, again = BUILDERS[name](), BUILDERS[name]()
+    computed = []
+
+    def compute(v):
+        computed.append(v)
+        return object()
+
+    fact = value._kept("_fact", compute)
+    assert value._kept("_fact", compute) is fact
+    assert computed == [value]
+    assert again._kept("_fact", compute) is not fact
+    assert value == again and hash(value) == hash(again)
+    assert repr(value) == repr(again)
+
+
+@pytest.mark.parametrize("name", KEEPERS)
+def test_a_kept_refusal_is_raised_afresh(name):
+    value = BUILDERS[name]()
+    computed = []
+
+    def refuse(v):
+        computed.append(v)
+        raise ValidationError("refused")
+
+    raised = []
+    for _ in range(3):
+        with pytest.raises(ValidationError) as info:
+            value._kept("_fact", refuse, ValidationError)
+        raised.append(info.value)
+    assert computed == [value]
+    assert len({id(e) for e in raised}) == 3
+    assert {(type(e), str(e)) for e in raised} == {(ValidationError,
+                                                    "refused")}
+    assert type(vars(value)["_fact"]) is ValidationError
+
+
+@pytest.mark.parametrize("name", KEEPERS)
+def test_an_unlisted_error_is_not_kept(name):
+    value = BUILDERS[name]()
+    computed = []
+
+    def fail(v):
+        computed.append(v)
+        raise ValueError("not a refusal")
+
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            value._kept("_fact", fail, ValidationError)
+    assert len(computed) == 2 and "_fact" not in vars(value)

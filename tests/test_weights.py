@@ -119,6 +119,19 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_weight_system("0,0;4")
 
+    @pytest.mark.parametrize("text", [
+        "\u0662,\u0663;\u0666", "2,3;\u0666", "\uff12,3;6", "2,\u09e9;6"],
+        ids=["arabic-indic", "arabic-indic-degree", "fullwidth", "bengali"])
+    def test_refuses_digits_outside_ascii(self, text):
+        with pytest.raises(ParseError) as raised:
+            parse_weight_system(text)
+        assert str(raised.value) == (
+            f"weight system must match 'a1,...,an;h', got {text!r}")
+
+    def test_spaces_around_the_separators(self):
+        assert parse_weight_system(" 6 ,14,\t21 ; 42 ") == \
+            WeightSystem((6, 14, 21), 42)
+
 
 class TestReduceSystem:
     def test_records_permutation_and_scale(self):
