@@ -30,7 +30,7 @@ _EXPORTS = {
               "validate"),
     "polytope": ("RationalSimplex", "closed_form_dual", "extended_diagram",
                  "polar_dual", "verify_duality_identity"),
-    "search": ("SearchQuery", "canonicalize", "find_magic_squares"),
+    "search": ("canonicalize", "find_magic_squares"),
     "verify": ("CriterionResult", "run_all"),
     "weights": ("Reduction", "WeightSystem", "equivalent", "is_calabi_yau",
                 "parse_weight_system", "reduce_system"),

@@ -184,17 +184,17 @@ def _cmd_check(args) -> int:
 def _cmd_search(args) -> int:
     from . import search
     wa = parse_weight_system(args.wa)
-    wb = parse_weight_system(args.wb) if args.wb else wa
-    query = search.SearchQuery(wa, wb, filter=_FILTER_NAMES[args.filter],
-                               strong_only=args.strong)
+    wb = wa if args.wb is None else parse_weight_system(args.wb)
+    filter_name = _FILTER_NAMES[args.filter]
     results = [_square_document(m, False)
-               for m in search.find_magic_squares(query)]
+               for m in search.find_magic_squares(wa, wb, filter=filter_name,
+                                                  strong_only=args.strong)]
     document = {
         "verb": "search",
         "wa": str(wa),
         "wb": str(wb),
-        "filter": query.filter,
-        "strong_only": query.strong_only,
+        "filter": filter_name,
+        "strong_only": args.strong,
         "count": len(results),
         "results": results,
     }

@@ -288,7 +288,7 @@ def parse_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
                 raise ParseError(
                     f"cannot read integer matrix {text!r}: entry {entry!r} "
                     f"in row {number} must be a non-negative integer in "
-                    "decimal digits only")
+                    "ASCII digits 0-9 only")
             row.append(int(entry))
         rows.append(tuple(row))
     if len({len(r) for r in rows}) != 1:

@@ -14,40 +14,12 @@ from itertools import permutations
 
 from . import magic
 from .errors import SearchCapExceeded, ValidationError
-from .weights import WeightSystem, _Value
+from .weights import WeightSystem
 
-FILTERS = ("any", "almost_primitive", "primitive")
-
-
-class SearchQuery(_Value):
-    """Parameters for one search over a fixed weight pair, validated when
-    built.  Not frozen: setting the fields of a frozen value is most of
-    the cost of a query that fails k * a0 = h * b0 and searches nothing,
-    while plain assignment to slots is cheap; so it is slotted, mutable
-    and unhashable."""
-
-    __slots__ = _fields = ("wa", "wb", "filter", "strong_only", "cap")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, wa: WeightSystem, wb: WeightSystem,
-                 filter: str = "any", strong_only: bool = False,
-                 cap: int = 10**6):
-        self.wa, self.wb, self.filter = wa, wb, filter
-        self.strong_only, self.cap = strong_only, cap
-        if self.filter not in FILTERS:
-            raise ValidationError(
-                f"filter must be one of {FILTERS}, got {self.filter!r}"
-            )
-        if 0 in self.wa.weights or 0 in self.wb.weights:
-            raise ValidationError("search requires strictly positive weights")
-        if len(self.wa.weights) != len(self.wb.weights):
-            raise ValidationError(
-                f"weight systems disagree on size: {self.wa.n} vs {self.wb.n}"
-            )
-        if self.cap < 1:
-            raise ValidationError(f"cap must be positive, got {self.cap}")
+#: Each search filter and the classifications of the squares it keeps.
+FILTERS = {"any": (magic.PRIMITIVE, magic.ALMOST_PRIMITIVE, magic.PLAIN),
+           "almost_primitive": (magic.PRIMITIVE, magic.ALMOST_PRIMITIVE),
+           "primitive": (magic.PRIMITIVE,)}
 
 
 def enumerate_rows(wa: WeightSystem) -> list[tuple[int, ...]]:
@@ -112,14 +84,23 @@ def canonicalize(rows, wb: WeightSystem) -> tuple[tuple[int, ...], ...] | None:
     return None
 
 
-def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
-    """Every magic square coupling (q.wa, q.wb), one per row multiset.
+def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
+                       filter: str = "any", strong_only: bool = False,
+                       cap: int = 10**6) -> list[magic.MagicSquare]:
+    """Every magic square coupling (wa, wb), one per row multiset.
+
+    ``filter`` keeps the squares whose classification it names in
+    :data:`FILTERS`, ``strong_only`` keeps the strong squares, and more
+    than ``cap`` results raise SearchCapExceeded.  An unknown filter,
+    a zero weight, systems of different sizes and a cap below 1 are
+    refused with ValidationError, in that order and before any other
+    work.
 
     A pair with k * a0 != h * b0 has no square and returns [] before
     any rows are enumerated: b^T C a is h (k - b0) by the row relation
     C a = h 1 and k (h - a0) by the column relation b^T C = k 1.
 
-    Rows come from q.wa's cached plan and are placed depth-first in
+    Rows come from wa's cached plan and are placed depth-first in
     enumeration order.  The last row is not looped over: for each
     candidate second-to-last row the column residuals
     k - s_j - b_(n-1) c_j must be non-negative and divisible by b_n, and
@@ -134,7 +115,7 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
 
     Results are deduplicated by row multiset, rendered in canonical
     arrangement and filtered by classification and strongness (a square
-    is classified only when the query filters).  They come out strictly
+    is classified only when the call filters).  They come out strictly
     descending by entries without a sort: the search visits arrangements
     in descending order, rows lexicographically descending and the last
     row fixed by the rows before it, and admits each multiset at its
@@ -142,12 +123,22 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
     SearchCapExceeded carrying the results collected so far, a prefix of
     the full list.
     """
-    if q.wb.degree * q.wa.a0 != q.wa.degree * q.wb.a0:
+    if filter not in FILTERS:
+        raise ValidationError(
+            f"filter must be one of {tuple(FILTERS)}, got {filter!r}")
+    if 0 in wa.weights or 0 in wb.weights:
+        raise ValidationError("search requires strictly positive weights")
+    if len(wa.weights) != len(wb.weights):
+        raise ValidationError(
+            f"weight systems disagree on size: {wa.n} vs {wb.n}")
+    if cap < 1:
+        raise ValidationError(f"cap must be positive, got {cap}")
+    if wb.degree * wa.a0 != wa.degree * wb.a0:
         return []
-    rows, position = _plan(q.wa)
-    n = q.wa.n
-    k = q.wb.degree
-    b = q.wb.weights
+    rows, position = _plan(wa)
+    n = wa.n
+    k = wb.degree
+    b = wb.weights
     seen: set[tuple[tuple[int, ...], ...]] = set()
     accepted: list[magic.MagicSquare] = []
 
@@ -156,23 +147,16 @@ def find_magic_squares(q: SearchQuery) -> list[magic.MagicSquare]:
         if key in seen:
             return
         seen.add(key)
-        canonical = canonicalize(key, q.wb)
-        ms = magic.MagicSquare._trusted(canonical, q.wa, q.wb)
-        if q.filter != "any" or q.strong_only:
+        canonical = canonicalize(key, wb)
+        ms = magic.MagicSquare._trusted(canonical, wa, wb)
+        if filter != "any" or strong_only:
             report = magic.classify(ms)
-            if (q.filter == "primitive"
-                    and report.classification != magic.PRIMITIVE):
+            if (report.classification not in FILTERS[filter]
+                    or strong_only and not report.strong):
                 return
-            if q.filter == "almost_primitive" and report.classification not in (
-                magic.PRIMITIVE,
-                magic.ALMOST_PRIMITIVE,
-            ):
-                return
-            if q.strong_only and not report.strong:
-                return
-        if len(accepted) >= q.cap:
+        if len(accepted) >= cap:
             raise SearchCapExceeded(
-                f"more than {q.cap} squares couple {q.wa} and {q.wb}",
+                f"more than {cap} squares couple {wa} and {wb}",
                 partial=accepted,
             )
         accepted.append(ms)

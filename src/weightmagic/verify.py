@@ -200,12 +200,12 @@ def check_search(catalog: Catalog, reports: Reports) -> Outcome:
     failures = []
 
     w6 = WeightSystem((2, 3), 6)
-    pinned = search.find_magic_squares(
-        search.SearchQuery(w6, w6, filter="primitive", strong_only=True))
+    pinned = search.find_magic_squares(w6, w6, filter="primitive",
+                                       strong_only=True)
     if [m.entries for m in pinned] != [((3, 0), (0, 2))]:
         failures.append(f"(2,3;6) self-search returned {pinned}")
     w42 = WeightSystem((6, 14, 21), 42)
-    pinned = search.find_magic_squares(search.SearchQuery(w42, w42))
+    pinned = search.find_magic_squares(w42, w42)
     if [m.entries for m in pinned] != [((7, 0, 0), (0, 3, 0), (0, 0, 2))]:
         failures.append(f"(6,14,21;42) self-search returned {pinned}")
 
@@ -216,8 +216,7 @@ def check_search(catalog: Catalog, reports: Reports) -> Outcome:
             continue
         pair = (entry.weights, entry.partner_weights)
         if pair not in searches:
-            searches[pair] = search.find_magic_squares(
-                search.SearchQuery(*pair))
+            searches[pair] = search.find_magic_squares(*pair)
         if not any(sorted(m.entries) == sorted(entry.square.entries)
                    for m in searches[pair]):
             failures.append(f"{entry.label} not rediscovered")
@@ -227,7 +226,7 @@ def check_search(catalog: Catalog, reports: Reports) -> Outcome:
         rows = _brute_force_rows(wa)
         for wb in systems:
             brute = _brute_force_squares(rows, wb)
-            found = search.find_magic_squares(search.SearchQuery(wa, wb))
+            found = search.find_magic_squares(wa, wb)
             if {tuple(sorted(m.entries)) for m in found} != brute.keys():
                 failures.append(f"brute-force mismatch for {wa} x {wb}")
                 continue
@@ -235,8 +234,7 @@ def check_search(catalog: Catalog, reports: Reports) -> Outcome:
                 if m.entries != max(brute[tuple(sorted(m.entries))]):
                     failures.append(
                         f"non-canonical arrangement for {wa} x {wb}")
-            strong = search.find_magic_squares(
-                search.SearchQuery(wa, wb, strong_only=True))
+            strong = search.find_magic_squares(wa, wb, strong_only=True)
             brute_strong = {
                 key for key, arrs in brute.items()
                 if any(all(0 in row for row in arr)
@@ -254,7 +252,7 @@ def check_algebraic_properties(catalog: Catalog, reports: Reports) -> Outcome:
     squares: list[tuple[str, MagicSquare]] = [
         (entry.label, entry.square) for entry in catalog if entry.positive]
     w6 = WeightSystem((2, 3), 6)
-    for m in search.find_magic_squares(search.SearchQuery(w6, w6)):
+    for m in search.find_magic_squares(w6, w6):
         squares.append((f"search {m.entries}", m))
 
     for label, square in squares:

@@ -11,8 +11,8 @@ integer kernels are compared with their Fraction references.
 
 from __future__ import annotations
 
-from weightmagic import (SearchQuery, WeightMagicError, find_magic_squares,
-                         load_catalog, parse_weight_system)
+from weightmagic import (WeightMagicError, find_magic_squares, load_catalog,
+                         parse_weight_system)
 
 
 def outcome(f, *args):
@@ -40,8 +40,8 @@ def mat_mul(a, b):
 
 
 def search(wa: str, wb: str):
-    return find_magic_squares(SearchQuery(parse_weight_system(wa),
-                                          parse_weight_system(wb)))
+    return find_magic_squares(parse_weight_system(wa),
+                              parse_weight_system(wb))
 
 
 #: Every square of four small searches: n = 3 self-couplings with a0 = 3

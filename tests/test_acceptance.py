@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from weightmagic import (Catalog, CriterionResult, MagicSquare, SearchQuery,
-                         WeightSystem, classify, find_magic_squares,
+from weightmagic import (Catalog, CriterionResult, MagicSquare, WeightSystem,
+                         classify, find_magic_squares,
                          fuchsian_report, reduced_zeta, saito_dual,
                          transpose, verify)
 from weightmagic.verify import check_table_fidelity
@@ -109,8 +109,8 @@ def primitive_squares(n, a0, max_degree, strong_only=False):
                    if sum(ws) == h - a0 and gcd(*ws) == 1]
         for wa in systems:
             for wb in systems:
-                yield from find_magic_squares(SearchQuery(
-                    wa, wb, filter="primitive", strong_only=strong_only))
+                yield from find_magic_squares(
+                    wa, wb, filter="primitive", strong_only=strong_only)
 
 
 @pytest.mark.parametrize("a0, count", [(1, 40), (2, 32), (3, 72)])

@@ -165,8 +165,8 @@ class TestCheck:
                      "--matrix", "5,0,a;1,3,0;0,0,2"]) == 2
         assert capsys.readouterr().err == (
             "error: cannot read integer matrix '5,0,a;1,3,0;0,0,2': "
-            "entry 'a' in row 1 must be a non-negative integer in decimal "
-            "digits only\n")
+            "entry 'a' in row 1 must be a non-negative integer in ASCII "
+            "digits 0-9 only\n")
 
     @pytest.mark.parametrize("entry", ["3_0", "+3", "-3"])
     def test_entry_int_reads_but_the_grammar_refuses_exits_2(self, entry,
@@ -177,13 +177,13 @@ class TestCheck:
         assert capsys.readouterr().err == (
             f"error: cannot read integer matrix '{entry},0;0,2': "
             f"entry '{entry}' in row 1 must be a non-negative integer in "
-            "decimal digits only\n")
+            "ASCII digits 0-9 only\n")
 
     @pytest.mark.parametrize("matrix, error", [
         ("5,0,1;1,3,0;0,0,\u0662",
          "cannot read integer matrix '5,0,1;1,3,0;0,0,\u0662': entry "
-         "'\u0662' in row 3 must be a non-negative integer in decimal "
-         "digits only"),
+         "'\u0662' in row 3 must be a non-negative integer in ASCII "
+         "digits 0-9 only"),
         ("x^\u0665z, xy^3, z^2",
          "cannot read monomial 'x^\u0665z' at '^\u0665z'"),
     ], ids=["integer-row", "exponent"])
@@ -561,6 +561,15 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as info:
             run(["search", "--wa", "1,1;2", "--filter", "strict"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("verb", ["search", "check", "zeta",
+                                      "invariants"])
+    def test_empty_column_weights_exit_2(self, verb, capsys):
+        # an empty --wb is a malformed weight system, not a missing one
+        matrix = [] if verb == "search" else ["--matrix", "3,0;0,2"]
+        assert main([verb, "--wa", "2,3;6", "--wb", "", *matrix]) == 2
+        assert capsys.readouterr().err == (
+            "error: weight system must match 'a1,...,an;h', got ''\n")
 
 
 def child(*args: str) -> subprocess.CompletedProcess:

@@ -418,11 +418,11 @@ class TestParseMatrix:
                 ("5,0,a;1,3,0;0,0,2",
                  "cannot read integer matrix '5,0,a;1,3,0;0,0,2': "
                  "entry 'a' in row 1 must be a non-negative integer in "
-                 "decimal digits only"),
+                 "ASCII digits 0-9 only"),
                 ("5,0,1;1,3,0;0,1.5,2",
                  "cannot read integer matrix '5,0,1;1,3,0;0,1.5,2': "
                  "entry '1.5' in row 3 must be a non-negative integer in "
-                 "decimal digits only"),
+                 "ASCII digits 0-9 only"),
                 ("5,0,1;1,3;0,0,2", "ragged matrix '5,0,1;1,3;0,0,2'")]:
             with pytest.raises(ParseError) as raised:
                 parse_matrix(text, 3)
@@ -437,15 +437,15 @@ class TestParseMatrix:
             parse_matrix(text, 2)
         assert str(raised.value) == (
             f"cannot read integer matrix {text!r}: entry {entry!r} in row 1 "
-            "must be a non-negative integer in decimal digits only")
+            "must be a non-negative integer in ASCII digits 0-9 only")
         with pytest.raises(ParseError):
             parse_weight_system(f"{entry},3;6")
 
     @pytest.mark.parametrize("text, message", [
         ("5,0,1;1,3,0;0,0,\u0662",
          "cannot read integer matrix '5,0,1;1,3,0;0,0,\u0662': entry "
-         "'\u0662' in row 3 must be a non-negative integer in decimal "
-         "digits only"),
+         "'\u0662' in row 3 must be a non-negative integer in ASCII "
+         "digits 0-9 only"),
         ("x^\u0665z, xy^3, z^2",
          "cannot read monomial 'x^\u0665z' at '^\u0665z'"),
         ("x^{\uff15}z, xy^3, z^2",

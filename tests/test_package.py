@@ -1,22 +1,27 @@
-"""The package namespace: 56 public names, each loaded on first use."""
+"""The package namespace: 55 public names, each loaded on first use, and
+the README's library example, which runs as written."""
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
 import weightmagic
 
-# the names the package exported when it imported every module eagerly
+# the names the package exported when it imported every module eagerly,
+# less the search parameter object that find_magic_squares' keywords
+# replaced
 PUBLIC_NAMES = {
     "ALMOST_PRIMITIVE", "Catalog", "CatalogEntry", "CatalogError",
     "CouplingReport", "CriterionResult", "CyclotomicProduct",
     "DegenerateSupportError", "DomainError", "FuchsExpected", "FuchsRow",
     "InverseData", "LatticeInvariants", "MagicSquare", "PLAIN", "PRIMITIVE",
     "ParseError", "RationalSimplex", "Reduction", "SearchCapExceeded",
-    "SearchQuery", "SingularMatrixError", "SpecialSubsetReport",
+    "SingularMatrixError", "SpecialSubsetReport",
     "ValidationError", "VerificationReport", "WeightMagicError",
     "WeightSystem", "canonicalize", "characteristic_polynomial", "classify",
     "closed_form_dual", "equivalent", "evaluate_at_one", "expand_series",
@@ -30,7 +35,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_is_the_frozen_public_api():
-    assert len(PUBLIC_NAMES) == 56
+    assert len(PUBLIC_NAMES) == 55
     assert sorted(weightmagic.__all__) == sorted(PUBLIC_NAMES)
 
 
@@ -58,3 +63,13 @@ def test_dir_lists_every_public_name():
 def test_unknown_attribute_names_itself():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         weightmagic.no_such_name
+
+
+def test_readme_library_usage_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"## Library usage\n\n```python\n(.*?)```", readme,
+                      re.DOTALL).group(1)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["found"] == [namespace["square"]]

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weightmagic import (CyclotomicProduct, DegenerateSupportError,
-                         SearchQuery, ValidationError, WeightSystem,
+                         ValidationError, WeightSystem,
                          canonicalize, classify, equivalent,
                          expand_series, find_magic_squares, inverse_data,
                          lattice_invariants, load_catalog,
@@ -126,7 +126,7 @@ class TestSearchProperties:
            st.integers(1, 8), st.integers(1, 8))
     def test_results_are_valid_canonical_and_distinct(self, wa_w, wb_w, h, k):
         wa, wb = WeightSystem(wa_w, h), WeightSystem(wb_w, k)
-        results = find_magic_squares(SearchQuery(wa, wb))
+        results = find_magic_squares(wa, wb)
         keys = [tuple(sorted(m.entries)) for m in results]
         assert len(set(keys)) == len(keys)
         for ms in results:
@@ -140,17 +140,15 @@ class TestSearchProperties:
         w = WeightSystem(ws, h)
         by_filter = {
             name: {tuple(sorted(m.entries))
-                   for m in find_magic_squares(
-                       SearchQuery(w, w, filter=name))}
+                   for m in find_magic_squares(w, w, filter=name)}
             for name in ("any", "almost_primitive", "primitive")
         }
         assert by_filter["primitive"] <= by_filter["almost_primitive"]
         assert by_filter["almost_primitive"] <= by_filter["any"]
         strong = {tuple(sorted(m.entries))
-                  for m in find_magic_squares(
-                      SearchQuery(w, w, strong_only=True))}
+                  for m in find_magic_squares(w, w, strong_only=True)}
         assert strong <= by_filter["any"]
-        for ms in find_magic_squares(SearchQuery(w, w, strong_only=True)):
+        for ms in find_magic_squares(w, w, strong_only=True):
             assert classify(ms).strong
 
 

@@ -6,7 +6,7 @@ from itertools import compress, permutations, product
 
 import pytest
 
-from weightmagic import (MagicSquare, SearchCapExceeded, SearchQuery,
+from weightmagic import (MagicSquare, SearchCapExceeded,
                          ValidationError, WeightSystem, canonicalize,
                          classify, find_magic_squares, parse_weight_system,
                          search, validate)
@@ -21,26 +21,43 @@ def entries(results):
 
 
 class TestSearchQuery:
+    # A search query is the keywords of find_magic_squares.
     def test_defaults(self):
-        q = SearchQuery(W10, W30)
-        assert q.filter == "any" and not q.strong_only
+        # (1,1;2) has a non-strong square and one that is not
+        # almost-primitive, so only filter="any", strong_only=False
+        # keeps both.
+        w = parse_weight_system("1,1;2")
+        assert entries(find_magic_squares(w, w)) == entries(
+            find_magic_squares(w, w, filter="any", strong_only=False,
+                               cap=10**6)) == [
+            ((2, 0), (0, 2)), ((1, 1), (1, 1))]
 
-    def test_rejects_unknown_filter(self):
-        with pytest.raises(ValidationError, match="filter"):
-            SearchQuery(W10, W30, filter="strict")
 
-    def test_rejects_zero_weights(self):
-        w = WeightSystem((2, 3, 0), 6)
-        with pytest.raises(ValidationError, match="positive"):
-            SearchQuery(w, w)
+class TestRefusals:
+    # Each row drops the first fault of the row before it, so each row
+    # names the refusal that comes next.  Every pair fails
+    # k * a0 = h * b0, so a refusal checked after that early exit would
+    # return [] instead.
+    ZERO = WeightSystem((1, 0), 3)
+    W4 = WeightSystem((1, 2), 4)
 
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ValidationError, match="size"):
-            SearchQuery(W10, parse_weight_system("1,1;2"))
-
-    def test_rejects_bad_cap(self):
-        with pytest.raises(ValidationError, match="cap"):
-            SearchQuery(W10, W10, cap=0)
+    @pytest.mark.parametrize("wa, wb, options, message", [
+        (ZERO, WeightSystem((1, 1, 1), 3), {"filter": "strict", "cap": 0},
+         "filter must be one of ('any', 'almost_primitive', 'primitive'), "
+         "got 'strict'"),
+        (ZERO, WeightSystem((1, 1, 1), 3), {"cap": 0},
+         "search requires strictly positive weights"),
+        (W4, WeightSystem((1, 1, 1), 3), {"cap": 0},
+         "weight systems disagree on size: 2 vs 3"),
+        (W4, WeightSystem((1, 1), 3), {"cap": 0},
+         "cap must be positive, got 0"),
+    ], ids=["filter", "zero-weight", "size", "cap"])
+    def test_refusals_come_in_order_before_the_early_exit(self, wa, wb,
+                                                          options, message):
+        assert wb.degree * wa.a0 != wa.degree * wb.a0
+        with pytest.raises(ValidationError) as raised:
+            find_magic_squares(wa, wb, **options)
+        assert str(raised.value) == message
 
 
 class TestEnumerateRows:
@@ -70,14 +87,14 @@ class TestEnumerateRows:
 
     def test_mutating_returned_rows_does_not_leak(self):
         w = parse_weight_system("1,1,1;6")
-        before = entries(find_magic_squares(SearchQuery(w, w)))
+        before = entries(find_magic_squares(w, w))
         rows = enumerate_rows(w)
         expected = list(rows)
         rows.reverse()
         rows.pop()
         rows.append((1, 2, 3))
         assert enumerate_rows(w) == expected
-        assert entries(find_magic_squares(SearchQuery(w, w))) == before
+        assert entries(find_magic_squares(w, w)) == before
 
 
 class TestRowPlan:
@@ -90,11 +107,10 @@ class TestRowPlan:
 
         monkeypatch.setattr(search, "enumerate_rows", counting)
         search._plan.cache_clear()
-        find_magic_squares(SearchQuery(W10, W30))
-        find_magic_squares(SearchQuery(W10, W10, filter="primitive"))
-        find_magic_squares(SearchQuery(W10, parse_weight_system("2,3,5;10"),
-                                       filter="almost_primitive",
-                                       strong_only=True))
+        find_magic_squares(W10, W30)
+        find_magic_squares(W10, W10, filter="primitive")
+        find_magic_squares(W10, parse_weight_system("2,3,5;10"),
+                           filter="almost_primitive", strong_only=True)
         assert calls == [W10]
 
     @pytest.mark.parametrize("wa,wb", [
@@ -113,15 +129,15 @@ class TestRowPlan:
 
         monkeypatch.setattr(search, "enumerate_rows", counting)
         search._plan.cache_clear()
-        q = SearchQuery(parse_weight_system(wa), parse_weight_system(wb))
-        assert find_magic_squares(q) == []
+        assert find_magic_squares(parse_weight_system(wa),
+                                  parse_weight_system(wb)) == []
         assert calls == []
 
     def test_equal_last_rows_are_kept(self):
         # the last two rows are equal and b_(n-1) = b_n: the solved last
         # row may repeat the row placed before it
         w = parse_weight_system("1,1,1;3")
-        found = entries(find_magic_squares(SearchQuery(w, w)))
+        found = entries(find_magic_squares(w, w))
         assert ((1, 1, 1), (1, 1, 1), (1, 1, 1)) in found
         assert ((3, 0, 0), (0, 3, 0), (0, 0, 3)) in found
 
@@ -129,36 +145,34 @@ class TestRowPlan:
 class TestFindMagicSquares:
     def test_unique_primitive_strong_pair(self):
         w = parse_weight_system("2,3;6")
-        q = SearchQuery(w, w, filter="primitive", strong_only=True)
-        assert entries(find_magic_squares(q)) == [((3, 0), (0, 2))]
+        assert entries(find_magic_squares(
+            w, w, filter="primitive", strong_only=True)) == [((3, 0), (0, 2))]
 
     def test_unique_self_coupling(self):
         w = parse_weight_system("6,14,21;42")
-        assert entries(find_magic_squares(SearchQuery(w, w))) == [
+        assert entries(find_magic_squares(w, w)) == [
             ((7, 0, 0), (0, 3, 0), (0, 0, 2))]
 
     def test_two_squares_for_smallest_system(self):
         w = parse_weight_system("1,1;2")
-        assert entries(find_magic_squares(SearchQuery(w, w))) == [
+        assert entries(find_magic_squares(w, w)) == [
             ((2, 0), (0, 2)), ((1, 1), (1, 1))]
 
     def test_filters_on_degenerate_virtual_weight(self):
         w = parse_weight_system("1,1;2")  # virtual weight 0
-        assert len(find_magic_squares(SearchQuery(w, w, filter="any"))) == 2
+        assert len(find_magic_squares(w, w, filter="any")) == 2
         # det 0 = h * b0 qualifies as almost-primitive, det 4 does not
-        almost = find_magic_squares(SearchQuery(w, w,
-                                                filter="almost_primitive"))
+        almost = find_magic_squares(w, w, filter="almost_primitive")
         assert entries(almost) == [((1, 1), (1, 1))]
-        assert find_magic_squares(SearchQuery(w, w, filter="primitive")) == []
+        assert find_magic_squares(w, w, filter="primitive") == []
 
     def test_coupled_pair_unique_strong_square(self):
-        q = SearchQuery(W10, W30, filter="almost_primitive", strong_only=True)
-        assert entries(find_magic_squares(q)) == [
+        assert entries(find_magic_squares(
+            W10, W30, filter="almost_primitive", strong_only=True)) == [
             ((5, 0, 1), (1, 3, 0), (0, 0, 2))]
 
     def test_results_validate_and_match_filter(self):
-        q = SearchQuery(W10, W30, filter="almost_primitive")
-        for ms in find_magic_squares(q):
+        for ms in find_magic_squares(W10, W30, filter="almost_primitive"):
             again = validate(ms.entries, W10, W30)
             report = classify(again)
             assert report.classification in ("primitive", "almost_primitive")
@@ -167,7 +181,7 @@ class TestFindMagicSquares:
         w = parse_weight_system("1,1,2;4")
         keys = {
             filt: {tuple(sorted(m.entries))
-                   for m in find_magic_squares(SearchQuery(w, w, filter=filt))}
+                   for m in find_magic_squares(w, w, filter=filt)}
             for filt in ("any", "almost_primitive", "primitive")
         }
         assert keys["primitive"] <= keys["almost_primitive"] <= keys["any"]
@@ -175,22 +189,21 @@ class TestFindMagicSquares:
     def test_strong_subset_of_unrestricted(self):
         w = parse_weight_system("1,1,2;4")
         all_sq = {tuple(sorted(m.entries))
-                  for m in find_magic_squares(SearchQuery(w, w))}
+                  for m in find_magic_squares(w, w)}
         strong = {tuple(sorted(m.entries))
-                  for m in find_magic_squares(SearchQuery(w, w,
-                                                          strong_only=True))}
+                  for m in find_magic_squares(w, w, strong_only=True)}
         assert strong <= all_sq
 
     def test_deterministic(self):
-        q = SearchQuery(W10, W30)
-        assert entries(find_magic_squares(q)) == entries(find_magic_squares(q))
+        assert entries(find_magic_squares(W10, W30)) == entries(
+            find_magic_squares(W10, W30))
 
     def test_cap_carries_partial_results(self):
         w = parse_weight_system("1,1;4")
         with pytest.raises(SearchCapExceeded,
                            match=r"more than 2 squares couple 1,1;4 and 1,1;4"
                            ) as info:
-            find_magic_squares(SearchQuery(w, w, cap=2))
+            find_magic_squares(w, w, cap=2)
         assert entries(info.value.partial) == [
             ((4, 0), (0, 4)), ((3, 1), (1, 3))]
 
@@ -262,15 +275,15 @@ class TestPrunedSearchMatchesUnpruned:
     ])
     def test_same_ordered_results(self, wa, wb):
         wa, wb = parse_weight_system(wa), parse_weight_system(wb)
-        assert entries(find_magic_squares(SearchQuery(wa, wb))) == (
+        assert entries(find_magic_squares(wa, wb)) == (
             unpruned_search(wa, wb))
 
     @pytest.mark.parametrize("filter,strong_only", [
         ("almost_primitive", False), ("primitive", False), ("any", True)])
     def test_same_ordered_filtered_results(self, filter, strong_only):
         w = parse_weight_system("1,2,1;8")
-        q = SearchQuery(w, w, filter=filter, strong_only=strong_only)
-        assert entries(find_magic_squares(q)) == unpruned_search(
+        assert entries(find_magic_squares(
+            w, w, filter=filter, strong_only=strong_only)) == unpruned_search(
             w, w, filter, strong_only)
 
 
@@ -278,7 +291,7 @@ class TestCapOnEqualWeights:
     W = parse_weight_system("1,1,1;6")
 
     def test_uncapped_count(self):
-        assert len(find_magic_squares(SearchQuery(self.W, self.W))) == 73
+        assert len(find_magic_squares(self.W, self.W)) == 73
 
     @pytest.mark.parametrize("cap,partial", [
         (1, [((6, 0, 0), (0, 6, 0), (0, 0, 6))]),
@@ -292,14 +305,14 @@ class TestCapOnEqualWeights:
         with pytest.raises(SearchCapExceeded,
                            match=f"more than {cap} squares couple "
                                  "1,1,1;6 and 1,1,1;6") as info:
-            find_magic_squares(SearchQuery(self.W, self.W, cap=cap))
+            find_magic_squares(self.W, self.W, cap=cap)
         assert entries(info.value.partial) == partial
 
     @pytest.mark.parametrize("cap", [10, 40, 72])
     def test_partial_is_a_prefix_of_the_full_list(self, cap):
-        full = entries(find_magic_squares(SearchQuery(self.W, self.W)))
+        full = entries(find_magic_squares(self.W, self.W))
         with pytest.raises(SearchCapExceeded) as info:
-            find_magic_squares(SearchQuery(self.W, self.W, cap=cap))
+            find_magic_squares(self.W, self.W, cap=cap)
         assert entries(info.value.partial) == full[:cap]
 
 
@@ -315,8 +328,8 @@ LADDER = [
 
 @cache
 def ladder(wa, wb, filter="any", strong_only=False):
-    return find_magic_squares(SearchQuery(
-        parse_weight_system(wa), parse_weight_system(wb), filter, strong_only))
+    return find_magic_squares(parse_weight_system(wa), parse_weight_system(wb),
+                              filter=filter, strong_only=strong_only)
 
 
 @pytest.mark.parametrize("wa,wb,count", LADDER)
@@ -382,6 +395,5 @@ class TestCanonicalize:
         assert valid > 300
 
     def test_search_results_are_canonical(self):
-        q = SearchQuery(W10, W30)
-        for ms in find_magic_squares(q):
+        for ms in find_magic_squares(W10, W30):
             assert canonicalize(ms.entries, W30) == ms.entries

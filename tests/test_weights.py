@@ -5,9 +5,9 @@ from math import gcd
 
 import pytest
 
-from weightmagic import (ParseError, SearchQuery, ValidationError,
-                         WeightSystem, closed_form_dual, equivalent,
-                         extended_diagram, is_calabi_yau, lattice_invariants,
+from weightmagic import (ParseError, ValidationError, WeightSystem,
+                         closed_form_dual, equivalent, extended_diagram,
+                         find_magic_squares, is_calabi_yau, lattice_invariants,
                          parse_weight_system, reduce_system, reduced_zeta,
                          special_subsets, validate)
 from weightmagic.search import enumerate_rows
@@ -187,9 +187,9 @@ class TestEquivalent:
     pytest.param(lambda: closed_form_dual(I_1_0),
                  "the closed form needs strictly positive weights",
                  id="closed_form_dual"),
-    pytest.param(lambda: SearchQuery(I_1_0, I_1_0),
+    pytest.param(lambda: find_magic_squares(I_1_0, I_1_0),
                  "search requires strictly positive weights",
-                 id="SearchQuery"),
+                 id="find_magic_squares"),
     pytest.param(lambda: enumerate_rows(I_1_0),
                  "row enumeration requires strictly positive weights",
                  id="enumerate_rows"),
