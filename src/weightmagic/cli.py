@@ -3,7 +3,8 @@
 Verbs: ``reduce``, ``check``, ``search``, ``zeta``, ``invariants``,
 ``polar`` and ``catalog`` (with subcommands ``verify``, ``list``,
 ``show``).  Every verb supports ``--format human|json``; structured mode
-emits exactly one JSON document on standard output.
+prints one JSON document, byte for byte as the standard library's
+``json`` module writes it with ``dumps(document, indent=2)``.
 
 Exit codes: 0 = success / verified, 1 = a checked claim failed,
 2 = input error (with a diagnostic on standard error).
@@ -13,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from contextlib import redirect_stdout
+from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ValidationError, WeightMagicError
 from .weights import is_calabi_yau, parse_weight_system, reduce_system
@@ -99,9 +101,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, document: dict, lines: list[str]) -> None:
+def _json(value, indent: str = "\n") -> str:
+    """``value`` as ``json``'s ``dumps(value, indent=2)`` writes it; TypeError
+    unless it is a dict with str keys, a list, str, int, bool or None."""
+    if value is None:
+        return "null"
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    inner = indent + "  "
+    if kind is list:
+        items = [inner + _json(item, inner) for item in value]
+        return f"[{','.join(items)}{indent}]" if items else "[]"
+    if kind is dict:
+        items = [f"{inner}{_quote(key)}: {_json(item, inner)}"
+                 for key, item in value.items()]
+        return f"{{{','.join(items)}{indent}}}" if items else "{}"
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
+def _emit(args, document: dict, lines) -> None:
     if getattr(args, "format", "human") == "json":
-        print(json.dumps(document, indent=2))
+        print(_json(document))
     else:
         for line in lines:
             print(line)
@@ -117,12 +142,13 @@ def _square_from_args(args) -> tuple[MagicSquare, bool]:
     return magic.validate(entries, wa, parse_weight_system(args.wb)), False
 
 
-def _square_document(square: MagicSquare, recovered: bool) -> dict:
+def _square_document(square: MagicSquare, wa: str, wb: str,
+                     recovered: bool) -> dict:
     from . import magic
     report = magic.classify(square)
     return {
-        "wa": str(square.wa),
-        "wb": str(square.wb),
+        "wa": wa,
+        "wb": wb,
         "wb_recovered": recovered,
         "matrix": [list(row) for row in square.entries],
         "monomials": square.monomials(),
@@ -166,8 +192,8 @@ def _cmd_check(args) -> int:
         _emit(args, document, [])
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    document = {"verb": "check", "verified": True}
-    document.update(_square_document(square, recovered))
+    document = {"verb": "check", "verified": True, **_square_document(
+        square, str(square.wa), str(square.wb), recovered)}
     suffix = " (recovered)" if recovered else ""
     lines = [
         f"matrix:         {document['monomials']}",
@@ -186,25 +212,29 @@ def _cmd_search(args) -> int:
     wa = parse_weight_system(args.wa)
     wb = wa if args.wb is None else parse_weight_system(args.wb)
     filter_name = _FILTER_NAMES[args.filter]
-    results = [_square_document(m, False)
+    wa_text, wb_text = str(wa), str(wb)
+    results = [_square_document(m, wa_text, wb_text, False)
                for m in search.find_magic_squares(wa, wb, filter=filter_name,
                                                   strong_only=args.strong)]
     document = {
         "verb": "search",
-        "wa": str(wa),
-        "wb": str(wb),
+        "wa": wa_text,
+        "wb": wb_text,
         "filter": filter_name,
         "strong_only": args.strong,
         "count": len(results),
         "results": results,
     }
-    lines = [f"{len(results)} square(s) coupling {wa} and {wb}"]
+    _emit(args, document, _search_lines(wa_text, wb_text, results))
+    return 0
+
+
+def _search_lines(wa: str, wb: str, results: list[dict]):
+    yield f"{len(results)} square(s) coupling {wa} and {wb}"
     for i, result in enumerate(results, 1):
         strong = ", strong" if result["strong"] else ""
-        lines.append(f"{i:3}. {result['monomials']}   "
-                     f"[{result['classification']}{strong}]")
-    _emit(args, document, lines)
-    return 0
+        yield (f"{i:3}. {result['monomials']}   "
+               f"[{result['classification']}{strong}]")
 
 
 def _cmd_zeta(args) -> int:
@@ -409,11 +439,11 @@ _COMMANDS = {
     "polar": _cmd_polar,
     "catalog": _cmd_catalog,
 }
+_parser = cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
     except (WeightMagicError, ValueError, OSError) as exc:
@@ -422,7 +452,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    """Programmatic entry point: returns (exit code, standard output)."""
+    """Programmatic entry point: returns (exit code, standard output);
+    every call in a process reuses the one parser ``main`` builds."""
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         code = main(argv)

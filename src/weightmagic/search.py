@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from operator import mul
 
 from . import magic
 from .errors import SearchCapExceeded, ValidationError
@@ -53,11 +54,8 @@ def _plan(wa: WeightSystem
 
 
 def _columns_valid(rows, wb: WeightSystem) -> bool:
-    k = wb.degree
-    return all(
-        sum(b * row[j] for b, row in zip(wb.weights, rows)) == k
-        for j in range(len(rows[0]))
-    )
+    k, b = wb.degree, wb.weights
+    return all(sum(map(mul, b, column)) == k for column in zip(*rows))
 
 
 def canonicalize(rows, wb: WeightSystem) -> tuple[tuple[int, ...], ...] | None:

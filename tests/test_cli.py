@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import weightmagic
-from weightmagic.cli import MAX_EXPAND, main, run
+from weightmagic import cli
+from weightmagic.cli import MAX_EXPAND, _json, build_parser, main, run
 
 
 def run_json(argv):
@@ -639,3 +644,108 @@ def test_no_verb_imports_dataclasses_inspect_typing_or_pathlib(argv, code):
     loaded = set(json.loads(proc.stderr.splitlines()[-1]))
     assert "weightmagic.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "typing", "pathlib"}
+
+
+# Strings that exercise every escape json.dumps writes: quotes, backslash,
+# control characters, non-ASCII (written as \u escapes, astral ones as a
+# surrogate pair) and lone surrogates.
+json_text = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u20ac\u2028'
+                    '\U0001f600\ud800\udfff')))
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(max_value=-2**64) | json_text,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(json_text, children, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+@example({"": [], "a": {}, "b": [[], {}, [[{}]]], "c": -10**40})
+def test_json_writer_matches_json_dumps_with_indent_2(tree):
+    assert _json(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), 1.5, {1, 2}, (1, 2), [1, {"a": [2.0]}], {1: 2}],
+    ids=["fraction", "float", "set", "tuple", "nested-float", "int-key"])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)
+
+
+#: The benchmark's five search queries; s3-empty and s3-filtered find
+#: no square, so their documents hold an empty result list.
+BENCHMARK_SEARCHES = [
+    ["search", "--wa", "1,1,1;12", "--wb", "1,1,1;12"],
+    ["search", "--wa", "1,1,1,1;4", "--wb", "1,1,1,1;4"],
+    ["search", "--wa", "2,3,4,5;20", "--wb", "2,3,4,5;20"],
+    ["search", "--wa", "1,1,1;12", "--wb", "1,1,2;12"],
+    ["search", "--wa", "1,1,1;12", "--wb", "1,1,1;12",
+     "--filter", "primitive", "--strong"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    BENCHMARK_CLI_CASES + [(["catalog", "verify"], 0)]
+    + [(argv, 0) for argv in BENCHMARK_SEARCHES]
+    + [(["check", "--wa", "2,3;6", "--wb", "2,3;6", "--matrix", "3,0;1,1"],
+        1)],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_json_output_is_the_stdlib_rendering(argv, code):
+    got, out = run(argv + ["--format", "json"])
+    assert got == code
+    if code == 2:
+        assert out == ""
+    else:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class TestOneParser:
+    def test_json_call_then_human_call(self):
+        assert run(["reduce", "--wa", "6,14,21;42", "--format", "json"])[1] \
+            .startswith("{\n")
+        code, out = run(["reduce", "--wa", "6,14,21;42"])
+        assert code == 0
+        assert out.startswith("reduced:        6,14,21;42\n")
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["search", "--wa", "1,1;2", "--filter", "strict"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: weightmagic search")
+        assert main(["search", "--wa", "2,3;6", "--strong"]) == 0
+        assert capsys.readouterr().out.startswith("1 square(s) coupling")
+
+    def test_format_before_and_after_the_catalog_action(self):
+        for argv in (["catalog", "--format", "json", "list"],
+                     ["catalog", "list", "--format", "json"]):
+            code, out = run(argv)
+            assert code == 0
+            assert json.loads(out)["count"] == 120
+        assert run(["catalog", "list"])[1].startswith("T1#1")
+
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser()
+        one_tree = len(built)
+        built.clear()
+        cli._parser.cache_clear()
+        try:
+            for argv in (["reduce", "--wa", "2,3;6"],
+                         ["search", "--wa", "2,3;6", "--format", "json"],
+                         ["catalog", "list"]):
+                assert main(argv) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == one_tree
