@@ -20,7 +20,8 @@ from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ValidationError, WeightMagicError
-from .weights import is_calabi_yau, parse_weight_system, reduce_system
+from .weights import (_read_int, is_calabi_yau, parse_weight_system,
+                      reduce_system)
 
 # Each verb imports the modules it runs, so that it loads only what it
 # uses; the annotations that name CatalogEntry and MagicSquare are never
@@ -43,23 +44,29 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("human", "json"),
                         default=argparse.SUPPRESS, help="output mode")
+    # the coupling (W_a; h), (W_b; k), C that check, zeta and invariants read
+    coupling = argparse.ArgumentParser(add_help=False)
+    coupling.add_argument("--wa", required=True, metavar="W", help="row weights")
+    coupling.add_argument("--wb", metavar="W", help="column weights; "
+                          "recovered from the matrix if omitted")
+    coupling.add_argument("--matrix", required=True, metavar="M", help=(
+        'monomials "x^7, y^3, z^2" or rows "7,0,0;0,3,0;0,0,2"'))
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    p = verbs.add_parser("reduce", parents=[shared],
-                         help="reduce a weight system to canonical form")
+    def verb(name, run, text, *parents):
+        p = verbs.add_parser(name, parents=[shared, *parents], help=text)
+        p.set_defaults(run=run)
+        return p
+
+    p = verb("reduce", _cmd_reduce, "reduce a weight system to canonical form")
     p.add_argument("--wa", required=True, metavar="W",
                    help='weight system, e.g. "6,14,21;42"')
 
-    p = verbs.add_parser("check", parents=[shared],
-                         help="validate and classify a coupling matrix")
-    p.add_argument("--wa", required=True, metavar="W", help="row weights")
-    p.add_argument("--wb", metavar="W",
-                   help="column weights; recovered from the matrix if omitted")
-    p.add_argument("--matrix", required=True, metavar="M",
-                   help='monomials "x^7, y^3, z^2" or rows "7,0,0;0,3,0;0,0,2"')
+    verb("check", _cmd_check, "validate and classify a coupling matrix",
+         coupling)
 
-    p = verbs.add_parser("search", parents=[shared],
-                         help="enumerate all squares coupling a weight pair")
+    p = verb("search", _cmd_search,
+             "enumerate all squares coupling a weight pair")
     p.add_argument("--wa", required=True, metavar="W", help="row weights")
     p.add_argument("--wb", metavar="W",
                    help="column weights (defaults to the row weights)")
@@ -68,27 +75,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strong", action="store_true",
                    help="keep only strong squares")
 
-    for verb, text in (("zeta", "reduced zeta function of a square"),
-                       ("invariants", "lattice invariants of a square")):
-        p = verbs.add_parser(verb, parents=[shared], help=text)
-        p.add_argument("--wa", required=True, metavar="W", help="row weights")
-        p.add_argument("--wb", metavar="W",
-                       help="column weights (recovered if omitted)")
-        p.add_argument("--matrix", required=True, metavar="M",
-                       help="monomials or integer rows")
-        if verb == "zeta":
-            p.add_argument("--saito-dual", action="store_true",
-                           help="also print the Saito dual")
-            p.add_argument("--expand", type=int, metavar="N",
-                           help="print series coefficients up to degree N "
-                                f"(at most {MAX_EXPAND})")
+    p = verb("zeta", _cmd_zeta, "reduced zeta function of a square", coupling)
+    p.add_argument("--saito-dual", action="store_true",
+                   help="also print the Saito dual")
+    p.add_argument("--expand", type=int, metavar="N",
+                   help="print series coefficients up to degree N "
+                        f"(at most {MAX_EXPAND})")
 
-    p = verbs.add_parser("polar", parents=[shared],
-                         help="extended diagram and its polar dual")
+    verb("invariants", _cmd_invariants, "lattice invariants of a square",
+         coupling)
+
+    p = verb("polar", _cmd_polar, "extended diagram and its polar dual")
     p.add_argument("--wa", required=True, metavar="W", help="weight system")
 
-    p = verbs.add_parser("catalog", parents=[shared],
-                         help="inspect or verify the embedded catalog")
+    p = verb("catalog", _cmd_catalog, "inspect or verify the embedded catalog")
     p.add_argument("--catalog-path", metavar="FILE",
                    help="load the catalog from FILE instead of the package")
     sub = p.add_subparsers(dest="action", required=True)
@@ -132,24 +132,24 @@ def _emit(args, document: dict, lines) -> None:
             print(line)
 
 
-def _square_from_args(args) -> tuple[MagicSquare, bool]:
-    """Build the square from --wa/--wb/--matrix; recover wb if absent."""
+def _coupling(args) -> tuple[MagicSquare, dict]:
+    """The square --wa/--wb/--matrix give, wb recovered if absent, and the
+    head of its document: both systems and whether wb was recovered."""
     from . import magic
     wa = parse_weight_system(args.wa)
     entries = magic.parse_matrix(args.matrix, wa.n)
-    if args.wb is None:
-        return magic.recover_partner(entries, wa), True
-    return magic.validate(entries, wa, parse_weight_system(args.wb)), False
+    recovered = args.wb is None
+    square = (magic.recover_partner(entries, wa) if recovered else
+              magic.validate(entries, wa, parse_weight_system(args.wb)))
+    return square, {"wa": str(square.wa), "wb": str(square.wb),
+                    "wb_recovered": recovered}
 
 
-def _square_document(square: MagicSquare, wa: str, wb: str,
-                     recovered: bool) -> dict:
+def _square_document(square: MagicSquare, head: dict) -> dict:
     from . import magic
     report = magic.classify(square)
     return {
-        "wa": wa,
-        "wb": wb,
-        "wb_recovered": recovered,
+        **head,
         "matrix": [list(row) for row in square.entries],
         "monomials": square.monomials(),
         "determinant": report.determinant,
@@ -186,15 +186,15 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_check(args) -> int:
     try:
-        square, recovered = _square_from_args(args)
+        square, head = _coupling(args)
     except ValidationError as exc:
         document = {"verb": "check", "verified": False, "error": str(exc)}
         _emit(args, document, [])
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    document = {"verb": "check", "verified": True, **_square_document(
-        square, str(square.wa), str(square.wb), recovered)}
-    suffix = " (recovered)" if recovered else ""
+    document = {"verb": "check", "verified": True,
+                **_square_document(square, head)}
+    suffix = " (recovered)" if head["wb_recovered"] else ""
     lines = [
         f"matrix:         {document['monomials']}",
         f"row weights:    {document['wa']}",
@@ -213,7 +213,8 @@ def _cmd_search(args) -> int:
     wb = wa if args.wb is None else parse_weight_system(args.wb)
     filter_name = _FILTER_NAMES[args.filter]
     wa_text, wb_text = str(wa), str(wb)
-    results = [_square_document(m, wa_text, wb_text, False)
+    head = {"wa": wa_text, "wb": wb_text, "wb_recovered": False}
+    results = [_square_document(m, head)
                for m in search.find_magic_squares(wa, wb, filter=filter_name,
                                                   strong_only=args.strong)]
     document = {
@@ -245,15 +246,10 @@ def _cmd_zeta(args) -> int:
     if args.expand is not None and args.expand > MAX_EXPAND:
         raise ValidationError(
             f"--expand {args.expand} exceeds the ceiling of {MAX_EXPAND}")
-    square, recovered = _square_from_args(args)
+    square, head = _coupling(args)
     z = zeta.reduced_zeta(square)
-    document = {
-        "verb": "zeta",
-        "wa": str(square.wa),
-        "wb": str(square.wb),
-        "wb_recovered": recovered,
-        "zeta": {"text": str(z), "factors": [list(f) for f in z.factors]},
-    }
+    document = {"verb": "zeta", **head, "zeta": {
+        "text": str(z), "factors": [list(f) for f in z.factors]}}
     lines = [f"zeta: {z}"]
     if args.saito_dual:
         dual = zeta.saito_dual(z, square.wa.degree)
@@ -270,7 +266,7 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_invariants(args) -> int:
     from . import zeta
-    square, recovered = _square_from_args(args)
+    square, head = _coupling(args)
     inv = zeta.lattice_invariants(square)
     z = zeta.reduced_zeta(square)
     value = discriminant = None
@@ -280,9 +276,7 @@ def _cmd_invariants(args) -> int:
             discriminant = (-1) ** (inv.rho - 1) * value
     document = {
         "verb": "invariants",
-        "wa": str(square.wa),
-        "wb": str(square.wb),
-        "wb_recovered": recovered,
+        **head,
         "mu": inv.mu,
         "mu0": inv.mu0,
         "rho": inv.rho,
@@ -359,8 +353,8 @@ def _cmd_catalog(args) -> int:
         _emit(args, document, [_entry_line(e) for e in catalog])
         return 0
     if args.action == "show":
-        key = (int(args.key) if args.key.isascii() and args.key.isdecimal()
-               else args.key)
+        key = (_read_int(args.key, "catalog index")
+               if args.key.isascii() and args.key.isdecimal() else args.key)
         hits = catalog.lookup(key)
         documents = []
         lines = []
@@ -430,22 +424,13 @@ def _cmd_catalog(args) -> int:
     return 0 if passed else 1
 
 
-_COMMANDS = {
-    "reduce": _cmd_reduce,
-    "check": _cmd_check,
-    "search": _cmd_search,
-    "zeta": _cmd_zeta,
-    "invariants": _cmd_invariants,
-    "polar": _cmd_polar,
-    "catalog": _cmd_catalog,
-}
 _parser = cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.verb](args)
+        return args.run(args)
     except (WeightMagicError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

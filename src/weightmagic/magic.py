@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import ParseError, SingularMatrixError, ValidationError
-from .weights import WeightSystem, _Value, reduce_system
+from .weights import WeightSystem, _read_int, _Value, reduce_system
 
 PRIMITIVE = "primitive"
 ALMOST_PRIMITIVE = "almost_primitive"
@@ -226,7 +226,7 @@ def parse_monomial_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     if len(monomials) != n:
         raise ParseError(f"expected {n} monomials, got {len(monomials)} in {text!r}")
     rows = []
-    for mono in monomials:
+    for number, mono in enumerate(monomials, 1):
         s = re.sub(r"\s+", "", mono)
         if not s:
             raise ParseError(f"empty monomial in {text!r}")
@@ -246,7 +246,8 @@ def parse_monomial_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
             if var in seen:
                 raise ParseError(f"variable repeated in monomial {mono!r}")
             seen.add(var)
-            row[var] = int(brace_exp or plain_exp or 1)
+            row[var] = _read_int(brace_exp or plain_exp or "1",
+                                 "exponent of %s in monomial %d", letter, number)
             pos = m.end()
         rows.append(tuple(row))
     return tuple(rows)
@@ -289,7 +290,7 @@ def parse_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
                     f"cannot read integer matrix {text!r}: entry {entry!r} "
                     f"in row {number} must be a non-negative integer in "
                     "ASCII digits 0-9 only")
-            row.append(int(entry))
+            row.append(_read_int(entry, "entry %d in row %d", len(row) + 1, number))
         rows.append(tuple(row))
     if len({len(r) for r in rows}) != 1:
         raise ParseError(f"ragged matrix {text!r}")

@@ -15,6 +15,7 @@ because every module that defines one already imports this one.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
@@ -181,14 +182,26 @@ class Reduction(_Value):
     _fields = ("system", "permutation", "scale")
 
 
+def _read_int(digits: str, field: str, *args) -> int:
+    """``int(digits)``, or a ParseError naming ``field % args`` (formatted
+    only then) if the run of digits is longer than int() converts."""
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(
+            f"{field % args} has {len(digits.strip())} digits, more than the "
+            f"{sys.get_int_max_str_digits()} that can be read") from None
+
+
 def parse_weight_system(text: str) -> WeightSystem:
     """Parse ``a1,...,an;h`` into a positive WeightSystem, order preserved."""
     m = _GRAMMAR.fullmatch(text.strip())
     if not m:
         raise ParseError(f"weight system must match 'a1,...,an;h', got {text!r}")
-    ws = tuple(map(int, m.group(1).split(",")))  # int() skips the spaces
+    ws = tuple(_read_int(a, "weight %d", i)
+               for i, a in enumerate(m.group(1).split(","), 1))
     try:
-        w = WeightSystem(ws, int(m.group(2)))
+        w = WeightSystem(ws, _read_int(m.group(2), "degree"))
     except ValidationError as exc:
         raise ParseError(f"invalid weight system {text!r}: {exc}") from exc
     if 0 in ws:

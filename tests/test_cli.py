@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -91,6 +92,23 @@ class TestReduce:
         assert capsys.readouterr().err == (
             "error: weight system must match 'a1,...,an;h', got "
             "'\u0662,\u0663;\u0666'\n")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["reduce", "--wa", "1," + "9" * 1200 + ";3"], "weight 2"),
+    (["check", "--wa", "1,1;2", "--matrix", "x^" + "9" * 1200 + ", y^2"],
+     "exponent of x in monomial 1"),
+    (["invariants", "--wa", "1,1;2", "--matrix", "2,0;0," + "9" * 1200],
+     "entry 2 in row 2"),
+    (["catalog", "show", "4" * 1200], "catalog index"),
+], ids=["weight", "exponent", "entry", "catalog-index"])
+def test_number_longer_than_int_reads_exits_2(digit_limit, argv, field,
+                                              capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {field} has 1200 digits, more than the "
+                            "1000 that can be read\n")
 
 
 class TestCheck:
@@ -702,6 +720,144 @@ def test_json_output_is_the_stdlib_rendering(argv, code):
         assert out == ""
     else:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+#: Every argv the golden test runs: the benchmark's CLI cases and search
+#: queries, more catalog actions, and the exit 1 and 2 paths of a verb.
+GOLDEN_ARGV = (
+    [argv for argv, _ in BENCHMARK_CLI_CASES]
+    + [["catalog", "verify"], ["catalog", "show", "42"]]
+    + BENCHMARK_SEARCHES
+    + [["search", "--wa", "1,1,1;12", "--filter", "almost", "--strong"],
+       ["check", "--wa", "2,3;6", "--wb", "2,3;6", "--matrix", "3,0;1,1"],
+       ["zeta", "--wa", "2,3;6", "--matrix", "x^3, y^2", "--expand", "-1"]])
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+#: For each argv, joined by spaces: the exit code, the SHA-256 of stdout in
+#: human and in JSON mode, and of stderr, the same in both modes.  Taken
+#: with ``cli.run`` at commit 31fe4ff, before each verb's handler was bound
+#: on its own parser; a change to any byte a verb prints fails here.
+GOLDEN_CLI = {
+    "reduce --wa 28,12,42;84": (
+        0, "bb66c52c72af2977f70ca588d6cd9b24abbdfdc3bda1ba333b69c907fdf6c371",
+        "09213ba98e6bbdc7c030eb2908248b8f90e92dc2e5b4f423f450cc922fb736f2",
+        EMPTY),
+    "check --wa 1,3,5;10 --matrix x^5z, xy^3, z^2": (
+        0, "712d12f3f967a7026df1d3255610e343ee33a59da721ef5e0b2d6b8ac97033c1",
+        "73e8520f689a5e42fe2a9d579cc6418eceb67f5688e5c088a1dfc63a87f7c004",
+        EMPTY),
+    "check --wa 1,3,5;10 --wb 4,10,13;30 --matrix x^5z, xy^3, z^2": (
+        0, "f21f0bfa14770a0ab4b041d96b54665ba0bd6cc9ee8cc7fdf8ab74d775e8823b",
+        "52679fb654781f31c9020a433f5354f79865a891ec95a9ecfb87198ec8523852",
+        EMPTY),
+    "zeta --wa 1,3,5;10 --matrix x^5z, xy^3, z^2 --saito-dual --expand 12": (
+        0, "7af11b749792a0a450428f88b64c655a69b0c003988b9d8c1ee9e5d42a78b456",
+        "c7e5fbcd34ef99102877b0eec4fd2bf86f09cc838819acd14399813f5df53143",
+        EMPTY),
+    "invariants --wa 4,10,13;30 --wb 1,3,5;10 --matrix x^5y, y^3, xz^2": (
+        0, "13d2ed73390f21bd1698d8113cb717e4596ba8afb5e4f3b6b008d25ca8c460bc",
+        "7c26154fdd5fbcd6ba4b86903ff3fa8db0c963c95e77d31816f578a677502b5f",
+        EMPTY),
+    "polar --wa 6,14,21;42": (
+        0, "ff3aaaff4aed872624c52e31e83bff90c65d5091e753656ead21687fc17817b4",
+        "816b83ed1500400f257a45526075353741af890b995e8f2447bc19db85639c81",
+        EMPTY),
+    "catalog list": (
+        0, "35e93d6a558e4d55dd99bafbe2d22c1bb6abf928d1079e3f14adaeb493a8ad82",
+        "6c5d68ec6e3eea19b91e217ebf81b0097b341e9b266f80701c4aa9500d837b96",
+        EMPTY),
+    "catalog show E_12": (
+        0, "37cb4a2429a40b788a77df80189f7741e20aad1c6ecc9911cd1425e66e2b1a0f",
+        "7e17b51cd8cb235ecc660b0ad5d20aac306de8d5c6f62b9cc4d398fc9d885d3a",
+        EMPTY),
+    "search --wa 6,14,21;42": (
+        0, "cfcdb51f71a92c38d965c4e2c129e591b9728a6219d79167be434cfc04983803",
+        "758ebefdbba4e6dafc6af203405a42b3eb7912855a7f825907381fd6483c6437",
+        EMPTY),
+    "reduce --wa 1,2;x": (
+        2, EMPTY,
+        EMPTY,
+        "52d44f4dcad7419c4967da332ccd464c9456e3366e21f90c2bc924afcd387c60"),
+    "catalog verify": (
+        0, "7cdeab78ee65f52f6a6f4dc68f6e6041fca614aa0dcb8e6de1c8e85dc10d8b9c",
+        "77bc8b96f060edc3800d577bcaec343ab90cbf4a7978317d534bf3da9af78681",
+        EMPTY),
+    "catalog show 42": (
+        0, "feb55f780609cdb5efe4bd00094fce5d3c464e62d936304b19e01a00c4de4c93",
+        "ce367ac809e3e6b43ccfc929a4d0016375b20a92cf2f3692373cb43f2137ad0e",
+        EMPTY),
+    "search --wa 1,1,1;12 --wb 1,1,1;12": (
+        0, "fe58dc6743cf919b9fac4812bbd617b7a517c0fa5b84f628d834f54a10782014",
+        "71a29f441ee92ed3d0b9850e998f82b2318dc7c9675c7f3bced1d40eeaf2370c",
+        EMPTY),
+    "search --wa 1,1,1,1;4 --wb 1,1,1,1;4": (
+        0, "4238d729f7576142fd6084c6e321f94f093d077ea2a9b32b4bfd00c96df32575",
+        "ed8ee3c10029f679fcc4ee246af553465ea13e5cf5bc7d4081e2e1b631f8b71f",
+        EMPTY),
+    "search --wa 2,3,4,5;20 --wb 2,3,4,5;20": (
+        0, "cfb8ac3bc9d3e66e26fa93535c17f0aabdb1de188901f6aa1aa31b671c080953",
+        "0f434552c3d1153b29314e68ae1019eac8d4d3afc28e42a309ab44c71b00ab09",
+        EMPTY),
+    "search --wa 1,1,1;12 --wb 1,1,2;12": (
+        0, "d27d87e62603bc59c7331882031bb32f0b6c312c3955dc4c25fccbde6056667e",
+        "6394839161f74ba187a072af98e53a2d5f8c0e053fd717bf61317f47406c1c67",
+        EMPTY),
+    "search --wa 1,1,1;12 --wb 1,1,1;12 --filter primitive --strong": (
+        0, "93bcf7d6c47d583cc3d6609d83123fe04c45eb4fd9889ef7286b91dd3e9709e7",
+        "3bcf6a501543ea9b251ab654998c2ae814f95d38747f717fdc5ce6f2c3a30c04",
+        EMPTY),
+    "search --wa 1,1,1;12 --filter almost --strong": (
+        0, "93bcf7d6c47d583cc3d6609d83123fe04c45eb4fd9889ef7286b91dd3e9709e7",
+        "e0d79459d3d642c11f925be1820eff9323c979faafc2145e461abf48e88e4a26",
+        EMPTY),
+    "check --wa 2,3;6 --wb 2,3;6 --matrix 3,0;1,1": (
+        1, EMPTY,
+        "ecdea9a3de438b9c177a9cda71ba2890ffcc2d78a20818c040810eb4645b0c43",
+        "a7369f013c38c01350acc7d4960d2287cf551aae6e6eca0caa3b962ba8755a0c"),
+    "zeta --wa 2,3;6 --matrix x^3, y^2 --expand -1": (
+        2, EMPTY,
+        EMPTY,
+        "8a290ed765d02a21a7a08f0226818639e62723777e7266348490bb6d4f975598"),
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=" ".join)
+def test_output_matches_the_frozen_digest(argv, capsys):
+    code, human, json_out, err = GOLDEN_CLI[" ".join(argv)]
+    for mode, want in (([], human), (["--format", "json"], json_out)):
+        got, out = run(argv + mode)
+        digests = (hashlib.sha256(out.encode()).hexdigest(),
+                   hashlib.sha256(capsys.readouterr().err.encode()).hexdigest())
+        assert (got, *digests) == (code, want, err), mode
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["reduce"], ["check"], ["search"], ["zeta"], ["invariants"],
+    ["polar"], ["catalog"], ["catalog", "verify"], ["catalog", "list"],
+    ["catalog", "show"]], ids=lambda argv: " ".join(argv) or "weightmagic")
+def test_help_exits_0(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(['weightmagic', *argv])} ")
+
+
+def test_coupling_verbs_print_the_same_coupling_flags(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    def coupling_lines(verb):
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        return [line for line in lines
+                if line.startswith(("  --wa ", "  --wb ", "  --matrix "))]
+
+    check = coupling_lines("check")
+    assert len(check) == 3
+    assert coupling_lines("zeta") == check
+    assert coupling_lines("invariants") == check
 
 
 class TestOneParser:

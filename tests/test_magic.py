@@ -441,6 +441,17 @@ class TestParseMatrix:
         with pytest.raises(ParseError):
             parse_weight_system(f"{entry},3;6")
 
+    @pytest.mark.parametrize("text, field", [
+        ("1," + "9" * 1200 + ";0,1", "entry 2 in row 1"),
+        ("x^2, y^" + "9" * 1200, "exponent of y in monomial 2"),
+        ("x^{" + "9" * 1200 + "}, y", "exponent of x in monomial 1"),
+    ], ids=["integer-row", "exponent", "braced-exponent"])
+    def test_number_longer_than_int_reads(self, digit_limit, text, field):
+        with pytest.raises(ParseError) as raised:
+            parse_matrix(text, 2)
+        assert str(raised.value) == (
+            f"{field} has 1200 digits, more than the 1000 that can be read")
+
     @pytest.mark.parametrize("text, message", [
         ("5,0,1;1,3,0;0,0,\u0662",
          "cannot read integer matrix '5,0,1;1,3,0;0,0,\u0662': entry "

@@ -128,6 +128,15 @@ class TestParsing:
         assert str(raised.value) == (
             f"weight system must match 'a1,...,an;h', got {text!r}")
 
+    @pytest.mark.parametrize("text, field", [
+        ("1,1;" + "9" * 1200, "degree"),
+        (" 1 , " + "9" * 1200 + " ;3", "weight 2")], ids=["degree", "weight"])
+    def test_number_longer_than_int_reads(self, digit_limit, text, field):
+        with pytest.raises(ParseError) as raised:
+            parse_weight_system(text)
+        assert str(raised.value) == (
+            f"{field} has 1200 digits, more than the 1000 that can be read")
+
     def test_spaces_around_the_separators(self):
         assert parse_weight_system(" 6 ,14,\t21 ; 42 ") == \
             WeightSystem((6, 14, 21), 42)
