@@ -4,7 +4,9 @@ Verbs: ``reduce``, ``check``, ``search``, ``zeta``, ``invariants``,
 ``polar`` and ``catalog`` (with subcommands ``verify``, ``list``,
 ``show``).  Every verb supports ``--format human|json``; structured mode
 prints one JSON document, byte for byte as the standard library's
-``json`` module writes it with ``dumps(document, indent=2)``.
+``json`` module writes it with ``dumps(document, indent=2)``.  Each verb's
+handler returns its exit code, its document and its human lines, and
+``main`` alone prints the one the format asks for.
 
 Exit codes: 0 = success / verified, 1 = a checked claim failed,
 2 = input error (with a diagnostic on standard error).
@@ -17,6 +19,7 @@ import io
 import sys
 from contextlib import redirect_stdout
 from functools import cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ValidationError, WeightMagicError
@@ -24,8 +27,8 @@ from .weights import (_read_int, is_calabi_yau, parse_weight_system,
                       reduce_system)
 
 # Each verb imports the modules it runs, so that it loads only what it
-# uses; the annotations that name CatalogEntry and MagicSquare are never
-# evaluated.
+# uses; the annotations that name CatalogEntry, MagicSquare and Iterator are
+# never evaluated.
 
 _FILTER_NAMES = {"any": "any", "almost": "almost_primitive",
                  "primitive": "primitive"}
@@ -103,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _json(value, indent: str = "\n") -> str:
     """``value`` as ``json``'s ``dumps(value, indent=2)`` writes it; TypeError
-    unless it is a dict with str keys, a list, str, int, bool or None."""
+    unless it is a dict with str keys, a list, map, str, int, bool or None."""
     if value is None:
         return "null"
     kind = type(value)
@@ -114,7 +117,7 @@ def _json(value, indent: str = "\n") -> str:
     if kind is bool:
         return "true" if value else "false"
     inner = indent + "  "
-    if kind is list:
+    if kind is list or kind is map:
         items = [inner + _json(item, inner) for item in value]
         return f"[{','.join(items)}{indent}]" if items else "[]"
     if kind is dict:
@@ -122,14 +125,6 @@ def _json(value, indent: str = "\n") -> str:
                  for key, item in value.items()]
         return f"{{{','.join(items)}{indent}}}" if items else "{}"
     raise TypeError(f"cannot write {kind.__name__} as JSON")
-
-
-def _emit(args, document: dict, lines) -> None:
-    if getattr(args, "format", "human") == "json":
-        print(_json(document))
-    else:
-        for line in lines:
-            print(line)
 
 
 def _coupling(args) -> tuple[MagicSquare, dict]:
@@ -158,7 +153,7 @@ def _square_document(square: MagicSquare, head: dict) -> dict:
     }
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> tuple[int, dict, list[str]]:
     system = parse_weight_system(args.wa)
     reduction = reduce_system(system)
     reduced = reduction.system
@@ -180,18 +175,15 @@ def _cmd_reduce(args) -> int:
         f"scale:          {reduction.scale}",
         f"calabi-yau:     {'yes' if document['calabi_yau'] else 'no'}",
     ]
-    _emit(args, document, lines)
-    return 0
+    return 0, document, lines
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, dict, list[str]]:
     try:
         square, head = _coupling(args)
     except ValidationError as exc:
-        document = {"verb": "check", "verified": False, "error": str(exc)}
-        _emit(args, document, [])
         print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+        return 1, {"verb": "check", "verified": False, "error": str(exc)}, []
     document = {"verb": "check", "verified": True,
                 **_square_document(square, head)}
     suffix = " (recovered)" if head["wb_recovered"] else ""
@@ -203,42 +195,42 @@ def _cmd_check(args) -> int:
         f"classification: {document['classification']}",
         f"strong:         {'yes' if document['strong'] else 'no'}",
     ]
-    _emit(args, document, lines)
-    return 0
+    return 0, document, lines
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[int, dict, Iterator[str]]:
+    """Each result's document is built only while JSON mode writes it."""
     from . import search
     wa = parse_weight_system(args.wa)
     wb = wa if args.wb is None else parse_weight_system(args.wb)
     filter_name = _FILTER_NAMES[args.filter]
     wa_text, wb_text = str(wa), str(wb)
     head = {"wa": wa_text, "wb": wb_text, "wb_recovered": False}
-    results = [_square_document(m, head)
-               for m in search.find_magic_squares(wa, wb, filter=filter_name,
-                                                  strong_only=args.strong)]
+    squares = search.find_magic_squares(wa, wb, filter=filter_name,
+                                        strong_only=args.strong)
     document = {
         "verb": "search",
         "wa": wa_text,
         "wb": wb_text,
         "filter": filter_name,
         "strong_only": args.strong,
-        "count": len(results),
-        "results": results,
+        "count": len(squares),
+        "results": map(_square_document, squares, repeat(head)),
     }
-    _emit(args, document, _search_lines(wa_text, wb_text, results))
-    return 0
+    return 0, document, _search_lines(wa_text, wb_text, squares)
 
 
-def _search_lines(wa: str, wb: str, results: list[dict]):
-    yield f"{len(results)} square(s) coupling {wa} and {wb}"
-    for i, result in enumerate(results, 1):
-        strong = ", strong" if result["strong"] else ""
-        yield (f"{i:3}. {result['monomials']}   "
-               f"[{result['classification']}{strong}]")
+def _search_lines(wa: str, wb: str, squares: list[MagicSquare]):
+    from . import magic
+    yield f"{len(squares)} square(s) coupling {wa} and {wb}"
+    for i, square in enumerate(squares, 1):
+        report = magic.classify(square)
+        strong = ", strong" if report.strong else ""
+        yield (f"{i:3}. {square.monomials()}   "
+               f"[{report.classification}{strong}]")
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args) -> tuple[int, dict, list[str]]:
     from . import zeta
     if args.expand is not None and args.expand < 0:
         raise ValidationError(
@@ -260,11 +252,10 @@ def _cmd_zeta(args) -> int:
         coefficients = zeta.expand_series(z, args.expand)
         document["series"] = coefficients
         lines.append(f"series: {coefficients}")
-    _emit(args, document, lines)
-    return 0
+    return 0, document, lines
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> tuple[int, dict, list[str]]:
     from . import zeta
     square, head = _coupling(args)
     inv = zeta.lattice_invariants(square)
@@ -289,15 +280,14 @@ def _cmd_invariants(args) -> int:
         lines.append(f"zeta value at 1: {value}")
     if discriminant is not None:
         lines.append(f"discriminant: {discriminant}")
-    _emit(args, document, lines)
-    return 0
+    return 0, document, lines
 
 
 def _vertex_lists(simplex) -> list[list[str]]:
     return [[str(c) for c in vertex] for vertex in simplex.vertices]
 
 
-def _cmd_polar(args) -> int:
+def _cmd_polar(args) -> tuple[int, dict, list[str]]:
     from . import polytope
     system = parse_weight_system(args.wa)
     diagram = polytope.extended_diagram(system)
@@ -313,12 +303,10 @@ def _cmd_polar(args) -> int:
     lines = [f"diagram:    {diagram}",
              f"polar dual: {dual}",
              f"closed form matches: {'yes' if matches else 'no'}"]
-    _emit(args, document, lines)
     if not matches:
         print("polar: closed form disagrees with the computed dual",
               file=sys.stderr)
-        return 1
-    return 0
+    return (0 if matches else 1), document, lines
 
 
 def _entry_document(entry: CatalogEntry) -> dict:
@@ -344,14 +332,13 @@ def _entry_line(entry: CatalogEntry) -> str:
             f"{entry.monomials:28} -> {entry.partner}{flags}")
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> tuple[int, dict, list[str]]:
     from . import catalog as catalog_lib
     catalog = catalog_lib.load_catalog(args.catalog_path)
     if args.action == "list":
         document = {"verb": "catalog-list", "count": len(catalog),
                     "entries": [_entry_document(e) for e in catalog]}
-        _emit(args, document, [_entry_line(e) for e in catalog])
-        return 0
+        return 0, document, [_entry_line(e) for e in catalog]
     if args.action == "show":
         key = (_read_int(args.key, "catalog index")
                if args.key.isascii() and args.key.isdecimal() else args.key)
@@ -389,8 +376,7 @@ def _cmd_catalog(args) -> int:
                 lines.extend(f"  problem: {p}" for p in report.problems)
         document = {"verb": "catalog-show", "count": len(hits),
                     "entries": documents}
-        _emit(args, document, lines)
-        return 0
+        return 0, document, lines
 
     # catalog verify: the criteria and the per-table summary read the same
     # per-entry reports
@@ -420,8 +406,7 @@ def _cmd_catalog(args) -> int:
     lines.append("")
     lines.append("all claims verified" if passed
                  else "verification FAILED")
-    _emit(args, document, lines)
-    return 0 if passed else 1
+    return (0 if passed else 1), document, lines
 
 
 _parser = cache(build_parser)
@@ -430,10 +415,19 @@ _parser = cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.run(args)
+        code, document, lines = args.run(args)
+        text = (_json(document) + "\n"
+                if getattr(args, "format", "human") == "json"
+                else "".join(f"{line}\n" for line in lines))
     except (WeightMagicError, ValueError, OSError) as exc:
+        # readers raise their own errors, so this int was computed, not read
+        if type(exc) is ValueError and "integer string conversion" in str(exc):
+            exc = ("a computed number has more digits than the "
+                   f"{sys.get_int_max_str_digits()} that can be printed")
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    return code
 
 
 def run(argv: list[str]) -> tuple[int, str]:

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 from support import rebuilt
 
-from weightmagic import (CatalogError, ValidationError, fuchsian_report,
-                         load_catalog, magic, parse_weight_system, polytope,
-                         verify_entry, zeta)
+from weightmagic import (CatalogError, DomainError, ValidationError,
+                         fuchsian_report, load_catalog, magic,
+                         parse_weight_system, polytope, verify_entry, zeta)
 
 GOLDEN_NOT_STRONG = Path(__file__).parent / "data" / "table4_not_strong.json"
 
 EXPECTED_COUNTS = {"T1": 3, "T2": 44, "T3": 47, "T4": 16,
                    "Fuchs": 8, "NonMirror": 2}
+
+
+def no_value_at_one(z):
+    raise DomainError("no value at 1")
 
 
 def raw_document() -> dict:
@@ -223,6 +228,34 @@ class TestVerifyEntry:
         with pytest.raises(TypeError, match="a bug"):
             # a rebuilt entry validates its square again
             verify_entry(rebuilt(catalog.table(table)[0]), catalog)
+
+    @pytest.mark.parametrize("table,name,fake,problems", [
+        pytest.param("T2", "saito_dual", lambda z, h: zeta.CyclotomicProduct(),
+                     ("transpose zeta is not the Saito dual",),
+                     id="saito-dual"),
+        # a made-up zeta is not the Saito dual of the transpose's either
+        pytest.param("T4", "reduced_zeta",
+                     lambda square: zeta.CyclotomicProduct(((2, 2),)),
+                     ("transpose zeta is not the Saito dual",
+                      "zeta exponent outside {-1, 0, 1}"),
+                     id="exponent-range"),
+        pytest.param("Fuchs", "lattice_invariants",
+                     lambda square, f=zeta.lattice_invariants: rebuilt(
+                         f(square), rho=None),
+                     ("Picard number undefined for this weight system",),
+                     id="no-picard-number"),
+        pytest.param("Fuchs", "evaluate_at_one", lambda z: Fraction(1, 2),
+                     ("partner zeta value at 1 is 1/2",),
+                     id="fractional-zeta-value"),
+        pytest.param("Fuchs", "evaluate_at_one", no_value_at_one,
+                     ("partner zeta value at 1: no value at 1",),
+                     id="no-zeta-value"),
+    ])
+    def test_recomputed_claims_that_fail_are_reported(
+            self, catalog, monkeypatch, table, name, fake, problems):
+        monkeypatch.setattr(zeta, name, fake)
+        report = verify_entry(catalog.table(table)[0], catalog)
+        assert (report.ok, report.problems) == (False, problems)
 
     def test_report_carries_the_fuchsian_row(self, catalog):
         rows = fuchsian_report(catalog)

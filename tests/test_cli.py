@@ -111,6 +111,37 @@ def test_number_longer_than_int_reads_exits_2(digit_limit, argv, field,
                             "1000 that can be read\n")
 
 
+N600 = "9" * 600
+
+
+@pytest.mark.parametrize("mode", [[], ["--format", "json"]],
+                         ids=["human", "json"])
+@pytest.mark.parametrize("argv", [
+    # the determinant has 1,200 digits
+    ["check", "--wa", f"1,1;{N600}", "--matrix", f"x^{N600}, y^{N600}"],
+    # mu has 1,800 digits
+    ["invariants", "--wa", f"1,1,1;{N600}",
+     "--matrix", f"x^{N600}, y^{N600}, z^{N600}"],
+], ids=["check", "invariants"])
+def test_computed_number_longer_than_str_prints_exits_2(digit_limit, argv,
+                                                         mode, capsys):
+    assert main(argv + mode) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a computed number has more digits than "
+                            "the 1000 that can be printed\n")
+
+
+def test_catalog_number_longer_than_int_reads_stays_a_catalog_error(
+        digit_limit, tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    path.write_text('{"entries": [{"seq": ' + "9" * 1200 + "}]}")
+    assert main(["catalog", "--catalog-path", str(path), "list"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: catalog file is not valid JSON: ")
+
+
 class TestCheck:
     def test_valid_square(self):
         code, out = run(["check", "--wa", "6,14,21;42", "--wb", "6,14,21;42",
@@ -240,6 +271,25 @@ class TestSearch:
         assert document["results"][0]["monomials"] == "x^5z, xy^3, z^2"
         assert document["filter"] == "almost_primitive"
 
+    def test_result_documents_are_built_only_as_json_writes_them(
+            self, monkeypatch):
+        built = []
+        square_document = cli._square_document
+
+        def counting(*args):
+            built.append(args)
+            return square_document(*args)
+
+        monkeypatch.setattr(cli, "_square_document", counting)
+        argv = ["search", "--wa", "1,1,1;12"]
+        code, out = run(argv)
+        assert (code, built) == (0, [])
+        assert out.startswith("712 square(s) coupling")
+        args = cli._parser().parse_args(argv + ["--format", "json"])
+        code, document, _ = args.run(args)
+        assert (code, built) == (0, [])
+        assert json.loads(_json(document))["count"] == len(built) == 712
+
 
 class TestZeta:
     def test_human(self):
@@ -340,6 +390,20 @@ class TestPolar:
         assert main(["polar", "--wa", "3,4,5;10"]) == 2
         assert "not in the interior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode,shown", [
+        ([], "closed form matches: no\n"),
+        (["--format", "json"], '"closed_form_matches": false\n')],
+        ids=["human", "json"])
+    def test_closed_form_mismatch_exits_1(self, monkeypatch, capsys, mode,
+                                          shown):
+        monkeypatch.setattr(weightmagic.polytope, "closed_form_dual",
+                            lambda system: None)
+        assert main(["polar", "--wa", "6,14,21;42", *mode]) == 1
+        captured = capsys.readouterr()
+        assert shown in captured.out
+        assert captured.err == (
+            "polar: closed form disagrees with the computed dual\n")
+
 
 class TestCatalog:
     def test_list_human(self):
@@ -361,6 +425,12 @@ class TestCatalog:
         record = document["entries"][0]
         assert record["weights"] == "6,14,21;42"
         assert record["verification"]["ok"] is True
+
+    def test_show_prints_the_flags(self):
+        code, out = run(["catalog", "show", "M_11"])
+        assert code == 0
+        assert out.endswith("  verified:        yes\n"
+                            "  flags:           not_strong\n")
 
     def test_show_by_index(self):
         code, document = run_json(["catalog", "show", "14"])
@@ -526,6 +596,8 @@ class TestCatalog:
                      id="partner-table-list"),
         pytest.param("monomials", 5, "T2#1: monomials must be a string, got 5",
                      id="monomials-int"),
+        pytest.param("table", "T9", "T9#1: unknown table 'T9'",
+                     id="unknown-table"),
         pytest.param("expected", 5,
                      "T2#1: expected values must be an object, got 5",
                      id="expected-not-an-object"),
@@ -679,11 +751,21 @@ json_trees = st.recursive(
     max_leaves=30)
 
 
+def as_maps(tree):
+    """``tree`` with each list a map over its items, as ``search`` hands
+    its results to the writer."""
+    if type(tree) is list:
+        return map(as_maps, tree)
+    if type(tree) is dict:
+        return {key: as_maps(item) for key, item in tree.items()}
+    return tree
+
+
 @settings(max_examples=300, deadline=None)
 @given(json_trees)
 @example({"": [], "a": {}, "b": [[], {}, [[{}]]], "c": -10**40})
 def test_json_writer_matches_json_dumps_with_indent_2(tree):
-    assert _json(tree) == json.dumps(tree, indent=2)
+    assert _json(tree) == _json(as_maps(tree)) == json.dumps(tree, indent=2)
 
 
 @pytest.mark.parametrize("value", [

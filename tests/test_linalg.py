@@ -125,6 +125,12 @@ def test_inverse_exact():
     assert all(x.denominator == 1 for row in a for x in row)
 
 
+@pytest.mark.parametrize("f", [determinant, inverse])
+def test_non_square_matrix_is_refused(f):
+    with pytest.raises(ValueError, match="needs a square matrix"):
+        f(((1, 2, 3), (4, 5, 6)))
+
+
 def test_inverse_singular():
     with pytest.raises(SingularMatrixError):
         inverse(((1, 1), (1, 1)))

@@ -131,6 +131,9 @@ class TestCyclotomicProduct:
     def test_str_pure_denominator(self):
         assert str(CyclotomicProduct(((1, -1), (3, -1)))) == "1 / (1-t)(1-t^3)"
 
+    def test_str_pure_numerator(self):
+        assert str(CyclotomicProduct(((2, 1),))) == "(1-t^2)"
+
 
 class TestSpecialSubsets:
     def test_coupled_pair_reports(self):
