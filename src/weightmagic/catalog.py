@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 from . import magic
 from .errors import CatalogError, ParseError, ValidationError, WeightMagicError
@@ -215,8 +216,12 @@ def load_catalog(path: str | os.PathLike | None = None) -> Catalog:
         text = f.read()
     try:
         document = json.loads(text)
-    except ValueError as exc:
+    except json.JSONDecodeError as exc:
         raise CatalogError(f"catalog file is not valid JSON: {exc}") from exc
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise CatalogError("catalog file has a number with more digits than "
+                           f"the {sys.get_int_max_str_digits()} that can be "
+                           "read") from None
     if not isinstance(document, dict):
         raise CatalogError("catalog file must hold a JSON object")
     if document.get("schema_version") != SCHEMA_VERSION:

@@ -1,10 +1,9 @@
 """Exhaustive search for weighted magic squares coupling a weight pair.
 
-Rows are enumerated as the non-negative integer solutions of the row
-relation, assembled depth-first into squares with prefix pruning against
-the column relation, and reported once per row multiset in a canonical
-arrangement.  :func:`find_magic_squares` states the rules that prune the
-search and why they leave its output unchanged.
+Rows of the row relation are assembled depth-first into squares, their
+column sums packed as the digits of one int, and each row multiset is
+reported once, in a canonical arrangement.  :func:`find_magic_squares`
+states the packing and pruning rules and why they leave its output alone.
 """
 
 from __future__ import annotations
@@ -44,13 +43,27 @@ def enumerate_rows(wa: WeightSystem) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=64)
-def _plan(wa: WeightSystem
-          ) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
-    """The rows of ``wa`` in enumeration order and each row's index;
-    kept for the 64 most recent systems, so a search on a system seen
-    before does not enumerate its rows again."""
-    rows = tuple(enumerate_rows(wa))
-    return rows, {row: j for j, row in enumerate(rows)}
+def _plan(wa: WeightSystem) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``wa`` in enumeration order, kept for the 64 most
+    recent systems so that a system's rows are enumerated once."""
+    return tuple(enumerate_rows(wa))
+
+
+@lru_cache(maxsize=64)
+def _packing(wa: WeightSystem, wb: WeightSystem):
+    """``wa``'s plan packed for ``wb`` as ``_assemble`` reads it, or None
+    if the plan has no rows; kept for the 64 most recent pairs."""
+    rows = _plan(wa)
+    if not rows:
+        return None
+    k, b = wb.degree, wb.weights
+    half = 1 << max(k, max(b) * wa.degree).bit_length()
+    digits = [(2 * half) ** j for j in range(wa.n)]
+    packed = [sum(map(mul, row, digits)) for row in rows]
+    unit = sum(digits)
+    return (rows, [[bi * p for p in packed] for bi in b[:-1]],
+            {b[-1] * p: j for j, p in enumerate(packed)},
+            k * unit, (half - 1 - k) * unit, half * unit)
 
 
 def _columns_valid(rows, wb: WeightSystem) -> bool:
@@ -99,17 +112,21 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
     C a = h 1 and k (h - a0) by the column relation b^T C = k 1.
 
     Rows come from wa's cached plan and are placed depth-first in
-    enumeration order.  The last row is not looped over: for each
-    candidate second-to-last row the column residuals
-    k - s_j - b_(n-1) c_j must be non-negative and divisible by b_n, and
-    (k - s_j - b_(n-1) c_j) / b_n must be a row of the plan; the first
-    residual that fails ends the candidate.  Where b_i = b_(i-1), row i
-    is never earlier in enumeration order than row i-1, the solved last
-    row included.  Each multiset's first arrangement in depth-first
-    order is its lexicographically greatest valid one, which that
-    ordering keeps, so multisets are discovered in the same order as by
-    the unpruned search.  The squares built this way satisfy both
-    relations by construction and are not validated again.
+    enumeration order, the column sums s_j kept as the digits of one int
+    in radix 2**m, with 2**(m-1) > max(k, B) and B = max(b) * h >= b_i c_j.
+    Adding 2**(m-1) - 1 - k to every digit sets a digit's top bit exactly
+    when its sum exceeds k, which prunes the row; no digit carries, as a
+    tested sum is at most k + B.  The last row is looked up, not looped
+    over: the residual digits k - s_j - b_(n-1) c_j and b_n times a
+    row's entries all lie in [-B, max(k, B)], a span narrower than the
+    radix, so the two ints are equal only digit by digit, and a negative
+    residual, or one b_n does not divide, matches no row.  Where
+    b_i = b_(i-1), row i is never earlier in enumeration order than row
+    i-1, the solved last row included.  Each multiset's first arrangement
+    in depth-first order is its lexicographically greatest valid one,
+    which that ordering keeps, so multisets are discovered in the same
+    order as by the unpruned search.  The squares built this way satisfy
+    both relations by construction and are not validated again.
 
     Results are deduplicated by row multiset, rendered in canonical
     arrangement and filtered by classification and strongness (a square
@@ -133,10 +150,15 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
         raise ValidationError(f"cap must be positive, got {cap}")
     if wb.degree * wa.a0 != wa.degree * wb.a0:
         return []
-    rows, position = _plan(wa)
-    n = wa.n
-    k = wb.degree
-    b = wb.weights
+    packing = _packing(wa, wb)
+    return [] if packing is None else _assemble(
+        wa, wb, filter, strong_only, cap, *packing)
+
+
+def _assemble(wa, wb, filter, strong_only, cap,
+              rows, placed, last_of, full, guard, high):
+    # a function of its own: find_magic_squares' early exits make no cells
+    n, b = wa.n, wb.weights
     seen: set[tuple[tuple[int, ...], ...]] = set()
     accepted: list[magic.MagicSquare] = []
 
@@ -160,30 +182,23 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
         accepted.append(ms)
 
     def assemble(i: int, start: int, chosen: tuple[tuple[int, ...], ...],
-                 col_sums) -> None:
+                 total: int) -> None:
         # start: the first row index allowed at depth i, nonzero only
-        # when b_i = b_(i-1)
+        # when b_i = b_(i-1); total: the packed column sums so far
         tie = b[i + 1] == b[i]
+        here = placed[i]
         if i == n - 2:
-            bi, last_b = b[i], b[i + 1]
+            rest, last_at = full - total, last_of.get
             for j in range(start, len(rows)):
-                row = rows[j]
-                last = []
-                for s, c in zip(col_sums, row):
-                    r = k - s - bi * c
-                    if r < 0 or r % last_b:
-                        break
-                    last.append(r // last_b)
-                else:
-                    last = tuple(last)
-                    if position.get(last, -1) >= (j if tie else 0):
-                        admit(chosen + (row, last))
+                last = last_at(rest - here[j], -1)
+                if last >= (j if tie else 0):
+                    admit(chosen + (rows[j], rows[last]))
             return
+        guarded = total + guard
         for j in range(start, len(rows)):
-            row = rows[j]
-            sums = tuple(s + b[i] * c for s, c in zip(col_sums, row))
-            if all(s <= k for s in sums):
-                assemble(i + 1, j if tie else 0, chosen + (row,), sums)
+            if not (guarded + here[j]) & high:
+                assemble(i + 1, j if tie else 0, chosen + (rows[j],),
+                         total + here[j])
 
-    assemble(0, 0, (), (0,) * n)
+    assemble(0, 0, (), 0)
     return accepted

@@ -169,6 +169,52 @@ def test_criterion_08_search_completeness(criteria, capsys):
     verdict(criteria, 8, capsys)
 
 
+W11 = WeightSystem((1, 1), 2)  # no catalog pair; one strong square of two
+W42 = WeightSystem((6, 14, 21), 42)
+
+
+def _drop_entry(found, wa, wb, options, entry):
+    return [m for m in found
+            if sorted(m.entries) != sorted(entry.square.entries)]
+
+
+@pytest.mark.parametrize("tamper, failures", [
+    (lambda found, wa, wb, options, entry:
+         [] if options.get("filter") == "primitive" else found,
+     ["(2,3;6) self-search returned []"]),
+    (lambda found, wa, wb, options, entry:
+         [] if wa == wb == W42 else found,
+     # E_12 is the catalog's (6,14,21;42) square
+     ["(6,14,21;42) self-search returned []",
+      "T2#1 no. 14 E_12 not rediscovered"]),
+    (_drop_entry, ["{entry.label} not rediscovered"]),
+    (lambda found, wa, wb, options, entry:
+         found[:-1] if wa == wb == W11 and not options else found,
+     ["brute-force mismatch for 1,1;2 x 1,1;2"]),
+    (lambda found, wa, wb, options, entry:
+         [MagicSquare(m.entries[::-1], wa, wb) for m in found]
+         if wa == wb == W11 and not options else found,
+     ["non-canonical arrangement for 1,1;2 x 1,1;2"]),
+    (lambda found, wa, wb, options, entry:
+         find_magic_squares(wa, wb) if wa == wb == W11 and options else found,
+     ["strong-filter mismatch for 1,1;2 x 1,1;2"]),
+], ids=["pinned-2,3;6", "pinned-6,14,21;42", "catalog-square",
+        "dropped-n2-result", "non-canonical", "strong-set"])
+def test_criterion_08_reports_a_wrong_search(monkeypatch, catalog, tamper,
+                                             failures):
+    # a search that is wrong in one way, as criterion 8 calls it
+    entry = next(e for e in catalog
+                 if e.positive and e.weights.n == 3 and e.weights != W42)
+    real = verify.search.find_magic_squares
+
+    def tampered(wa, wb, **options):
+        return tamper(real(wa, wb, **options), wa, wb, options, entry)
+
+    monkeypatch.setattr(verify.search, "find_magic_squares", tampered)
+    _, reported, _ = verify.check_search(catalog, ())
+    assert reported == [f.format(entry=entry) for f in failures]
+
+
 def test_criterion_09_algebraic_properties(criteria, capsys):
     verdict(criteria, 9, capsys)
 

@@ -139,7 +139,8 @@ def test_catalog_number_longer_than_int_reads_stays_a_catalog_error(
     assert main(["catalog", "--catalog-path", str(path), "list"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: catalog file is not valid JSON: ")
+    assert captured.err == ("error: catalog file has a number with more "
+                            "digits than the 1000 that can be read\n")
 
 
 class TestCheck:

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import builtins
+import hashlib
 import random
 from functools import cache
 from itertools import compress, permutations, product
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weightmagic import (MagicSquare, SearchCapExceeded,
                          ValidationError, WeightSystem, canonicalize,
@@ -287,6 +292,72 @@ class TestPrunedSearchMatchesUnpruned:
             w, w, filter, strong_only)
 
 
+@st.composite
+def coupled_pairs(draw):
+    """A pair with k * a0 = h * b0, so that squares may couple it, and
+    few enough rows that the unpruned search stays small."""
+    n = draw(st.integers(2, 4))
+    a = sorted(draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)))
+    h = draw(st.integers(1, max(a) + 3))
+    b = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    # k * a0 = h * b0 holds exactly when k * sum(a) = h * sum(b), so the
+    # last column weight grows until sum(a) divides h * sum(b)
+    b[-1] += -sum(b) % (sum(a) // gcd(sum(a), h))
+    wa = WeightSystem(tuple(a), h)
+    assume(len(enumerate_rows(wa)) ** n <= 4096)
+    return wa, WeightSystem(tuple(b), h * sum(b) // sum(a))
+
+
+class TestPackedKernel:
+    # The column sums are the digits of one int; each explicit case below
+    # fails if one rule of that packing is broken.
+    @settings(max_examples=150, deadline=None)
+    @given(coupled_pairs(),
+           st.sampled_from(["any", "almost_primitive", "primitive"]),
+           st.booleans())
+    def test_matches_the_unpruned_search(self, pair, filter, strong_only):
+        wa, wb = pair
+        assert entries(find_magic_squares(
+            wa, wb, filter=filter, strong_only=strong_only)) == (
+            unpruned_search(wa, wb, filter, strong_only))
+
+    @pytest.mark.parametrize("wa,wb,count", [
+        # b_1 c_1 = 9 > k for the row (9, 0), which in a radix chosen
+        # from k alone (8) packs to the int of the row (1, 1)
+        ("1,8;9", "1,1;2", 1),
+        # the residual of (9, 0) has the negative digit -6 and is the
+        # int of 2 (1, 1) in radix 8
+        ("1,8;9", "1,2;3", 1),
+        # k = 2**42 - 1 needs 43-bit digits; the guard is 0 in every digit
+        ("1,1,1;3", f"{(2**42 - 1) // 3},{(2**42 - 1) // 3},"
+                    f"{(2**42 - 1) // 3};{2**42 - 1}", 10),
+        # b_(n-1) = b_n: the solved last row may equal the row before it
+        ("1,1,1;3", "1,2,2;5", 4),
+        ("1,1;2", "1,1;2", 2),
+    ], ids=["row-above-k", "negative-residual", "wide-digit", "tie-n3",
+            "tie-n2"])
+    def test_explicit_cases(self, wa, wb, count):
+        wa, wb = parse_weight_system(wa), parse_weight_system(wb)
+        found = entries(find_magic_squares(wa, wb))
+        assert found == unpruned_search(wa, wb)
+        assert len(found) == count
+
+    def test_tie_bound_reaches_each_multiset_once(self, monkeypatch):
+        # with every b_i equal, the arrangements the search reaches are
+        # the sorted ones, one per multiset; admit sorts each one it gets
+        admitted = []
+
+        def counting(rows, **options):
+            if not options:
+                admitted.append(rows)
+            return builtins.sorted(rows, **options)
+
+        monkeypatch.setattr(search, "sorted", counting, raising=False)
+        w = parse_weight_system("1,1,1;6")
+        found = find_magic_squares(w, w)
+        assert len(admitted) == len(found) == 73
+
+
 class TestCapOnEqualWeights:
     W = parse_weight_system("1,1,1;6")
 
@@ -345,6 +416,36 @@ def test_search_results_equal_validated_squares(query):
     found = ladder(*query)
     assert all(m == validate(m.entries, m.wa, m.wb) for m in found)
     assert all(type(c) is int for m in found for row in m.entries for c in row)
+
+
+#: SHA-256 of ``repr([m.entries for m in results])`` for each ladder query
+#: and the two filtered ones, taken from the search that summed column
+#: tuples before the packed kernel replaced it; never regenerated.
+FROZEN_DIGESTS = {
+    ("1,1,1;12", "1,1,1;12"):
+        "ea8614513a462056faedd5ff320dee80f3e275824d1f43855ad0961be77025d9",
+    ("1,1,1,1;4", "1,1,1,1;4"):
+        "b1daaa5d0f9cb961ce9638c16fa481927a778634338d0a1f0a6cd87f37d5167e",
+    ("2,3,4,5;20", "2,3,4,5;20"):
+        "6ce8e64b94c4b72d6237f7d5b902903e19033d9e18772659a8173d2ded9596de",
+    ("1,1,1;12", "1,1,2;12"):
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("1,1,1;20", "1,1,1;20"):
+        "1416e2f9ba67ee8ef3f1d62f48249e5b94291e28b5b2cf3422f8a411513cf9ac",
+    ("1,1,1,1;5", "1,1,1,1;5"):
+        "fa51ffb489637e2853bd382a7f490ab590eeb7faf9be67e06a095c1f140099d8",
+    ("1,1,1;12", "1,1,1;12", "almost_primitive"):
+        "179b1c61ea44370e6435907ab8708c801f0f1f3b15d00773e2dfb7543df2ee8f",
+    ("1,1,1,1;4", "1,1,1,1;4", "almost_primitive", True):
+        "cc3338162104d37c865e7e96991a8352c9dc97531f5846010b0b892655a26496",
+}
+
+
+@pytest.mark.parametrize("query", list(FROZEN_DIGESTS),
+                         ids=lambda query: "-".join(map(str, query)))
+def test_results_match_the_frozen_digest(query):
+    found = repr(entries(ladder(*query))).encode()
+    assert hashlib.sha256(found).hexdigest() == FROZEN_DIGESTS[query]
 
 
 @pytest.mark.parametrize("wa,wb", [(wa, wb) for wa, wb, _ in LADDER])
