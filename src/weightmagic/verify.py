@@ -15,12 +15,14 @@ their Fuchsian rows, criterion 1 recomputes the weighted sums of each
 entry's square and criteria 6, 8 and 9 read the squares.  The checks that
 span entries live here: the 14 unimodular ``T2`` rows, the frozen
 non-strong ``T4`` set, the Fuchsian partner discriminants, polar duals,
-search, the property sweep and the elliptic polynomials.
+search, the property sweep and the elliptic polynomials.  The search
+check's n=2 sweep compares two searches of each ordered pair of 287
+systems with an oracle that pairs each row system's rows once.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from math import gcd
 
 from . import magic, polytope, search, zeta
 from .catalog import Catalog, VerificationReport, verify_entry
@@ -40,8 +42,8 @@ EXPECTED_NOT_STRONG = (
     "W_1,0",
 )
 
-#: Degree bound of criterion 8's brute-force comparison over reduced
-#: n=2 weight systems.
+#: Degree bound of criterion 8's brute-force comparison over the n=2
+#: weight systems of ``_n2_systems``.
 BRUTE_DEGREE_BOUND = 12
 
 #: Absolute partner-lattice discriminants in Fuchsian-table row order.
@@ -158,16 +160,14 @@ def check_geometric_identities(catalog: Catalog, reports: Reports) -> Outcome:
             f"{len(catalog)} squares, {len(systems)} dual simplices")
 
 
-def _reduced_pairs(max_degree: int):
-    """All reduced ascending n=2 weight systems with degree <= max_degree."""
-    systems = []
-    from math import gcd
-    for h in range(1, max_degree + 1):
-        for a1 in range(1, h + 1):
-            for a2 in range(a1, h + 1):
-                if gcd(gcd(a1, a2), h) == 1:
-                    systems.append(WeightSystem((a1, a2), h))
-    return systems
+def _n2_systems(max_degree: int):
+    """All ascending n=2 weight systems (a1 <= a2) with gcd(a1, a2, h) = 1
+    and degree h <= max_degree, by degree, then a1, then a2."""
+    return [WeightSystem((a1, a2), h)
+            for h in range(1, max_degree + 1)
+            for a1 in range(1, h + 1)
+            for a2 in range(a1, h + 1)
+            if gcd(a1, a2, h) == 1]
 
 
 def _brute_force_rows(wa: WeightSystem):
@@ -179,19 +179,23 @@ def _brute_force_rows(wa: WeightSystem):
             if a1 * e1 + a2 * e2 == h]
 
 
-def _brute_force_squares(rows, wb: WeightSystem):
-    """Check every pair of the given rows against the column relation.
+def _column_pairs(rows):
+    """Every ordered pair (r1, r2) of the given rows, r1 outer and r2
+    inner as ``product(rows, repeat=2)`` yields them, with its columns."""
+    return [((r1, r2), tuple(zip(r1, r2))) for r1 in rows for r2 in rows]
+
+
+def _brute_force_squares(pairs, wb: WeightSystem):
+    """Check both columns of every given row pair against ``wb``.
 
     Returns the set of row multisets and, per multiset, every valid
     arrangement; independent of the search module's enumeration order.
     """
     (b1, b2), k = wb.weights, wb.degree
     arrangements: dict[tuple, set[tuple]] = {}
-    for r1, r2 in product(rows, repeat=2):
-        if (b1 * r1[0] + b2 * r2[0] == k
-                and b1 * r1[1] + b2 * r2[1] == k):
-            key = tuple(sorted((r1, r2)))
-            arrangements.setdefault(key, set()).add((r1, r2))
+    for arr, ((x1, y1), (x2, y2)) in pairs:
+        if b1 * x1 + b2 * y1 == k and b1 * x2 + b2 * y2 == k:
+            arrangements.setdefault(tuple(sorted(arr)), set()).add(arr)
     return arrangements
 
 
@@ -221,12 +225,17 @@ def check_search(catalog: Catalog, reports: Reports) -> Outcome:
                    for m in searches[pair]):
             failures.append(f"{entry.label} not rediscovered")
 
-    systems = _reduced_pairs(BRUTE_DEGREE_BOUND)
+    systems = _n2_systems(BRUTE_DEGREE_BOUND)
     for wa in systems:
-        rows = _brute_force_rows(wa)
+        pairs = _column_pairs(_brute_force_rows(wa))
         for wb in systems:
-            brute = _brute_force_squares(rows, wb)
+            brute = _brute_force_squares(pairs, wb)
             found = search.find_magic_squares(wa, wb)
+            if not (brute or found):
+                # an empty oracle, matched: the strong search must find none
+                if search.find_magic_squares(wa, wb, strong_only=True):
+                    failures.append(f"strong-filter mismatch for {wa} x {wb}")
+                continue
             if {tuple(sorted(m.entries)) for m in found} != brute.keys():
                 failures.append(f"brute-force mismatch for {wa} x {wb}")
                 continue

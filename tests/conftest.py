@@ -13,9 +13,18 @@ def catalog():
 
 
 @pytest.fixture(scope="session")
-def criteria(catalog):
-    results, _ = run_all(catalog)
-    return results
+def verification(catalog):
+    return run_all(catalog)
+
+
+@pytest.fixture(scope="session")
+def criteria(verification):
+    return verification[0]
+
+
+@pytest.fixture(scope="session")
+def reports(verification):
+    return verification[1]
 
 
 @pytest.fixture

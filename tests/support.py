@@ -7,9 +7,13 @@ class's constructor, which checks it again.
 check of the package's exact linear algebra, which has no product of its
 own.  ``SEARCHED`` and ``KERNEL_SQUARES`` are the squares on which the
 integer kernels are compared with their Fraction references.
+``brute_force_squares`` is the plain ``product`` form of criterion 8's
+n=2 oracle, the reference its per-row-system form is compared with.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from weightmagic import (WeightMagicError, find_magic_squares, load_catalog,
                          parse_weight_system)
@@ -37,6 +41,19 @@ def mat_mul(a, b):
               for j in range(len(b[0])))
         for i in range(len(a))
     )
+
+
+def brute_force_squares(rows, wb):
+    """Check every ordered pair of the given n=2 rows against the column
+    relation of ``wb``; every valid arrangement, keyed by its row multiset."""
+    (b1, b2), k = wb.weights, wb.degree
+    arrangements: dict[tuple, set[tuple]] = {}
+    for r1, r2 in product(rows, repeat=2):
+        if (b1 * r1[0] + b2 * r2[0] == k
+                and b1 * r1[1] + b2 * r2[1] == k):
+            key = tuple(sorted((r1, r2)))
+            arrangements.setdefault(key, set()).add((r1, r2))
+    return arrangements
 
 
 def search(wa: str, wb: str):

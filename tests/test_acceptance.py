@@ -25,6 +25,8 @@ from weightmagic import (Catalog, CriterionResult, MagicSquare, WeightSystem,
                          transpose, verify)
 from weightmagic.verify import check_table_fidelity
 
+from support import brute_force_squares, rebuilt
+
 GOLDEN_NOT_STRONG = Path(__file__).parent / "data" / "table4_not_strong.json"
 
 
@@ -170,7 +172,29 @@ def test_criterion_08_search_completeness(criteria, capsys):
 
 
 W11 = WeightSystem((1, 1), 2)  # no catalog pair; one strong square of two
+W22 = WeightSystem((2, 2), 3)  # no rows, so criterion 8's oracle is empty
 W42 = WeightSystem((6, 14, 21), 42)
+
+
+def test_criterion_08_oracle_matches_the_product_reference():
+    # the oracle scans each row system's ordered row pairs, built once; on
+    # every pair it must return what checking product(rows, repeat=2)
+    # returns, arrangements included
+    systems = verify._n2_systems(verify.BRUTE_DEGREE_BOUND)
+    rowless = with_square = multisets = 0
+    for wa in systems:
+        rows = verify._brute_force_rows(wa)
+        rowless += not rows
+        pairs = verify._column_pairs(rows)
+        for wb in systems:
+            brute = verify._brute_force_squares(pairs, wb)
+            assert brute == brute_force_squares(rows, wb), (wa, wb)
+            with_square += bool(brute)
+            multisets += len(brute)
+    # read from the product-based oracle at commit 166aa90, before it was
+    # split into row pairs built once per row system
+    assert (len(systems), rowless, with_square, multisets) == \
+        (287, 111, 632, 702)
 
 
 def _drop_entry(found, wa, wb, options, entry):
@@ -198,8 +222,17 @@ def _drop_entry(found, wa, wb, options, entry):
     (lambda found, wa, wb, options, entry:
          find_magic_squares(wa, wb) if wa == wb == W11 and options else found,
      ["strong-filter mismatch for 1,1;2 x 1,1;2"]),
+    (lambda found, wa, wb, options, entry:
+         find_magic_squares(W11, W11)
+         if wa == wb == W22 and not options else found,
+     ["brute-force mismatch for 2,2;3 x 2,2;3"]),
+    (lambda found, wa, wb, options, entry:
+         find_magic_squares(W11, W11)
+         if wa == wb == W22 and options else found,
+     ["strong-filter mismatch for 2,2;3 x 2,2;3"]),
 ], ids=["pinned-2,3;6", "pinned-6,14,21;42", "catalog-square",
-        "dropped-n2-result", "non-canonical", "strong-set"])
+        "dropped-n2-result", "non-canonical", "strong-set",
+        "empty-oracle-any", "empty-oracle-strong"])
 def test_criterion_08_reports_a_wrong_search(monkeypatch, catalog, tamper,
                                              failures):
     # a search that is wrong in one way, as criterion 8 calls it
@@ -213,6 +246,110 @@ def test_criterion_08_reports_a_wrong_search(monkeypatch, catalog, tamper,
     monkeypatch.setattr(verify.search, "find_magic_squares", tampered)
     _, reported, _ = verify.check_search(catalog, ())
     assert reported == [f.format(entry=entry) for f in failures]
+
+
+def _changed(label, field, change):
+    """Rebuilds the report labelled ``label`` with ``change`` applied to
+    its ``field``."""
+    def tamper(reports, monkeypatch):
+        return tuple(rebuilt(r, **{field: change(getattr(r, field))})
+                     if r.label == label else r for r in reports)
+    return tamper
+
+
+def _patched(module, name, replace):
+    """Replaces ``module.name`` with ``replace(real)``; keeps the reports."""
+    def tamper(reports, monkeypatch):
+        monkeypatch.setattr(module, name, replace(getattr(module, name)))
+        return reports
+    return tamper
+
+
+@pytest.mark.parametrize("check, tamper, failures", [
+    (verify.check_classification,
+     _changed("T1#1 E~_8", "classification_ok", lambda ok: False),
+     ["T1#1 E~_8: |det| = 6"]),
+    (verify.check_strong_coupling,
+     _changed("T1#2 E~_7", "strong_ok", lambda ok: False),
+     ["T1#2 E~_7 is not strong"]),
+    (verify.check_strong_coupling,
+     _changed("T4#12 M_11", "strong", lambda strong: True),
+     ["T4 non-strong set [\"K'_10/L_10\", \"K'_11/L_11\", "
+      "\"L_1,0/K'_1,0\", 'M_1,0', 'S_1,0', 'U_1,0', 'W_1,0']"]),
+    (verify.check_fuchsian_table,
+     _changed("Fuchs#1 no. 42 Z_2,0", "fuchs",
+              lambda row: rebuilt(row, d_star_abs=7)),
+     ["42/68: mismatch",
+      "partner discriminants (7, 12, 25, 10, 10, 6, 14, 12)"]),
+    (verify.check_zeta_duality,
+     _changed("T2#1 no. 14 E_12", "zeta_duality_ok", lambda ok: False),
+     ["T2#1 no. 14 E_12"]),
+    (verify.check_elliptic_polynomials,
+     _patched(verify.zeta, "expand_series", lambda real: lambda p, n: [1, 1]),
+     ["expansion [1, 1]"]),
+    (verify.check_elliptic_polynomials,
+     _patched(verify.zeta, "saito_dual", lambda real: lambda p, h: p),
+     ["T1#1 E~_8: dual is not the inverse",
+      "T1#2 E~_7: dual is not the inverse",
+      "T1#3 E~_6: dual is not the inverse"]),
+    (verify.check_geometric_identities,
+     _changed("T1#3 E~_6", "inverse_identity_ok", lambda ok: False),
+     ["T1#3 E~_6: inverse-product identity"]),
+    (verify.check_geometric_identities,
+     _patched(verify.polytope, "closed_form_dual",
+              lambda real: lambda w: None if w == W42 else real(w)),
+     ["closed-form dual of (6,14,21;42)"]),
+    (verify.check_algebraic_properties,
+     # every square fails; the check keeps the first four failures
+     _patched(verify.magic, "inverse_data",
+              lambda real: lambda ms: rebuilt(real(ms), recovered_wa=None)),
+     ["T1#1 E~_8: weight recovery round-trip",
+      "T1#2 E~_7: weight recovery round-trip",
+      "T1#3 E~_6: weight recovery round-trip",
+      "T2#1 no. 14 E_12: weight recovery round-trip"]),
+    (verify.check_algebraic_properties,
+     _patched(verify.zeta, "lattice_invariants",
+              lambda real: lambda ms: rebuilt(real(ms), mu=0)),
+     ["T1#1 E~_8: degree or exponent-sum identity",
+      "T1#2 E~_7: degree or exponent-sum identity",
+      "T1#3 E~_6: degree or exponent-sum identity",
+      "T2#1 no. 14 E_12: degree or exponent-sum identity"]),
+    (verify.check_algebraic_properties,
+     _patched(verify.zeta, "evaluate_at_one", lambda real: lambda p: p),
+     ["T1#1 E~_8: value at 1 not self-dual",
+      "T2#17 no. 50 E_13: value at 1 not self-dual",
+      "T2#19 no. 38 Z_11: value at 1 not self-dual",
+      "T2#25 no. 13 E_14: value at 1 not self-dual"]),
+    (verify.check_algebraic_properties,
+     _patched(verify.magic, "transpose", lambda real: lambda ms: ms),
+     ["T2#2 no. 14: subset duality for J=(3,)",
+      "T2#2 no. 14: subset duality for J=(2, 3)",
+      "T2#3 no. 14: subset duality for J=(2,)",
+      "T2#3 no. 14: subset duality for J=(2, 3)"]),
+    (verify.check_exponent_range,
+     _changed("T4#1 no. 12 J_3,0", "exponent_outliers",
+              lambda outliers: ((4, 2),)),
+     ["T4#1 no. 12 J_3,0: [(4, 2)]"]),
+], ids=["c02-classification", "c03-strong-flag", "c03-t4-set",
+        "c04-fuchsian-row", "c05-zeta-duality", "c06-expansion",
+        "c06-dual-inverse", "c07-inverse-identity", "c07-polar-dual",
+        "c09-recovery-first-four", "c09-degree-identity",
+        "c09-value-at-one", "c09-subset-duality",
+        "c10-exponent-outlier"])
+def test_criteria_report_what_they_check(monkeypatch, catalog, reports,
+                                         check, tamper, failures):
+    # criteria 2-7, 9 and 10 each given one wrong fact, by its report or
+    # by the function it calls, report exactly that fact
+    _, reported, _ = check(catalog, tamper(reports, monkeypatch))
+    assert reported == failures
+
+
+def test_criterion_02_counts_the_unimodular_t2_rows(catalog, reports):
+    # the T2 rows are their own partners, so a catalog can go without them
+    without_t2 = Catalog(tuple(e for e in catalog if e.table != "T2"))
+    _, failures, _ = verify.check_classification(without_t2, reports)
+    assert failures == ["expected 14 unimodular-virtual-weight T2 rows, "
+                        "found 0"]
 
 
 def test_criterion_09_algebraic_properties(criteria, capsys):
