@@ -4,7 +4,8 @@ Verbs: ``reduce``, ``check``, ``search``, ``zeta``, ``invariants``,
 ``polar`` and ``catalog`` (with subcommands ``verify``, ``list``,
 ``show``).  Every verb supports ``--format human|json``; structured mode
 prints one JSON document, byte for byte as the standard library's
-``json`` module writes it with ``dumps(document, indent=2)``.  Each verb's
+``json`` module writes it with ``dumps(document, indent=2)``; ``search``
+writes each result from one template, to the same bytes.  Each verb's
 handler returns its exit code, its document and its human lines, and
 ``main`` alone prints the one the format asks for.
 
@@ -18,8 +19,7 @@ import argparse
 import io
 import sys
 from contextlib import redirect_stdout
-from functools import cache
-from itertools import repeat
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ValidationError, WeightMagicError
@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _json(value, indent: str = "\n") -> str:
     """``value`` as ``json``'s ``dumps(value, indent=2)`` writes it; TypeError
-    unless it is a dict with str keys, a list, map, str, int, bool or None."""
+    unless it is a dict with str keys, a list, str, int, bool or None, or a
+    function that writes its own value given the indent it is written at."""
     if value is None:
         return "null"
     kind = type(value)
@@ -116,8 +117,10 @@ def _json(value, indent: str = "\n") -> str:
         return repr(value)
     if kind is bool:
         return "true" if value else "false"
+    if callable(value):
+        return value(indent)
     inner = indent + "  "
-    if kind is list or kind is map:
+    if kind is list:
         items = [inner + _json(item, inner) for item in value]
         return f"[{','.join(items)}{indent}]" if items else "[]"
     if kind is dict:
@@ -199,7 +202,7 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_search(args) -> tuple[int, dict, Iterator[str]]:
-    """Each result's document is built only while JSON mode writes it."""
+    """Each result is written only while JSON mode writes the document."""
     from . import search
     wa = parse_weight_system(args.wa)
     wb = wa if args.wb is None else parse_weight_system(args.wb)
@@ -215,9 +218,30 @@ def _cmd_search(args) -> tuple[int, dict, Iterator[str]]:
         "filter": filter_name,
         "strong_only": args.strong,
         "count": len(squares),
-        "results": map(_square_document, squares, repeat(head)),
+        "results": partial(_square_documents, squares, head),
     }
     return 0, document, _search_lines(wa_text, wb_text, squares)
+
+
+def _square_documents(squares: list[MagicSquare], head: dict,
+                      indent: str) -> str:
+    """``_json`` of the list of each square's ``_square_document``, at
+    ``indent``: one template per square, the head written once."""
+    from . import magic
+    i1, i2, i3, i4 = (indent + "  " * depth for depth in range(1, 5))
+    head = "".join(f"{i2}{_quote(k)}: {_json(v)}," for k, v in head.items())
+    sep = f",{i4}"
+    items = []
+    for square, report in zip(squares, map(magic.classify, squares)):
+        rows = ",".join(f"{i3}[{i4}{sep.join(map(repr, row))}{i3}]"
+                        for row in square.entries)
+        items.append(
+            f'{i1}{{{head}{i2}"matrix": [{rows}{i2}],{i2}"monomials": '
+            f'{_quote(square.monomials())},{i2}"determinant": '
+            f'{report.determinant!r},{i2}"classification": '
+            f'{_quote(report.classification)},{i2}"strong": '
+            f'{_json(report.strong)}{i1}}}')
+    return f"[{','.join(items)}{indent}]" if items else "[]"
 
 
 def _search_lines(wa: str, wb: str, squares: list[MagicSquare]):

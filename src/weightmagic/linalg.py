@@ -36,8 +36,8 @@ def determinant(rows):
 
 
 def _expand(m):
-    """Cofactor expansion of a non-empty square tuple matrix along its
-    first row, written out for n <= 3."""
+    """Cofactor expansion of a non-empty square tuple matrix, written out
+    for n <= 4: by 2 x 2 minors of the first two rows at n = 4 (Laplace)."""
     n = len(m)
     if n == 1:
         return m[0][0]
@@ -47,6 +47,14 @@ def _expand(m):
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = m
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        (a, b, c, d), (e, f, g, h), (i, j, k, l), (p, q, r, s) = m
+        return ((a * f - b * e) * (k * s - l * r)
+                - (a * g - c * e) * (j * s - l * q)
+                + (a * h - d * e) * (j * r - k * q)
+                + (b * g - c * f) * (i * s - l * p)
+                - (b * h - d * f) * (i * r - k * p)
+                + (c * h - d * g) * (i * q - j * p))
     total = 0
     for j, x in enumerate(m[0]):
         if x:

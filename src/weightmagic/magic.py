@@ -116,9 +116,12 @@ def _classify(ms: MagicSquare) -> CouplingReport:
         label = ALMOST_PRIMITIVE
     else:
         label = PLAIN
-    strong = (all(0 in row for row in ms.entries)
-              and all(0 in col for col in zip(*ms.entries)))
-    return CouplingReport(det, label, strong)
+    return CouplingReport(det, label, _is_strong(ms.entries))
+
+
+def _is_strong(entries) -> bool:
+    """Every row and every column of ``entries`` contains a zero."""
+    return not any(map(all, (*entries, *zip(*entries))))
 
 
 class InverseData(_Value):

@@ -129,14 +129,14 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
     both relations by construction and are not validated again.
 
     Results are deduplicated by row multiset, rendered in canonical
-    arrangement and filtered by classification and strongness (a square
-    is classified only when the call filters).  They come out strictly
-    descending by entries without a sort: the search visits arrangements
-    in descending order, rows lexicographically descending and the last
-    row fixed by the rows before it, and admits each multiset at its
-    canonical arrangement.  Exceeding the result cap raises
-    SearchCapExceeded carrying the results collected so far, a prefix of
-    the full list.
+    arrangement and filtered by strongness, read off the entries, then by
+    classification: a filter other than "any" classifies each square that
+    ``strong_only`` keeps.  They come out strictly descending by entries
+    without a sort: the search visits arrangements in descending order,
+    rows lexicographically descending and the last row fixed by the rows
+    before it, and admits each multiset at its canonical arrangement.
+    Exceeding the result cap raises SearchCapExceeded carrying the results
+    collected so far, a prefix of the full list.
     """
     if filter not in FILTERS:
         raise ValidationError(
@@ -168,12 +168,12 @@ def _assemble(wa, wb, filter, strong_only, cap,
             return
         seen.add(key)
         canonical = canonicalize(key, wb)
+        if strong_only and not magic._is_strong(canonical):
+            return
         ms = magic.MagicSquare._trusted(canonical, wa, wb)
-        if filter != "any" or strong_only:
-            report = magic.classify(ms)
-            if (report.classification not in FILTERS[filter]
-                    or strong_only and not report.strong):
-                return
+        if (filter != "any" and magic.classify(ms).classification
+                not in FILTERS[filter]):
+            return
         if len(accepted) >= cap:
             raise SearchCapExceeded(
                 f"more than {cap} squares couple {wa} and {wb}",

@@ -9,14 +9,20 @@ own.  ``SEARCHED`` and ``KERNEL_SQUARES`` are the squares on which the
 integer kernels are compared with their Fraction references.
 ``brute_force_squares`` is the plain ``product`` form of criterion 8's
 n=2 oracle, the reference its per-row-system form is compared with.
+``coupled_pairs`` draws weight pairs that squares may couple.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 
-from weightmagic import (WeightMagicError, find_magic_squares, load_catalog,
-                         parse_weight_system)
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from weightmagic import (WeightMagicError, WeightSystem, find_magic_squares,
+                         load_catalog, parse_weight_system)
+from weightmagic.search import enumerate_rows
 
 
 def outcome(f, *args):
@@ -75,3 +81,19 @@ SEARCHED = [ms for wa, wb in [("1,1,1;6", "1,1,1;6"), ("1,1,2;4", "1,1,2;4"),
 KERNEL_SQUARES = (
     [e.square for e in load_catalog() if e.positive]
     + SEARCHED + search("1,2,2;4", "1,2,2;4"))
+
+
+@st.composite
+def coupled_pairs(draw):
+    """A pair with k * a0 = h * b0, so that squares may couple it, and
+    few enough rows that the unpruned search stays small."""
+    n = draw(st.integers(2, 4))
+    a = sorted(draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)))
+    h = draw(st.integers(1, max(a) + 3))
+    b = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    # k * a0 = h * b0 holds exactly when k * sum(a) = h * sum(b), so the
+    # last column weight grows until sum(a) divides h * sum(b)
+    b[-1] += -sum(b) % (sum(a) // gcd(sum(a), h))
+    wa = WeightSystem(tuple(a), h)
+    assume(len(enumerate_rows(wa)) ** n <= 4096)
+    return wa, WeightSystem(tuple(b), h * sum(b) // sum(a))

@@ -265,6 +265,20 @@ def _patched(module, name, replace):
     return tamper
 
 
+def _fixed_on_its_results(real):
+    """``real`` changed to return each value it made as it is, so that
+    applying it twice gives its first result back: not an involution."""
+    made = set()
+
+    def tampered(value, *args):
+        if value in made:
+            return value
+        result = real(value, *args)
+        made.add(result)
+        return result
+    return tampered
+
+
 @pytest.mark.parametrize("check, tamper, failures", [
     (verify.check_classification,
      _changed("T1#1 E~_8", "classification_ok", lambda ok: False),
@@ -326,6 +340,21 @@ def _patched(module, name, replace):
       "T2#2 no. 14: subset duality for J=(2, 3)",
       "T2#3 no. 14: subset duality for J=(2,)",
       "T2#3 no. 14: subset duality for J=(2, 3)"]),
+    (verify.check_algebraic_properties,
+     _patched(verify.zeta, "saito_dual", _fixed_on_its_results),
+     ["T1#1 E~_8: dual is not an involution",
+      "T1#2 E~_7: dual is not an involution",
+      "T1#3 E~_6: dual is not an involution",
+      "T2#2 no. 14: dual is not an involution"]),
+    (verify.check_algebraic_properties,
+     # the first four squares are symmetric; T2#5 is T2#2's transpose,
+     # which the tampered transpose then returns as it is, so T2#5's
+     # subsets are compared with its own
+     _patched(verify.magic, "transpose", _fixed_on_its_results),
+     ["T2#2 no. 14: transpose not an involution",
+      "T2#3 no. 14: transpose not an involution",
+      "T2#4 no. 14: transpose not an involution",
+      "T2#5 no. 28: subset duality for J=(1,)"]),
     (verify.check_exponent_range,
      _changed("T4#1 no. 12 J_3,0", "exponent_outliers",
               lambda outliers: ((4, 2),)),
@@ -334,7 +363,8 @@ def _patched(module, name, replace):
         "c04-fuchsian-row", "c05-zeta-duality", "c06-expansion",
         "c06-dual-inverse", "c07-inverse-identity", "c07-polar-dual",
         "c09-recovery-first-four", "c09-degree-identity",
-        "c09-value-at-one", "c09-subset-duality",
+        "c09-value-at-one", "c09-subset-duality", "c09-dual-involution",
+        "c09-transpose-involution",
         "c10-exponent-outlier"])
 def test_criteria_report_what_they_check(monkeypatch, catalog, reports,
                                          check, tamper, failures):

@@ -15,8 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weightmagic
-from weightmagic import cli
+from weightmagic import cli, find_magic_squares, magic, parse_weight_system
 from weightmagic.cli import MAX_EXPAND, _json, build_parser, main, run
+
+from support import coupled_pairs
+
+
+W10 = parse_weight_system("1,3,5;10")
+W30 = parse_weight_system("4,10,13;30")
 
 
 def run_json(argv):
@@ -274,22 +280,54 @@ class TestSearch:
 
     def test_result_documents_are_built_only_as_json_writes_them(
             self, monkeypatch):
-        built = []
-        square_document = cli._square_document
+        # human mode writes no JSON; the JSON handler classifies no square
+        # before _json writes its 712 results
+        def no_json(*args):
+            raise AssertionError("human mode wrote JSON")
 
-        def counting(*args):
-            built.append(args)
-            return square_document(*args)
-
-        monkeypatch.setattr(cli, "_square_document", counting)
+        monkeypatch.setattr(cli, "_json", no_json)
         argv = ["search", "--wa", "1,1,1;12"]
         code, out = run(argv)
-        assert (code, built) == (0, [])
+        assert code == 0
         assert out.startswith("712 square(s) coupling")
+        monkeypatch.setattr(cli, "_json", _json)
+        classified = []
+        classify = magic.classify
+
+        def counting(ms):
+            classified.append(ms)
+            return classify(ms)
+
+        monkeypatch.setattr(magic, "classify", counting)
         args = cli._parser().parse_args(argv + ["--format", "json"])
         code, document, _ = args.run(args)
-        assert (code, built) == (0, [])
-        assert json.loads(_json(document))["count"] == len(built) == 712
+        assert (code, classified) == (0, [])
+        assert json.loads(_json(document))["count"] == len(classified) == 712
+
+    @settings(max_examples=60, deadline=None)
+    @given(coupled_pairs(), st.sampled_from(sorted(cli._FILTER_NAMES)),
+           st.booleans(), st.booleans())
+    @example((W10, W30), "almost", True, True)
+    @example((W10, W30), "any", False, True)
+    @example((parse_weight_system("1,1;2"),) * 2, "any", False, False)
+    @example((parse_weight_system("1,1,1,1;4"),) * 2, "any", False, False)
+    def test_json_results_are_each_square_document(self, pair, filter_flag,
+                                                   strong, give_wb):
+        # the template writes every result as _square_document builds it
+        wa, wb = pair if give_wb else (pair[0], pair[0])
+        filter_name = cli._FILTER_NAMES[filter_flag]
+        argv = (["search", "--wa", str(wa), "--filter", filter_flag]
+                + ["--wb", str(wb)] * give_wb + ["--strong"] * strong)
+        head = {"wa": str(wa), "wb": str(wb), "wb_recovered": False}
+        squares = find_magic_squares(wa, wb, filter=filter_name,
+                                     strong_only=strong)
+        doc = {"verb": "search", "wa": str(wa), "wb": str(wb),
+               "filter": filter_name, "strong_only": strong,
+               "count": len(squares),
+               "results": [cli._square_document(square, head)
+                           for square in squares]}
+        assert run(argv + ["--format", "json"]) == (
+            0, json.dumps(doc, indent=2) + "\n")
 
 
 class TestZeta:
@@ -752,13 +790,14 @@ json_trees = st.recursive(
     max_leaves=30)
 
 
-def as_maps(tree):
-    """``tree`` with each list a map over its items, as ``search`` hands
-    its results to the writer."""
+def as_writers(tree):
+    """``tree`` with each list a function that writes it at the indent it
+    is given, as ``search`` hands its results to the writer."""
     if type(tree) is list:
-        return map(as_maps, tree)
+        items = [as_writers(item) for item in tree]
+        return lambda indent: _json(items, indent)
     if type(tree) is dict:
-        return {key: as_maps(item) for key, item in tree.items()}
+        return {key: as_writers(item) for key, item in tree.items()}
     return tree
 
 
@@ -766,7 +805,7 @@ def as_maps(tree):
 @given(json_trees)
 @example({"": [], "a": {}, "b": [[], {}, [[{}]]], "c": -10**40})
 def test_json_writer_matches_json_dumps_with_indent_2(tree):
-    assert _json(tree) == _json(as_maps(tree)) == json.dumps(tree, indent=2)
+    assert _json(tree) == _json(as_writers(tree)) == json.dumps(tree, indent=2)
 
 
 @pytest.mark.parametrize("value", [

@@ -5,10 +5,9 @@ import hashlib
 import random
 from functools import cache
 from itertools import compress, permutations, product
-from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weightmagic import (MagicSquare, SearchCapExceeded,
@@ -16,6 +15,8 @@ from weightmagic import (MagicSquare, SearchCapExceeded,
                          classify, find_magic_squares, parse_weight_system,
                          search, validate)
 from weightmagic.search import _columns_valid, enumerate_rows
+
+from support import coupled_pairs
 
 W10 = parse_weight_system("1,3,5;10")
 W30 = parse_weight_system("4,10,13;30")
@@ -292,22 +293,6 @@ class TestPrunedSearchMatchesUnpruned:
             w, w, filter, strong_only)
 
 
-@st.composite
-def coupled_pairs(draw):
-    """A pair with k * a0 = h * b0, so that squares may couple it, and
-    few enough rows that the unpruned search stays small."""
-    n = draw(st.integers(2, 4))
-    a = sorted(draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)))
-    h = draw(st.integers(1, max(a) + 3))
-    b = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
-    # k * a0 = h * b0 holds exactly when k * sum(a) = h * sum(b), so the
-    # last column weight grows until sum(a) divides h * sum(b)
-    b[-1] += -sum(b) % (sum(a) // gcd(sum(a), h))
-    wa = WeightSystem(tuple(a), h)
-    assume(len(enumerate_rows(wa)) ** n <= 4096)
-    return wa, WeightSystem(tuple(b), h * sum(b) // sum(a))
-
-
 class TestPackedKernel:
     # The column sums are the digits of one int; each explicit case below
     # fails if one rule of that packing is broken.
@@ -356,6 +341,30 @@ class TestPackedKernel:
         w = parse_weight_system("1,1,1;6")
         found = find_magic_squares(w, w)
         assert len(admitted) == len(found) == 73
+
+
+def test_strong_filter_classifies_only_the_strong_squares(monkeypatch):
+    # strongness is read off the entries after canonicalize, which still
+    # sees every multiset, and before det C is expanded: of 712 multisets
+    # 30 are strong, and none of those is primitive
+    classified, canonicalized = [], []
+    classify, canonicalize = search.magic.classify, search.canonicalize
+
+    def counting_classify(ms):
+        classified.append(ms)
+        return classify(ms)
+
+    def counting_canonicalize(rows, wb):
+        canonicalized.append(rows)
+        return canonicalize(rows, wb)
+
+    monkeypatch.setattr(search.magic, "classify", counting_classify)
+    monkeypatch.setattr(search, "canonicalize", counting_canonicalize)
+    w = parse_weight_system("1,1,1;12")
+    assert find_magic_squares(w, w, filter="primitive",
+                              strong_only=True) == []
+    assert (len(classified), len(canonicalized)) == (30, 712)
+    assert all(classify(ms).strong for ms in classified)
 
 
 class TestCapOnEqualWeights:
