@@ -4,10 +4,10 @@ Verbs: ``reduce``, ``check``, ``search``, ``zeta``, ``invariants``,
 ``polar`` and ``catalog`` (with subcommands ``verify``, ``list``,
 ``show``).  Every verb supports ``--format human|json``; structured mode
 prints one JSON document, byte for byte as the standard library's
-``json`` module writes it with ``dumps(document, indent=2)``; ``search``
-writes each result from one template, to the same bytes.  Each verb's
-handler returns its exit code, its document and its human lines, and
-``main`` alone prints the one the format asks for.
+``json`` module writes it with ``dumps(document, indent=2)``; ``check``
+and ``search`` write a square from one template, to the same bytes.
+Each verb's handler returns its exit code, its document and its human
+lines, and ``main`` alone prints the one the format asks for.
 
 Exit codes: 0 = success / verified, 1 = a checked claim failed,
 2 = input error (with a diagnostic on standard error).
@@ -27,8 +27,8 @@ from .weights import (_read_int, is_calabi_yau, parse_weight_system,
                       reduce_system)
 
 # Each verb imports the modules it runs, so that it loads only what it
-# uses; the annotations that name CatalogEntry, MagicSquare and Iterator are
-# never evaluated.
+# uses; the annotations that name CatalogEntry, MagicSquare, Callable and
+# Iterator are never evaluated.
 
 _FILTER_NAMES = {"any": "any", "almost": "almost_primitive",
                  "primitive": "primitive"}
@@ -143,19 +143,6 @@ def _coupling(args) -> tuple[MagicSquare, dict]:
                     "wb_recovered": recovered}
 
 
-def _square_document(square: MagicSquare, head: dict) -> dict:
-    from . import magic
-    report = magic.classify(square)
-    return {
-        **head,
-        "matrix": [list(row) for row in square.entries],
-        "monomials": square.monomials(),
-        "determinant": report.determinant,
-        "classification": report.classification,
-        "strong": report.strong,
-    }
-
-
 def _cmd_reduce(args) -> tuple[int, dict, list[str]]:
     system = parse_weight_system(args.wa)
     reduction = reduce_system(system)
@@ -181,23 +168,27 @@ def _cmd_reduce(args) -> tuple[int, dict, list[str]]:
     return 0, document, lines
 
 
-def _cmd_check(args) -> tuple[int, dict, list[str]]:
+def _cmd_check(args) -> tuple[int, dict | Callable[[str], str], list[str]]:
+    from . import magic
     try:
         square, head = _coupling(args)
     except ValidationError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1, {"verb": "check", "verified": False, "error": str(exc)}, []
-    document = {"verb": "check", "verified": True,
-                **_square_document(square, head)}
+    report = magic.classify(square)
     suffix = " (recovered)" if head["wb_recovered"] else ""
     lines = [
-        f"matrix:         {document['monomials']}",
-        f"row weights:    {document['wa']}",
-        f"column weights: {document['wb']}{suffix}",
-        f"determinant:    {document['determinant']}",
-        f"classification: {document['classification']}",
-        f"strong:         {'yes' if document['strong'] else 'no'}",
+        f"matrix:         {square.monomials()}",
+        f"row weights:    {head['wa']}",
+        f"column weights: {head['wb']}{suffix}",
+        f"determinant:    {report.determinant}",
+        f"classification: {report.classification}",
+        f"strong:         {'yes' if report.strong else 'no'}",
     ]
+
+    def document(indent: str) -> str:
+        return _square_writer({"verb": "check", "verified": True, **head},
+                              indent)(square, report)
     return 0, document, lines
 
 
@@ -223,25 +214,34 @@ def _cmd_search(args) -> tuple[int, dict, Iterator[str]]:
     return 0, document, _search_lines(wa_text, wb_text, squares)
 
 
+def _square_writer(head: dict, indent: str) -> Callable:
+    """The function that writes a square's document from its ``classify``
+    report, as ``_json`` writes it at ``indent``; ``head``, its first items,
+    is rendered here, once for every square the function writes."""
+    i1, i2, i3 = (indent + "  " * depth for depth in range(1, 4))
+    head = "".join(f"{i1}{_quote(k)}: {_json(v)}," for k, v in head.items())
+    sep = f",{i3}"
+
+    def write(square: MagicSquare, report) -> str:
+        rows = ",".join(f"{i2}[{i3}{sep.join(map(repr, row))}{i2}]"
+                        for row in square.entries)
+        return (f'{{{head}{i1}"matrix": [{rows}{i1}],{i1}"monomials": '
+                f'{_quote(square.monomials())},{i1}"determinant": '
+                f'{report.determinant!r},{i1}"classification": '
+                f'{_quote(report.classification)},{i1}"strong": '
+                f'{_json(report.strong)}{indent}}}')
+    return write
+
+
 def _square_documents(squares: list[MagicSquare], head: dict,
                       indent: str) -> str:
-    """``_json`` of the list of each square's ``_square_document``, at
-    ``indent``: one template per square, the head written once."""
+    """``_json`` of the list of the squares' documents at ``indent``, each
+    written by one ``_square_writer``."""
     from . import magic
-    i1, i2, i3, i4 = (indent + "  " * depth for depth in range(1, 5))
-    head = "".join(f"{i2}{_quote(k)}: {_json(v)}," for k, v in head.items())
-    sep = f",{i4}"
-    items = []
-    for square, report in zip(squares, map(magic.classify, squares)):
-        rows = ",".join(f"{i3}[{i4}{sep.join(map(repr, row))}{i3}]"
-                        for row in square.entries)
-        items.append(
-            f'{i1}{{{head}{i2}"matrix": [{rows}{i2}],{i2}"monomials": '
-            f'{_quote(square.monomials())},{i2}"determinant": '
-            f'{report.determinant!r},{i2}"classification": '
-            f'{_quote(report.classification)},{i2}"strong": '
-            f'{_json(report.strong)}{i1}}}')
-    return f"[{','.join(items)}{indent}]" if items else "[]"
+    inner = indent + "  "
+    items = map(_square_writer(head, inner), squares,
+                map(magic.classify, squares))
+    return f"[{inner}{f',{inner}'.join(items)}{indent}]" if squares else "[]"
 
 
 def _search_lines(wa: str, wb: str, squares: list[MagicSquare]):

@@ -19,8 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from weightmagic import (Catalog, CriterionResult, MagicSquare, WeightSystem,
-                         classify, find_magic_squares,
+from weightmagic import (Catalog, CriterionResult, MagicSquare,
+                         ValidationError, WeightSystem, classify,
+                         find_magic_squares,
                          fuchsian_report, reduced_zeta, saito_dual,
                          transpose, verify)
 from weightmagic.verify import check_table_fidelity
@@ -85,6 +86,48 @@ def test_criterion_03_strong_coupling_exceptions(criteria, capsys, catalog):
     for table in ("T2", "T3", "Fuchs", "NonMirror"):
         for entry in catalog.table(table):
             assert classify(entry.square).strong, entry.label
+
+
+#: For each T1 and T4 row, the squares that find_magic_squares finds on
+#: its pair (weights, partner weights): how many, how many are strong,
+#: primitive, and both.  Found by searching each row's pair once and
+#: classifying every square; I_1,0 has a zero weight, which the search
+#: refuses.
+PAIR_SQUARE_COUNTS = {
+    "E~_8": (1, 1, 1, 1), "E~_7": (2, 1, 1, 0), "E~_6": (2, 1, 1, 0),
+    "J_3,0": (2, 2, 1, 1), "Z_1,0": (2, 2, 1, 1), "Q_2,0": (1, 1, 1, 1),
+    "W_1,0": (2, 1, 1, 0), "S_1,0": (1, 0, 1, 0), "U_1,0": (2, 0, 2, 0),
+    "J'_9": (2, 2, 1, 1), "J'_10": (2, 2, 1, 1), "J'_11": (1, 1, 1, 1),
+    "K'_10/L_10": (2, 1, 1, 0), "K'_11/L_11": (1, 0, 1, 0),
+    "M_11": (1, 0, 1, 0), "J'_2,0": (3, 3, 1, 1),
+    "L_1,0/K'_1,0": (7, 4, 1, 0), "M_1,0": (3, 1, 2, 0),
+}
+
+
+def test_strongness_per_pair_not_per_stored_square(catalog):
+    # a strong primitive square couples a T1 or T4 pair exactly where the
+    # stored square is strong; the strong squares that other pairs have
+    # are all non-primitive, and S_1,0, K'_11/L_11, U_1,0 and M_11 have
+    # no strong square at all
+    counts = {}
+    for entry in catalog.table("T1") + catalog.table("T4"):
+        if entry.name == "I_1,0":
+            with pytest.raises(ValidationError, match="strictly positive"):
+                find_magic_squares(entry.weights, entry.partner_weights)
+            continue
+        reports = [classify(square) for square in find_magic_squares(
+            entry.weights, entry.partner_weights)]
+        primitive = [r.classification == "primitive" for r in reports]
+        strong = [r.strong for r in reports]
+        both = sum(s and p for s, p in zip(strong, primitive))
+        counts[entry.name] = (len(reports), sum(strong), sum(primitive), both)
+        assert (both > 0) == classify(entry.square).strong
+    assert counts == PAIR_SQUARE_COUNTS
+    no_strong_primitive = {name for name, c in counts.items() if c[3] == 0}
+    assert no_strong_primitive == {"E~_7", "E~_6",
+                                   *verify.EXPECTED_NOT_STRONG}
+    no_strong = {name for name, c in counts.items() if c[1] == 0}
+    assert no_strong == {"S_1,0", "K'_11/L_11", "U_1,0", "M_11"}
 
 
 def test_criterion_04_fuchsian_table(criteria, capsys, catalog):

@@ -313,21 +313,47 @@ class TestSearch:
     @example((parse_weight_system("1,1,1,1;4"),) * 2, "any", False, False)
     def test_json_results_are_each_square_document(self, pair, filter_flag,
                                                    strong, give_wb):
-        # the template writes every result as _square_document builds it
+        # the template writes every result as this dict, built here from
+        # the square and its classify report, dumps to
         wa, wb = pair if give_wb else (pair[0], pair[0])
         filter_name = cli._FILTER_NAMES[filter_flag]
         argv = (["search", "--wa", str(wa), "--filter", filter_flag]
                 + ["--wb", str(wb)] * give_wb + ["--strong"] * strong)
-        head = {"wa": str(wa), "wb": str(wb), "wb_recovered": False}
         squares = find_magic_squares(wa, wb, filter=filter_name,
                                      strong_only=strong)
+        results = []
+        for square in squares:
+            report = magic.classify(square)
+            results.append({
+                "wa": str(wa), "wb": str(wb), "wb_recovered": False,
+                "matrix": [list(row) for row in square.entries],
+                "monomials": square.monomials(),
+                "determinant": report.determinant,
+                "classification": report.classification,
+                "strong": report.strong})
         doc = {"verb": "search", "wa": str(wa), "wb": str(wb),
                "filter": filter_name, "strong_only": strong,
-               "count": len(squares),
-               "results": [cli._square_document(square, head)
-                           for square in squares]}
+               "count": len(squares), "results": results}
         assert run(argv + ["--format", "json"]) == (
             0, json.dumps(doc, indent=2) + "\n")
+
+    @pytest.mark.parametrize("wa, wb", [
+        ("1,1,1;12", "1,1,1;12"), ("2,3,4,5;20", "2,3,4,5;20"),
+        ("1,3,5;10", "4,10,13;30"), ("2,3;6", "2,3;6")])
+    def test_check_of_a_result_is_that_result_with_verb_and_verified(
+            self, wa, wb):
+        # the README's promise: check prints a search result's bytes, with
+        # check's verb and verified first
+        _, document = run_json(["search", "--wa", wa, "--wb", wb])
+        results = document["results"][:3] + document["results"][-3:]
+        assert results
+        for result in results:
+            matrix = ";".join(",".join(map(str, row))
+                              for row in result["matrix"])
+            expected = {"verb": "check", "verified": True, **result}
+            assert run(["check", "--wa", result["wa"], "--wb", result["wb"],
+                        "--matrix", matrix, "--format", "json"]) == (
+                0, json.dumps(expected, indent=2) + "\n")
 
 
 class TestZeta:
