@@ -3,15 +3,14 @@
 Everything works on tuples of tuples with int or Fraction entries; no
 floating point exists anywhere in the package.  `inverse` and `solve`
 share `eliminate`, one fraction-free Gauss-Jordan elimination (Bareiss,
-Math. Comp. 22, 1968) on Python ints, and build Fractions only for their
-outputs; `polytope.polar_dual` reads its integer block directly.
+Math. Comp. 22, 1968) on Python ints, and answer in ints, as (d, N)
+with result N / d; `polytope.polar_dual` calls `eliminate` itself.
 `determinant` stays a cofactor expansion, so that the two algorithms
 can check each other.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import SingularMatrixError
@@ -67,15 +66,6 @@ def transpose(rows):
     return tuple(zip(*_as_rows(rows)))
 
 
-def common_denominator(rows):
-    """(d, N) with rows = N / d exactly: d is the lcm of the entries'
-    denominators and N the integer matrix of scaled numerators."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return d, tuple(
-        tuple(x.numerator * (d // x.denominator) for x in row) for row in rows
-    )
-
-
 def eliminate(rows, right):
     """Fraction-free Gauss-Jordan (Bareiss) on the augmented [rows | right].
 
@@ -121,24 +111,22 @@ def eliminate(rows, right):
 
 
 def inverse(rows):
-    """Exact inverse by fraction-free elimination; raises
-    SingularMatrixError if singular.
+    """Exact inverse as ints (d, N) with rows^-1 = N / d, d nonzero and of
+    either sign; raises SingularMatrixError if singular.
 
-    The elimination stays on integers and builds a Fraction only for each
-    of the n^2 output entries.  Deliberately a different algorithm from
-    `determinant` (cofactor expansion), so the two can cross-check each
-    other in tests.
+    Fraction-free elimination, deliberately a different algorithm from
+    `determinant` (cofactor expansion), so the two cross-check in tests.
     """
     m = _as_rows(rows)
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("inverse needs a square matrix")
     d, block = eliminate(m, [[int(i == j) for j in range(n)] for i in range(n)])
-    return tuple(tuple(Fraction(x, d) for x in row) for row in block)
+    return d, tuple(map(tuple, block))
 
 
 def solve(rows, rhs):
-    """Solve rows . x = rhs exactly for one right-hand side.
+    """Solve rows . x = rhs exactly, as ints (d, y) with x = y / d, d != 0.
 
     Eliminates [rows | rhs] by the same fraction-free kernel as `inverse`,
     without forming the inverse; raises SingularMatrixError if singular.
@@ -148,4 +136,4 @@ def solve(rows, rhs):
     if any(len(r) != n for r in m) or len(rhs) != n:
         raise ValueError("solve needs a square matrix and a matching right-hand side")
     d, block = eliminate(m, [(b,) for b in rhs])
-    return tuple(Fraction(x, d) for (x,) in block)
+    return d, tuple(x for (x,) in block)

@@ -11,7 +11,8 @@ alone, and handles the monomial notation used to write the rows.
 from __future__ import annotations
 
 import re
-from math import gcd, lcm
+from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .errors import ParseError, SingularMatrixError, ValidationError
@@ -43,7 +44,8 @@ class MagicSquare(_Value):
                  wa: WeightSystem, wb: WeightSystem):
         entries = tuple(tuple(row) for row in entries)
         super().__init__(entries, wa, wb)
-        _check_rows(entries, wa, wb)
+        _check_shape(entries, wa, wb.n)
+        _check_rows(entries, wa)
         for j in range(wa.n):
             s = sum(b * row[j] for b, row in zip(wb.weights, entries))
             if s != wb.degree:
@@ -61,16 +63,19 @@ class MagicSquare(_Value):
         return self.monomials()
 
 
-def _check_rows(entries, wa: WeightSystem, wb: WeightSystem) -> None:
-    """Every check of a square but the column relation: the sizes agree,
-    the entries are non-negative ints and each a-weighted row sum is h."""
+def _check_shape(entries, wa: WeightSystem, nb: int) -> None:
+    """The sizes agree, nb being the partner's, and entries are ints >= 0."""
     n = wa.n
-    if wb.n != n:
-        raise ValidationError(f"weight systems disagree on size: {n} vs {wb.n}")
+    if nb != n:
+        raise ValidationError(f"weight systems disagree on size: {n} vs {nb}")
     if len(entries) != n or any(len(r) != n for r in entries):
         raise ValidationError(f"matrix must be {n}x{n} to match the weights")
     if any(type(c) is not int or c < 0 for row in entries for c in row):
         raise ValidationError("matrix entries must be non-negative integers")
+
+
+def _check_rows(entries, wa: WeightSystem) -> None:
+    """Each a-weighted row sum is h."""
     for i, row in enumerate(entries):
         s = sum(c * a for c, a in zip(row, wa.weights))
         if s != wa.degree:
@@ -133,15 +138,17 @@ class InverseData(_Value):
 
 def _system_from_ratios(sums, d: int) -> WeightSystem:
     """Rebuild a reduced weight system from the ratios weight_i / virtual,
-    given as integer sums over one positive denominator d.
+    given as integer sums over one nonzero denominator d of either sign.
 
     The ratios s_i / d determine (a0, a_1, ..., a_n) up to one rational
-    scale: (a0, a) is (d, s) divided by gcd(d, s), negated when no ratio
+    scale: (a0, a) is (d, s) / q for q = +-gcd(d, s), negative when no s_i
     is positive so that the weights are; no prime then divides a0 and
-    every weight, so the tuple is the smallest integer one.  It is
-    validated in the recovered order; weights of gcd 1 are then only
-    sorted.  Any others share a prime that does not divide the degree,
-    so `reduce_system` refuses them.
+    every weight, so the tuple is the smallest integer one.  When no two
+    s_i differ in sign, as sums of weights do not, (-d, -s) negates q as
+    well, so either sign of d gives the same tuple.  It is validated in
+    the recovered order; weights of gcd 1 are then only sorted.  Any
+    others share a prime that does not divide the degree, so
+    `reduce_system` refuses them.
     """
     q = gcd(d, *sums)
     if all(s <= 0 for s in sums):
@@ -162,23 +169,31 @@ def inverse_data(ms: MagicSquare) -> InverseData:
     recovered systems are the reduced bound ones.  B is singular whenever
     a0 = 0 or b0 = 0.  The sums are taken on ints, over A = N/d.
 
-    The data is kept on the square, and so is the refusal when B is
-    singular, so B is inverted once.
+    The data is kept on the square, and so is (d, N), or the refusal when
+    B is singular, so B is inverted once.
     """
-    return ms._kept("_inverse_data", _inverse_data, SingularMatrixError)
+    return ms._kept("_inverse_data", _inverse_data)
 
 
 def _inverse_data(ms: MagicSquare) -> InverseData:
-    b = tuple(tuple(c - 1 for c in row) for row in ms.entries)
+    d, numerators = _inverse(ms)
+    return InverseData(
+        tuple(tuple(Fraction(x, d) for x in row) for row in numerators),
+        _system_from_ratios([sum(row) for row in numerators], d),
+        _system_from_ratios([sum(col) for col in zip(*numerators)], d))
+
+
+def _inverse(ms: MagicSquare):
+    """linalg.inverse's (d, N) of B = C - 1, or its refusal, kept on ms."""
+    return ms._kept("_inverse", _invert, SingularMatrixError)
+
+
+def _invert(ms: MagicSquare):
     try:
-        a = linalg.inverse(b)
+        return linalg.inverse([[c - 1 for c in row] for row in ms.entries])
     except SingularMatrixError:
         raise SingularMatrixError(
             "C - 1 is singular, so the inverse data does not exist") from None
-    d, numerators = linalg.common_denominator(a)
-    return InverseData(
-        a, _system_from_ratios([sum(row) for row in numerators], d),
-        _system_from_ratios([sum(col) for col in zip(*numerators)], d))
 
 
 def recover_partner(entries, wa: WeightSystem) -> MagicSquare:
@@ -187,23 +202,25 @@ def recover_partner(entries, wa: WeightSystem) -> MagicSquare:
     The column relation b.C = k.(1, ..., 1) gives b / k as the solution x
     of C^t x = (1, ..., 1) whenever det C != 0, including partners of
     virtual weight 0, where C - 1 is singular.  The smallest positive
-    integers proportional to x are kept in column order (not sorted), so
-    the returned square validates as-is; k is their first b-weighted
-    column sum, so the column relation holds and is not checked again.
+    integers proportional to x = y / d, y / gcd(y) signed as d, are kept
+    in column order (not sorted), so the returned square validates as-is;
+    k is their first b-weighted column sum, so the column relation holds
+    and is not checked again.  Sizes and entries are checked before the
+    solve, the row sums after it.
     """
     entries = tuple(tuple(row) for row in entries)
-    n = len(entries)
+    _check_shape(entries, wa, len(entries))
     try:
-        x = linalg.solve(linalg.transpose(entries), (1,) * n)
+        d, y = linalg.solve(linalg.transpose(entries), (1,) * wa.n)
     except SingularMatrixError:
         raise SingularMatrixError(
             "C is singular, so the column weights are not determined"
         ) from None
-    q = lcm(*(r.denominator for r in x))
-    ws = tuple(r.numerator * (q // r.denominator) for r in x)
+    q = gcd(*y) if d > 0 else -gcd(*y)
+    ws = tuple(v // q for v in y)
     k = sum(w * row[0] for w, row in zip(ws, entries))
     wb = WeightSystem(ws, k)
-    _check_rows(entries, wa, wb)
+    _check_rows(entries, wa)
     return MagicSquare._trusted(entries, wa, wb)
 
 

@@ -159,11 +159,11 @@ def verify_duality_identity(ms: magic.MagicSquare) -> bool:
     check says the columns of C, expressed in the basis of A's rows,
     form a Newton diagram of the partner weight system.
 
-    It runs on ints: for the kept inverse A = N/d (d the lcm of its
-    denominators) it tests a0 (N C)_ij = a0 d delta_ij + d a_i, the same
+    It runs on ints: for the square's kept A = N/d (d a nonzero int of
+    either sign) it tests a0 (N C)_ij = a0 d delta_ij + d a_i, the same
     identity times a0 d; a0 != 0 wherever A exists.
     """
-    d, numerators = linalg.common_denominator(magic.inverse_data(ms).a)
+    d, numerators = magic._inverse(ms)
     columns = tuple(zip(*ms.entries))
     a0 = ms.wa.a0
     return all(

@@ -138,7 +138,7 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
     Exceeding the result cap raises SearchCapExceeded carrying the results
     collected so far, a prefix of the full list.
     """
-    if filter not in FILTERS:
+    if not isinstance(filter, str) or filter not in FILTERS:
         raise ValidationError(
             f"filter must be one of {tuple(FILTERS)}, got {filter!r}")
     if 0 in wa.weights or 0 in wb.weights:

@@ -5,8 +5,12 @@
 class's constructor, which checks it again.
 ``mat_mul`` is the plain matrix product the tests use as an independent
 check of the package's exact linear algebra, which has no product of its
-own.  ``SEARCHED`` and ``KERNEL_SQUARES`` are the squares on which the
-integer kernels are compared with their Fraction references.
+own.  ``reference_inverse`` and ``reference_solve`` are Gauss-Jordan over
+Fraction, the references for the integer kernel, and
+``reference_recover_partner`` is ``recover_partner`` scaling the Fraction
+solution by the lcm of its denominators.  ``SEARCHED`` and
+``KERNEL_SQUARES`` are the squares on which the integer kernels are
+compared with their Fraction references.
 ``brute_force_squares`` is the plain ``product`` form of criterion 8's
 n=2 oracle, the reference its per-row-system form is compared with.
 ``coupled_pairs`` draws weight pairs that squares may couple.
@@ -14,14 +18,16 @@ n=2 oracle, the reference its per-row-system form is compared with.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from weightmagic import (WeightMagicError, WeightSystem, find_magic_squares,
-                         load_catalog, parse_weight_system)
+from weightmagic import (SingularMatrixError, WeightMagicError, WeightSystem,
+                         find_magic_squares, load_catalog, parse_weight_system,
+                         validate)
 from weightmagic.search import enumerate_rows
 
 
@@ -47,6 +53,56 @@ def mat_mul(a, b):
               for j in range(len(b[0])))
         for i in range(len(a))
     )
+
+
+def reference_inverse(rows):
+    """Gauss-Jordan over Fraction, the reference for the integer kernel;
+    None when the matrix is singular."""
+    n = len(rows)
+    work = [[Fraction(x) for x in r] for r in rows]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = work[col][col]
+        work[col] = [x / scale for x in work[col]]
+        inv[col] = [x / scale for x in inv[col]]
+        for r in range(n):
+            if r == col or work[r][col] == 0:
+                continue
+            factor = work[r][col]
+            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
+    return tuple(tuple(r) for r in inv)
+
+
+def reference_solve(rows, rhs):
+    """The Fraction x with rows . x = rhs, read off ``reference_inverse``;
+    SingularMatrixError when the matrix is singular."""
+    inv = reference_inverse(rows)
+    if inv is None:
+        raise SingularMatrixError("matrix is singular")
+    return tuple(sum(a * Fraction(b) for a, b in zip(row, rhs)) for row in inv)
+
+
+def reference_recover_partner(entries, wa):
+    """``recover_partner`` on Fractions: x solves C^t x = (1, ..., 1) and
+    is scaled by the lcm of its denominators, the weights kept in column
+    order; the square is validated in full."""
+    entries = tuple(tuple(row) for row in entries)
+    try:
+        x = reference_solve(tuple(zip(*entries)), (1,) * len(entries))
+    except SingularMatrixError:
+        raise SingularMatrixError(
+            "C is singular, so the column weights are not determined"
+        ) from None
+    q = lcm(*(r.denominator for r in x))
+    ws = tuple(r.numerator * (q // r.denominator) for r in x)
+    k = sum(w * row[0] for w, row in zip(ws, entries))
+    return validate(entries, wa, WeightSystem(ws, k))
 
 
 def brute_force_squares(rows, wb):

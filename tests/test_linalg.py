@@ -10,31 +10,26 @@ from hypothesis import strategies as st
 from weightmagic import SingularMatrixError
 from weightmagic.linalg import determinant, inverse, solve, transpose
 
-from support import KERNEL_SQUARES, mat_mul
+from support import KERNEL_SQUARES, mat_mul, reference_inverse
 
 
-def reference_inverse(rows):
-    """Gauss-Jordan over Fraction, the reference for the integer kernel;
-    None when the matrix is singular."""
-    n = len(rows)
-    work = [[Fraction(x) for x in r] for r in rows]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = work[col][col]
-        work[col] = [x / scale for x in work[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r == col or work[r][col] == 0:
-                continue
-            factor = work[r][col]
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(r) for r in inv)
+def inverse_value(m):
+    """``inverse(m)`` as Fractions, N / d, after checking that it answers
+    in ints: d a nonzero int and N a tuple of tuples of ints."""
+    d, block = inverse(m)
+    assert type(d) is int and d != 0
+    assert type(block) is tuple and all(type(row) is tuple for row in block)
+    assert all(type(x) is int for row in block for x in row)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in block)
+
+
+def solve_value(m, rhs):
+    """``solve(m, rhs)`` as Fractions, y / d, after checking that it
+    answers in ints: d a nonzero int and y a tuple of ints."""
+    d, y = solve(m, rhs)
+    assert type(d) is int and d != 0
+    assert type(y) is tuple and all(type(x) is int for x in y)
+    return tuple(Fraction(x, d) for x in y)
 
 
 def leibniz_determinant(rows):
@@ -97,7 +92,7 @@ def test_determinant_of_the_empty_matrix_is_one():
     # the empty product, as inverse treats the 0 x 0 matrix as invertible
     assert determinant([]) == 1
     assert determinant(()) == 1
-    assert inverse([]) == ()
+    assert inverse([]) == (1, ())
 
 
 def test_determinant_sizes():
@@ -120,9 +115,11 @@ def test_transpose_and_identity():
 
 def test_inverse_exact():
     b = ((6, -1, -1), (-1, 2, -1), (-1, -1, 1))
-    a = inverse(b)
+    a = inverse_value(b)
     assert mat_mul(a, b) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert all(x.denominator == 1 for row in a for x in row)
+    # det b = 1, and the elimination ends with d = +-det
+    assert inverse(b)[0] in (1, -1)
 
 
 @pytest.mark.parametrize("f", [determinant, inverse])
@@ -137,7 +134,7 @@ def test_inverse_singular():
 
 
 def test_solve():
-    result = solve(((2, 0), (0, 4)), (Fraction(6), Fraction(8)))
+    result = solve_value(((2, 0), (0, 4)), (Fraction(6), Fraction(8)))
     assert result == (Fraction(3), Fraction(2))
     with pytest.raises(ValueError):
         solve(((2, 0), (0, 4)), (6,))
@@ -145,17 +142,17 @@ def test_solve():
 
 def test_zero_leading_pivot_needs_a_row_swap():
     m = ((0, 2, 1), (3, 1, 0), (1, 0, 2))
-    assert inverse(m) == reference_inverse(m)
-    assert mat_mul(m, inverse(m)) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert solve(m, (3, 4, 3)) == (1, 1, 1)
+    assert inverse_value(m) == reference_inverse(m)
+    assert mat_mul(m, inverse_value(m)) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert solve_value(m, (3, 4, 3)) == (1, 1, 1)
 
 
 def test_pivot_vanishing_after_elimination():
     # column 1 of row 2 becomes 0 once row 1 is eliminated, so step 2
     # swaps in row 3; the third pivot then carries the determinant
     m = ((1, 2, 3), (2, 4, 7), (1, 3, Fraction(1, 2)))
-    assert inverse(m) == reference_inverse(m)
-    assert mat_mul(m, inverse(m)) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert inverse_value(m) == reference_inverse(m)
+    assert mat_mul(m, inverse_value(m)) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(SingularMatrixError):
         inverse(((1, 2, 3), (2, 4, 6), (1, 3, 5)))
 
@@ -172,13 +169,10 @@ def test_kernel_matches_the_fraction_reference(system):
         with pytest.raises(SingularMatrixError):
             solve(m, rhs)
         return
-    got = inverse(m)
-    assert got == expected
-    assert all(type(x) is Fraction for row in got for x in row)
-    x = solve(m, rhs)
+    assert inverse_value(m) == expected
+    x = solve_value(m, rhs)
     assert x == tuple(sum(a * Fraction(b) for a, b in zip(row, rhs))
                       for row in expected)
-    assert all(type(v) is Fraction for v in x)
 
 
 def test_kernel_squares_match_the_fraction_reference():
@@ -195,6 +189,6 @@ def test_kernel_squares_match_the_fraction_reference():
                 with pytest.raises(SingularMatrixError):
                     inverse(m)
                 continue
-            assert inverse(m) == expected, m
-            assert solve(m, ones) == tuple(sum(row) for row in expected), m
+            assert inverse_value(m) == expected, m
+            assert solve_value(m, ones) == tuple(map(sum, expected)), m
     assert 0 < singular < 2 * len(KERNEL_SQUARES)

@@ -17,7 +17,8 @@ from weightmagic import (ALMOST_PRIMITIVE, PLAIN, PRIMITIVE, InverseData,
 from weightmagic import linalg, magic
 from weightmagic.magic import _system_from_ratios
 
-from support import KERNEL_SQUARES, mat_mul, outcome
+from support import (KERNEL_SQUARES, mat_mul, outcome, reference_inverse,
+                     reference_recover_partner)
 
 W42 = parse_weight_system("6,14,21;42")
 W10 = parse_weight_system("1,3,5;10")
@@ -41,12 +42,10 @@ def reference_system_from_ratios(ratios):
 def reference_inverse_data(ms):
     """The Fraction body of ``inverse_data``, without keeping anything on
     the square: row and column sums of A itself."""
-    b = tuple(tuple(c - 1 for c in row) for row in ms.entries)
-    try:
-        a = linalg.inverse(b)
-    except SingularMatrixError:
+    a = reference_inverse([[c - 1 for c in row] for row in ms.entries])
+    if a is None:
         raise SingularMatrixError(
-            "C - 1 is singular, so the inverse data does not exist") from None
+            "C - 1 is singular, so the inverse data does not exist")
     return InverseData(
         a, reference_system_from_ratios([sum(row) for row in a]),
         reference_system_from_ratios([sum(col) for col in zip(*a)]))
@@ -264,6 +263,33 @@ class TestInverseDataMatchesReference:
         assert outcome(_system_from_ratios, sums, d) == outcome(
             reference_system_from_ratios, [Fraction(s, d) for s in sums])
 
+    @given(st.lists(st.integers(-30, 30), min_size=2, max_size=4),
+           st.integers(1, 60))
+    def test_system_from_negated_sums(self, sums, d):
+        # d < 0: the same ratios give the same system when the sums have
+        # one sign, as on a square; sums of both signs, or all 0, give
+        # no system, with either sign of d
+        negated = outcome(_system_from_ratios, [-s for s in sums], -d)
+        if min(sums) < 0 < max(sums) or not any(sums):
+            assert negated[0] is ValidationError
+        else:
+            assert negated == outcome(
+                reference_system_from_ratios, [Fraction(s, d) for s in sums])
+
+    def test_both_signs_of_d_on_the_catalog(self, catalog):
+        # the elimination's d is negative for some inverses of C - 1, so
+        # the data is recovered through both signs
+        signs = set()
+        for entry in catalog:
+            square = entry.square
+            try:
+                d, _ = magic._inverse(square)
+            except SingularMatrixError:
+                continue
+            signs.add(d > 0)
+            assert inverse_data(square) == reference_inverse_data(square)
+        assert signs == {True, False}
+
 
 class TestRecoverPartner:
     def test_self_coupled(self):
@@ -283,6 +309,14 @@ class TestRecoverPartner:
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
             recover_partner(((1, 1), (1, 1)), parse_weight_system("1,1;2"))
+
+    def test_singular_comes_before_the_row_sums(self):
+        # the row sums are 3, not 4: checked only once C is solved
+        w = parse_weight_system("1,2;4")
+        with pytest.raises(SingularMatrixError):
+            recover_partner(((1, 1), (1, 1)), w)
+        with pytest.raises(ValidationError, match="row 1 has a-weighted"):
+            recover_partner(((1, 1), (2, 0)), w)
 
     def test_builds_the_validated_square_without_validating(self,
                                                              monkeypatch):
@@ -306,11 +340,38 @@ class TestRecoverPartner:
         (((1, 0), (0, 1)), "1,1,1;3", "weight systems disagree on size: 3 vs 2"),
         (((2, 0), (-1, 2)), "1,1;2",
          "matrix entries must be non-negative integers"),
-    ], ids=["row-relation", "size", "negative-entry"])
+        # sizes and entries are checked before C is solved, and the
+        # partner has one weight per row of C
+        (((2.0, 0), (0, 2)), "1,1;2",
+         "matrix entries must be non-negative integers"),
+        (((1.0, 1), (1, 1)), "1,1;2",
+         "matrix entries must be non-negative integers"),
+        (((2, False), (0, 2)), "1,1;2",
+         "matrix entries must be non-negative integers"),
+        (((2, 0), (0, 2, 0)), "1,1;2",
+         "matrix must be 2x2 to match the weights"),
+        (((2, 0, 0), (0, 2, 0)), "1,1;2",
+         "matrix must be 2x2 to match the weights"),
+        (((2, 0), (0, 2), (1, 1)), "1,1;2",
+         "weight systems disagree on size: 2 vs 3"),
+    ], ids=["row-relation", "size", "negative-entry", "float",
+            "singular-float", "bool", "ragged", "wide", "tall"])
     def test_refuses_what_validate_refuses(self, rows, w, message):
         with pytest.raises(ValidationError) as raised:
             recover_partner(rows, parse_weight_system(w))
         assert str(raised.value) == message
+
+    def test_matches_the_lcm_reference_on_the_catalog(self, catalog):
+        # both the square and its transpose, and both signs of solve's d
+        signs = set()
+        for entry in catalog:
+            for square in (entry.square, transpose(entry.square)):
+                rows = square.entries
+                assert outcome(recover_partner, rows, square.wa) == outcome(
+                    reference_recover_partner, rows, square.wa), rows
+                d, _ = linalg.solve(linalg.transpose(rows), (1,) * len(rows))
+                signs.add(d > 0)
+        assert signs == {True, False}
 
     @pytest.mark.parametrize("monomials, system", [
         ("x^3, y^3, z^3", "1,1,1;3"),

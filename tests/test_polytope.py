@@ -13,9 +13,8 @@ from weightmagic import (DomainError, MagicSquare, RationalSimplex,
                          parse_weight_system, polar_dual, validate,
                          verify_duality_identity)
 from weightmagic import linalg
-from weightmagic.linalg import solve
 
-from support import KERNEL_SQUARES, mat_mul
+from support import KERNEL_SQUARES, mat_mul, reference_solve
 
 W6 = parse_weight_system("2,3;6")
 W42 = parse_weight_system("6,14,21;42")
@@ -34,7 +33,7 @@ def reference_polar_dual(s):
     rows = [tuple(v[coord] for v in s.vertices) for coord in range(n)]
     rows.append((1,) * (n + 1))
     try:
-        lam = solve(tuple(rows), (0,) * n + (1,))
+        lam = reference_solve(tuple(rows), (0,) * n + (1,))
     except SingularMatrixError:
         raise ValidationError(
             "degenerate simplex: vertices are affinely dependent"
@@ -45,7 +44,8 @@ def reference_polar_dual(s):
             "so the polar dual is not a simplex"
         )
     duals = [
-        solve(tuple(v for j, v in enumerate(s.vertices) if j != i), (-1,) * n)
+        reference_solve(tuple(v for j, v in enumerate(s.vertices) if j != i),
+                        (-1,) * n)
         for i in range(n + 1)
     ]
     for v in s.vertices:
@@ -429,3 +429,22 @@ class TestDualityIdentity:
         assert verify_duality_identity(square)
         assert inverse_data(square) is data
         assert inverted == []
+
+    def test_inverts_once_when_it_runs_first(self, monkeypatch):
+        # the identity reads the square's kept (d, N) without building
+        # the inverse data, which later reads the same (d, N)
+        inverted = []
+        original = linalg.inverse
+
+        def counting(rows):
+            inverted.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(linalg, "inverse", counting)
+        square = validate(((5, 0, 1), (1, 3, 0), (0, 0, 2)),
+                          parse_weight_system("1,3,5;10"),
+                          parse_weight_system("4,10,13;30"))
+        assert verify_duality_identity(square)
+        assert "_inverse_data" not in square.__dict__
+        assert inverse_data(square).recovered_wb == square.wb
+        assert len(inverted) == 1

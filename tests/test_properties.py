@@ -18,7 +18,7 @@ from weightmagic import (CyclotomicProduct, DegenerateSupportError,
                          verify_duality_identity)
 from weightmagic.linalg import determinant
 
-from support import SEARCHED
+from support import SEARCHED, outcome, reference_recover_partner
 
 _CATALOG = load_catalog()
 
@@ -160,6 +160,17 @@ class TestPartnerRecoveryProperties:
         assert recovered.entries == ms.entries and recovered.wa == ms.wa
         assert reduce_system(recovered.wb).system == \
             reduce_system(ms.wb).system
+
+    def test_matches_the_lcm_reference(self):
+        # every searched square and its transpose, singular C included
+        refusals = 0
+        for ms in SEARCHED:
+            for square in (ms, transpose(ms)):
+                got = outcome(recover_partner, square.entries, square.wa)
+                assert got == outcome(reference_recover_partner,
+                                      square.entries, square.wa), ms.entries
+                refusals += type(got) is tuple
+        assert 0 < refusals < 2 * len(SEARCHED)
 
     @settings(max_examples=60, deadline=None)
     @given(searched_squares)

@@ -65,6 +65,15 @@ class TestRefusals:
             find_magic_squares(wa, wb, **options)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("name", [[], {}, set()], ids=repr)
+    def test_unhashable_filter_is_refused_first(self, name):
+        with pytest.raises(ValidationError) as raised:
+            find_magic_squares(self.ZERO, WeightSystem((1, 1, 1), 3),
+                               filter=name, cap=0)
+        assert str(raised.value) == (
+            "filter must be one of ('any', 'almost_primitive', 'primitive'), "
+            f"got {name!r}")
+
 
 class TestEnumerateRows:
     def test_all_rows_descending(self):
