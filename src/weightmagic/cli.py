@@ -188,7 +188,7 @@ def _cmd_check(args) -> tuple[int, dict | Callable[[str], str], list[str]]:
 
     def document(indent: str) -> str:
         return _square_writer({"verb": "check", "verified": True, **head},
-                              indent)(square, report)
+                              indent)(square)
     return 0, document, lines
 
 
@@ -214,17 +214,24 @@ def _cmd_search(args) -> tuple[int, dict, Iterator[str]]:
     return 0, document, _search_lines(wa_text, wb_text, squares)
 
 
-def _square_writer(head: dict, indent: str) -> Callable:
-    """The function that writes a square's document from its ``classify``
+def _square_writer(head: dict, indent: str) -> Callable[[MagicSquare], str]:
+    """The function that writes a square's document, with its ``classify``
     report, as ``_json`` writes it at ``indent``; ``head``, its first items,
-    is rendered here, once for every square the function writes."""
+    is rendered here, once for every square the function writes, and each
+    distinct row's JSON text when first written, into a cache that lives as
+    long as the function, as the texts depend on ``indent``."""
+    from . import magic
     i1, i2, i3 = (indent + "  " * depth for depth in range(1, 4))
     head = "".join(f"{i1}{_quote(k)}: {_json(v)}," for k, v in head.items())
     sep = f",{i3}"
 
-    def write(square: MagicSquare, report) -> str:
-        rows = ",".join(f"{i2}[{i3}{sep.join(map(repr, row))}{i2}]"
-                        for row in square.entries)
+    @cache  # row -> its JSON text
+    def row_text(row) -> str:
+        return f"{i2}[{i3}{sep.join(map(repr, row))}{i2}]"
+
+    def write(square: MagicSquare) -> str:
+        report = magic.classify(square)
+        rows = ",".join(map(row_text, square.entries))
         return (f'{{{head}{i1}"matrix": [{rows}{i1}],{i1}"monomials": '
                 f'{_quote(square.monomials())},{i1}"determinant": '
                 f'{report.determinant!r},{i1}"classification": '
@@ -235,12 +242,10 @@ def _square_writer(head: dict, indent: str) -> Callable:
 
 def _square_documents(squares: list[MagicSquare], head: dict,
                       indent: str) -> str:
-    """``_json`` of the list of the squares' documents at ``indent``, each
-    written by one ``_square_writer``."""
-    from . import magic
+    """``_json`` of the list of the squares' documents at ``indent``, all
+    written by one ``_square_writer``: each distinct row is rendered once."""
     inner = indent + "  "
-    items = map(_square_writer(head, inner), squares,
-                map(magic.classify, squares))
+    items = map(_square_writer(head, inner), squares)
     return f"[{inner}{f',{inner}'.join(items)}{indent}]" if squares else "[]"
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import linalg
@@ -89,7 +90,7 @@ def validate(entries, wa: WeightSystem, wb: WeightSystem) -> MagicSquare:
 
 
 class CouplingReport(_Value):
-    """Determinant-level classification and strongness."""
+    """Determinant-level classification and strongness; it has no checks."""
 
     _fields = ("determinant", "classification", "strong")
 
@@ -121,7 +122,7 @@ def _classify(ms: MagicSquare) -> CouplingReport:
         label = ALMOST_PRIMITIVE
     else:
         label = PLAIN
-    return CouplingReport(det, label, _is_strong(ms.entries))
+    return CouplingReport._trusted(det, label, _is_strong(ms.entries))
 
 
 def _is_strong(entries) -> bool:
@@ -274,25 +275,27 @@ def parse_monomial_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def format_monomial_matrix(entries) -> str:
-    """Render exponent rows in the notation ``x^{21}z, y^3, z^2``.
+    """Render exponent rows in the notation ``x^{21}z, y^3, z^2``: each row
+    as `_monomial` writes it, joined by a comma and a space."""
+    return ", ".join(map(_monomial, map(tuple, entries)))
 
-    Single-digit exponents are bare, multi-digit ones braced, exponent-1
-    variables unadorned; rows are joined by a comma and a space.
-    """
-    parts = []
-    for row in entries:
-        factors = []
-        for var, exp in zip(_VARS, row):
-            if exp == 0:
-                continue
-            if exp == 1:
-                factors.append(var)
-            elif exp < 10:
-                factors.append(f"{var}^{exp}")
-            else:
-                factors.append(f"{var}^{{{exp}}}")
-        parts.append("".join(factors) or "1")
-    return ", ".join(parts)
+
+@lru_cache(maxsize=1024)
+def _monomial(row: tuple[int, ...]) -> str:
+    """A row as a monomial, ``1`` if it is all 0: single-digit exponents
+    bare, multi-digit ones braced, exponent-1 variables unadorned.  Kept
+    per row, as the squares of one search share a few rows."""
+    factors = []
+    for var, exp in zip(_VARS, row):
+        if exp == 0:
+            continue
+        if exp == 1:
+            factors.append(var)
+        elif exp < 10:
+            factors.append(f"{var}^{exp}")
+        else:
+            factors.append(f"{var}^{{{exp}}}")
+    return "".join(factors) or "1"
 
 
 def parse_matrix(text: str, n: int) -> tuple[tuple[int, ...], ...]:

@@ -102,10 +102,10 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
 
     ``filter`` keeps the squares whose classification it names in
     :data:`FILTERS`, ``strong_only`` keeps the strong squares, and more
-    than ``cap`` results raise SearchCapExceeded.  An unknown filter,
-    a zero weight, systems of different sizes and a cap below 1 are
-    refused with ValidationError, in that order and before any other
-    work.
+    than ``cap`` results raise SearchCapExceeded.  An unknown filter, a
+    zero weight, unequal sizes, a cap that is not an int or is below 1
+    and a non-bool ``strong_only`` are refused with ValidationError, in
+    that order and before any other work.
 
     A pair with k * a0 != h * b0 has no square and returns [] before
     any rows are enumerated: b^T C a is h (k - b0) by the row relation
@@ -146,8 +146,13 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
     if len(wa.weights) != len(wb.weights):
         raise ValidationError(
             f"weight systems disagree on size: {wa.n} vs {wb.n}")
+    if type(cap) is not int:
+        raise ValidationError(f"cap must be an int, got {cap!r}")
     if cap < 1:
         raise ValidationError(f"cap must be positive, got {cap}")
+    if type(strong_only) is not bool:
+        raise ValidationError(
+            f"strong_only must be a bool, got {strong_only!r}")
     if wb.degree * wa.a0 != wa.degree * wb.a0:
         return []
     packing = _packing(wa, wb)

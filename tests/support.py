@@ -14,6 +14,9 @@ compared with their Fraction references.
 ``brute_force_squares`` is the plain ``product`` form of criterion 8's
 n=2 oracle, the reference its per-row-system form is compared with.
 ``coupled_pairs`` draws weight pairs that squares may couple.
+``reference_monomials`` writes exponent rows in the monomial notation
+from its definition, the reference ``format_monomial_matrix`` is
+compared with.
 """
 
 from __future__ import annotations
@@ -153,3 +156,18 @@ def coupled_pairs(draw):
     wa = WeightSystem(tuple(a), h)
     assume(len(enumerate_rows(wa)) ** n <= 4096)
     return wa, WeightSystem(tuple(b), h * sum(b) // sum(a))
+
+
+def reference_monomials(entries) -> str:
+    """Row i becomes the product of the variables x, y, z, t of its nonzero
+    columns, each with its exponent after ^ unless it is 1, in braces when
+    it has more than one digit; a row of zeros is the empty product, 1.
+    Rows are separated by a comma and a space."""
+    def factor(var, exponent):
+        digits = str(exponent)
+        if exponent == 1:
+            return var
+        return f"{var}^{digits}" if len(digits) == 1 else f"{var}^{{{digits}}}"
+
+    return ", ".join("".join(factor(var, e) for var, e in zip("xyzt", row)
+                             if e) or "1" for row in entries)

@@ -337,6 +337,25 @@ class TestSearch:
         assert run(argv + ["--format", "json"]) == (
             0, json.dumps(doc, indent=2) + "\n")
 
+    def test_row_texts_are_kept_for_one_document_only(self):
+        # the search's results share rows, x^{12} among them, which it
+        # writes one level deeper than check writes its square: a row text
+        # kept past its document, or keyed without its indent, would put
+        # check's rows, or the second search's, at the wrong indent
+        square = ["check", "--wa", "1,1,1;12",
+                  "--matrix", "x^{12}, y^{12}, z^{12}"]
+        outputs = [run(argv + ["--format", "json"])
+                   for argv in (["search", "--wa", "1,1,1;12"], square,
+                                ["search", "--wa", "1,1,1;12"])]
+        for code, out in outputs:
+            assert code == 0
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        searched = json.loads(outputs[0][1])["results"]
+        checked = json.loads(outputs[1][1])
+        assert checked["monomials"] == "x^{12}, y^{12}, z^{12}"
+        assert all(any(row in result["matrix"] for result in searched)
+                   for row in checked["matrix"])
+
     @pytest.mark.parametrize("wa, wb", [
         ("1,1,1;12", "1,1,1;12"), ("2,3,4,5;20", "2,3,4,5;20"),
         ("1,3,5;10", "4,10,13;30"), ("2,3;6", "2,3;6")])

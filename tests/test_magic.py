@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -18,7 +19,7 @@ from weightmagic import linalg, magic
 from weightmagic.magic import _system_from_ratios
 
 from support import (KERNEL_SQUARES, mat_mul, outcome, reference_inverse,
-                     reference_recover_partner)
+                     reference_monomials, reference_recover_partner)
 
 W42 = parse_weight_system("6,14,21;42")
 W10 = parse_weight_system("1,3,5;10")
@@ -458,6 +459,22 @@ class TestMonomialNotation:
             "x^{21}z, y^3, xz^{10}"
         assert format_monomial_matrix(((7, 0, 0), (0, 3, 0), (0, 0, 2))) == \
             "x^7, y^3, z^2"
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_format_matches_the_reference(self, n):
+        # every row over exponents 0, 1, 2-9 and from 10 up, the all-zero
+        # row included: in the n-row matrices cut from their list, alone,
+        # and as lists, which the per-row cache must not refuse
+        exponents = (0, 1, 2, 5, 9, 10, 11, 99, 100, 12345)
+        rows = list(product(exponents, repeat=n))
+        assert rows[0] == (0,) * n
+        assert format_monomial_matrix([rows[0]]) == "1"
+        squares = [rows[i:i + n] for i in range(0, len(rows), n)]
+        for entries in squares + [[row] for row in rows]:
+            assert format_monomial_matrix(entries) == \
+                reference_monomials(entries)
+            assert format_monomial_matrix([list(r) for r in entries]) == \
+                reference_monomials(entries)
 
     def test_round_trip(self, catalog):
         for entry in catalog:

@@ -40,10 +40,10 @@ class TestSearchQuery:
 
 
 class TestRefusals:
-    # Each row drops the first fault of the row before it, so each row
-    # names the refusal that comes next.  Every pair fails
-    # k * a0 = h * b0, so a refusal checked after that early exit would
-    # return [] instead.
+    # Each row drops the first fault of the row before it, or puts
+    # another fault of the same kind in its place, so each row names the
+    # refusal that comes next.  Every pair fails k * a0 = h * b0, so a
+    # refusal checked after that early exit would return [] instead.
     ZERO = WeightSystem((1, 0), 3)
     W4 = WeightSystem((1, 2), 4)
 
@@ -57,7 +57,23 @@ class TestRefusals:
          "weight systems disagree on size: 2 vs 3"),
         (W4, WeightSystem((1, 1), 3), {"cap": 0},
          "cap must be positive, got 0"),
-    ], ids=["filter", "zero-weight", "size", "cap"])
+        (W4, WeightSystem((1, 1), 3), {"cap": "10", "strong_only": "no"},
+         "cap must be an int, got '10'"),
+        (W4, WeightSystem((1, 1), 3), {"cap": 2.5, "strong_only": "no"},
+         "cap must be an int, got 2.5"),
+        (W4, WeightSystem((1, 1), 3), {"cap": True, "strong_only": "no"},
+         "cap must be an int, got True"),
+        (W4, WeightSystem((1, 1), 3), {"cap": 0, "strong_only": "no"},
+         "cap must be positive, got 0"),
+        (W4, WeightSystem((1, 1), 3), {"strong_only": "no"},
+         "strong_only must be a bool, got 'no'"),
+        (W4, WeightSystem((1, 1), 3), {"strong_only": 1},
+         "strong_only must be a bool, got 1"),
+        (W4, WeightSystem((1, 1), 3), {"strong_only": None},
+         "strong_only must be a bool, got None"),
+    ], ids=["filter", "zero-weight", "size", "cap", "cap-str", "cap-float",
+            "cap-bool", "cap-before-strong_only", "strong_only-str",
+            "strong_only-int", "strong_only-none"])
     def test_refusals_come_in_order_before_the_early_exit(self, wa, wb,
                                                           options, message):
         assert wb.degree * wa.a0 != wa.degree * wb.a0
