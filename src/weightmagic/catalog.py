@@ -118,10 +118,13 @@ class Catalog:
 
     def lookup(self, key: int | str) -> tuple[CatalogEntry, ...]:
         """All entries whose index (int key) or name (str key) matches."""
-        if isinstance(key, str):
+        if type(key) is str:
             hits = tuple(e for e in self.entries if e.name == key)
-        else:
+        elif type(key) is int:
             hits = tuple(e for e in self.entries if e.index == key)
+        else:
+            raise CatalogError(
+                f"a catalog key is an int index or a str name, got {key!r}")
         if not hits:
             raise CatalogError(f"no catalog entry matches {key!r}")
         return hits

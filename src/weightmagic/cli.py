@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("zeta", _cmd_zeta, "reduced zeta function of a square", coupling)
     p.add_argument("--saito-dual", action="store_true",
                    help="also print the Saito dual")
-    p.add_argument("--expand", type=int, metavar="N",
+    p.add_argument("--expand", metavar="N",
                    help="print series coefficients up to degree N "
                         f"(at most {MAX_EXPAND})")
 
@@ -261,12 +261,19 @@ def _search_lines(wa: str, wb: str, squares: list[MagicSquare]):
 
 def _cmd_zeta(args) -> tuple[int, dict, list[str]]:
     from . import zeta
-    if args.expand is not None and args.expand < 0:
-        raise ValidationError(
-            f"--expand {args.expand} is negative; give a degree of 0 or more")
-    if args.expand is not None and args.expand > MAX_EXPAND:
-        raise ValidationError(
-            f"--expand {args.expand} exceeds the ceiling of {MAX_EXPAND}")
+    expand = args.expand
+    if expand is not None:
+        digits = expand.removeprefix("-")
+        if not (digits.isascii() and digits.isdecimal()):
+            raise ValidationError(f"--expand must be an integer in ASCII "
+                                  f"digits 0-9, got {expand!r}")
+        expand = _read_int(expand, "--expand")
+        if expand < 0:
+            raise ValidationError(
+                f"--expand {expand} is negative; give a degree of 0 or more")
+        if expand > MAX_EXPAND:
+            raise ValidationError(
+                f"--expand {expand} exceeds the ceiling of {MAX_EXPAND}")
     square, head = _coupling(args)
     z = zeta.reduced_zeta(square)
     document = {"verb": "zeta", **head, "zeta": {
@@ -277,8 +284,8 @@ def _cmd_zeta(args) -> tuple[int, dict, list[str]]:
         document["saito_dual"] = {
             "text": str(dual), "factors": [list(f) for f in dual.factors]}
         lines.append(f"saito dual: {dual}")
-    if args.expand is not None:
-        coefficients = zeta.expand_series(z, args.expand)
+    if expand is not None:
+        coefficients = zeta.expand_series(z, expand)
         document["series"] = coefficients
         lines.append(f"series: {coefficients}")
     return 0, document, lines

@@ -1,9 +1,9 @@
 """Exhaustive search for weighted magic squares coupling a weight pair.
 
-Rows of the row relation are assembled depth-first into squares, their
-column sums packed as the digits of one int, and each row multiset is
-reported once, in a canonical arrangement.  :func:`find_magic_squares`
-states the packing and pruning rules and why they leave its output alone.
+A system's rows, enumerated once and kept, are assembled depth-first into
+squares, their column sums packed as the digits of one int; each row
+multiset is reported once, in a canonical arrangement.
+:func:`find_magic_squares` states the rules and why they keep its output.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ FILTERS = {"any": (magic.PRIMITIVE, magic.ALMOST_PRIMITIVE, magic.PLAIN),
            "primitive": (magic.PRIMITIVE,)}
 
 
-def enumerate_rows(wa: WeightSystem) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=64)
+def enumerate_rows(wa: WeightSystem) -> tuple[tuple[int, ...], ...]:
     """All non-negative integer rows c with sum(c_j * a_j) = h,
-    lexicographically descending, as a fresh list."""
+    lexicographically descending, as a tuple; the rows of the 64 most
+    recent systems are kept and shared by every caller."""
     if 0 in wa.weights:
         raise ValidationError("row enumeration requires strictly positive weights")
     n = wa.n
@@ -39,31 +41,7 @@ def enumerate_rows(wa: WeightSystem) -> list[tuple[int, ...]]:
             extend(j + 1, remaining - c * wa.weights[j], prefix + (c,))
 
     extend(0, wa.degree, ())
-    return out
-
-
-@lru_cache(maxsize=64)
-def _plan(wa: WeightSystem) -> tuple[tuple[int, ...], ...]:
-    """The rows of ``wa`` in enumeration order, kept for the 64 most
-    recent systems so that a system's rows are enumerated once."""
-    return tuple(enumerate_rows(wa))
-
-
-@lru_cache(maxsize=64)
-def _packing(wa: WeightSystem, wb: WeightSystem):
-    """``wa``'s plan packed for ``wb`` as ``_assemble`` reads it, or None
-    if the plan has no rows; kept for the 64 most recent pairs."""
-    rows = _plan(wa)
-    if not rows:
-        return None
-    k, b = wb.degree, wb.weights
-    half = 1 << max(k, max(b) * wa.degree).bit_length()
-    digits = [(2 * half) ** j for j in range(wa.n)]
-    packed = [sum(map(mul, row, digits)) for row in rows]
-    unit = sum(digits)
-    return (rows, [[bi * p for p in packed] for bi in b[:-1]],
-            {b[-1] * p: j for j, p in enumerate(packed)},
-            k * unit, (half - 1 - k) * unit, half * unit)
+    return tuple(out)
 
 
 def _columns_valid(rows, wb: WeightSystem) -> bool:
@@ -111,7 +89,7 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
     any rows are enumerated: b^T C a is h (k - b0) by the row relation
     C a = h 1 and k (h - a0) by the column relation b^T C = k 1.
 
-    Rows come from wa's cached plan and are placed depth-first in
+    Rows come from :func:`enumerate_rows` and are placed depth-first in
     enumeration order, the column sums s_j kept as the digits of one int
     in radix 2**m, with 2**(m-1) > max(k, B) and B = max(b) * h >= b_i c_j.
     Adding 2**(m-1) - 1 - k to every digit sets a digit's top bit exactly
@@ -155,15 +133,20 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
             f"strong_only must be a bool, got {strong_only!r}")
     if wb.degree * wa.a0 != wa.degree * wb.a0:
         return []
-    packing = _packing(wa, wb)
-    return [] if packing is None else _assemble(
-        wa, wb, filter, strong_only, cap, *packing)
+    return _assemble(wa, wb, filter, strong_only, cap)
 
 
-def _assemble(wa, wb, filter, strong_only, cap,
-              rows, placed, last_of, full, guard, high):
+def _assemble(wa, wb, filter, strong_only, cap):
     # a function of its own: find_magic_squares' early exits make no cells
-    n, b = wa.n, wb.weights
+    rows = enumerate_rows(wa)
+    n, k, b = wa.n, wb.degree, wb.weights
+    half = 1 << max(k, max(b) * wa.degree).bit_length()
+    digits = [(2 * half) ** j for j in range(n)]
+    packed = [sum(map(mul, row, digits)) for row in rows]
+    unit = sum(digits)
+    placed = [[bi * p for p in packed] for bi in b[:-1]]
+    last_of = {b[-1] * p: j for j, p in enumerate(packed)}
+    full, guard, high = k * unit, (half - 1 - k) * unit, half * unit
     seen: set[tuple[tuple[int, ...], ...]] = set()
     accepted: list[magic.MagicSquare] = []
 

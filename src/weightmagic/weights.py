@@ -188,8 +188,9 @@ def _read_int(digits: str, field: str, *args) -> int:
     try:
         return int(digits)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
+        count = len(digits.strip().lstrip("-"))  # a sign is not a digit
         raise ParseError(
-            f"{field % args} has {len(digits.strip())} digits, more than the "
+            f"{field % args} has {count} digits, more than the "
             f"{sys.get_int_max_str_digits()} that can be read") from None
 
 

@@ -165,6 +165,8 @@ def saito_dual(p: CyclotomicProduct, h: int) -> CyclotomicProduct:
     Defined only when every stored order divides h; applying it twice
     with the same h gives back p.
     """
+    if type(h) is not int:
+        raise ValidationError(f"the dualizing degree must be an int, got {h!r}")
     if h < 1:
         raise ValidationError(f"the dualizing degree must be positive, got {h}")
     for l, _ in p.factors:
@@ -225,6 +227,8 @@ def expand_series(p: CyclotomicProduct, max_degree: int) -> list[int]:
     Each factor (1-t^l) is one backward in-place pass, each (1-t^l)^-1
     one forward pass (the geometric series), so the expansion is exact.
     """
+    if type(max_degree) is not int:
+        raise ValidationError(f"max_degree must be an int, got {max_degree!r}")
     if max_degree < 0:
         raise ValidationError(f"max_degree must be >= 0, got {max_degree}")
     coeffs = [1] + [0] * max_degree

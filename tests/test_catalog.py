@@ -104,6 +104,13 @@ class TestLookup:
         with pytest.raises(CatalogError, match="no catalog entry matches 9999"):
             catalog.lookup(9999)
 
+    @pytest.mark.parametrize("key", [True, 14.0, None, (14,)])
+    def test_key_that_is_neither_int_nor_str(self, catalog, key):
+        # True would match index 1 and 14.0 index 14 if compared
+        with pytest.raises(CatalogError, match=(
+                "^a catalog key is an int index or a str name, got ")):
+            catalog.lookup(key)
+
     def test_unknown_name(self, catalog):
         with pytest.raises(CatalogError, match="no catalog entry matches"):
             catalog.lookup("E_99")

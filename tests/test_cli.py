@@ -107,7 +107,13 @@ class TestReduce:
     (["invariants", "--wa", "1,1;2", "--matrix", "2,0;0," + "9" * 1200],
      "entry 2 in row 2"),
     (["catalog", "show", "4" * 1200], "catalog index"),
-], ids=["weight", "exponent", "entry", "catalog-index"])
+    (["zeta", "--wa", "1,1;2", "--matrix", "x^2, y^2", "--expand",
+      "9" * 1200], "--expand"),
+    # the sign is not a digit
+    (["zeta", "--wa", "1,1;2", "--matrix", "x^2, y^2", "--expand",
+      "-" + "9" * 1200], "--expand"),
+], ids=["weight", "exponent", "entry", "catalog-index", "expand",
+        "negative-expand"])
 def test_number_longer_than_int_reads_exits_2(digit_limit, argv, field,
                                               capsys):
     assert main(argv) == 2
@@ -401,10 +407,19 @@ class TestZeta:
                 (MAX_EXPAND + 1,
                  "error: --expand 100001 exceeds the ceiling of 100000\n"),
                 (-1, "error: --expand -1 is negative; give a degree of 0 "
-                     "or more\n")]:
+                     "or more\n"),
+                # read like every other number: ASCII digits, nothing else
+                ("1_0", "error: --expand must be an integer in ASCII digits "
+                        "0-9, got '1_0'\n"),
+                ("\u0663", "error: --expand must be an integer in ASCII "
+                           "digits 0-9, got '\u0663'\n"),
+                ("+3", "error: --expand must be an integer in ASCII digits "
+                       "0-9, got '+3'\n"),
+                (" 3", "error: --expand must be an integer in ASCII digits "
+                       "0-9, got ' 3'\n")]:
             assert main(["zeta", "--wa", "6,14,21;42", "--matrix",
                          "x^7, y^3, z^2", "--expand", str(expand)]) == 2
-            assert capsys.readouterr().err == message
+            assert capsys.readouterr() == ("", message)
 
     def test_json_factors(self):
         code, document = run_json(["zeta", "--wa", "1,3,5;10",

@@ -94,19 +94,20 @@ class TestRefusals:
 class TestEnumerateRows:
     def test_all_rows_descending(self):
         from weightmagic.search import enumerate_rows
-        assert enumerate_rows(W10) == [
+        assert enumerate_rows(W10) == (
             (10, 0, 0), (7, 1, 0), (5, 0, 1), (4, 2, 0),
-            (2, 1, 1), (1, 3, 0), (0, 0, 2)]
+            (2, 1, 1), (1, 3, 0), (0, 0, 2))
 
     def test_small_system(self):
         from weightmagic.search import enumerate_rows
-        assert enumerate_rows(parse_weight_system("2,3;6")) == [(3, 0), (0, 2)]
+        assert enumerate_rows(parse_weight_system("2,3;6")) == ((3, 0), (0, 2))
 
     def test_rows_satisfy_relation(self):
         from weightmagic.search import enumerate_rows
         w = parse_weight_system("1,2,4;8")
         rows = enumerate_rows(w)
-        assert rows == sorted(rows, reverse=True)
+        assert type(rows) is tuple
+        assert list(rows) == sorted(rows, reverse=True)
         for row in rows:
             assert sum(c * a for c, a in zip(row, w.weights)) == w.degree
 
@@ -117,19 +118,26 @@ class TestEnumerateRows:
             enumerate_rows(w)
 
     def test_mutating_returned_rows_does_not_leak(self):
+        # the kept rows are shared by every caller, so they are a tuple of
+        # tuples that no caller can change
         w = parse_weight_system("1,1,1;6")
         before = entries(find_magic_squares(w, w))
         rows = enumerate_rows(w)
-        expected = list(rows)
-        rows.reverse()
-        rows.pop()
-        rows.append((1, 2, 3))
-        assert enumerate_rows(w) == expected
+        assert type(rows) is tuple
+        assert all(type(row) is tuple for row in rows)
+        with pytest.raises(AttributeError):
+            rows.reverse()
+        with pytest.raises(TypeError):
+            rows[0] = (1, 2, 3)
+        assert enumerate_rows(w) is rows
         assert entries(find_magic_squares(w, w)) == before
 
 
 class TestRowPlan:
     def test_one_enumeration_per_weight_system(self, monkeypatch):
+        # a counting wrapper on the module attribute, as perfbench's
+        # tracer installs one, sees every search that reaches the row
+        # stage, while the rows themselves are enumerated once
         calls = []
 
         def counting(wa):
@@ -137,12 +145,17 @@ class TestRowPlan:
             return enumerate_rows(wa)
 
         monkeypatch.setattr(search, "enumerate_rows", counting)
-        search._plan.cache_clear()
+        enumerate_rows.cache_clear()
         find_magic_squares(W10, W30)
         find_magic_squares(W10, W10, filter="primitive")
-        find_magic_squares(W10, parse_weight_system("2,3,5;10"),
-                           filter="almost_primitive", strong_only=True)
-        assert calls == [W10]
+        find_magic_squares(W10, W10, filter="almost_primitive",
+                           strong_only=True)
+        assert calls == [W10, W10, W10]
+        assert enumerate_rows.cache_info().misses == 1
+        # 2,3,5;10 fails k * a0 = h * b0, so its search makes no call
+        assert find_magic_squares(W10, parse_weight_system("2,3,5;10"),
+                                  strong_only=True) == []
+        assert calls == [W10, W10, W10]
 
     @pytest.mark.parametrize("wa,wb", [
         ("1,1,1;12", "1,1,2;12"),
@@ -159,10 +172,11 @@ class TestRowPlan:
             return enumerate_rows(w)
 
         monkeypatch.setattr(search, "enumerate_rows", counting)
-        search._plan.cache_clear()
+        enumerate_rows.cache_clear()
         assert find_magic_squares(parse_weight_system(wa),
                                   parse_weight_system(wb)) == []
         assert calls == []
+        assert enumerate_rows.cache_info().misses == 0
 
     def test_equal_last_rows_are_kept(self):
         # the last two rows are equal and b_(n-1) = b_n: the solved last

@@ -319,6 +319,13 @@ class TestSaitoDual:
         with pytest.raises(ValidationError):
             saito_dual(CyclotomicProduct(), 0)
 
+    @pytest.mark.parametrize("h", [True, 10.0, "10"])
+    def test_rejects_a_degree_that_is_not_an_int(self, h):
+        # checked before the orders are divided, so True is not read as 1
+        with pytest.raises(ValidationError, match=(
+                f"^the dualizing degree must be an int, got {h!r}$")):
+            saito_dual(CyclotomicProduct(((2, 1), (10, -1))), h)
+
 
 class TestLatticeInvariants:
     @pytest.mark.parametrize(
@@ -405,3 +412,9 @@ class TestExpandSeries:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValidationError):
             expand_series(CyclotomicProduct(), -1)
+
+    @pytest.mark.parametrize("max_degree", [True, 2.0, "3"])
+    def test_rejects_a_degree_that_is_not_an_int(self, max_degree):
+        with pytest.raises(ValidationError, match=(
+                f"^max_degree must be an int, got {max_degree!r}$")):
+            expand_series(reduced_zeta(E12), max_degree)
