@@ -31,6 +31,8 @@ SCHEMA_VERSION = 1
 TABLES = ("T1", "T2", "T3", "T4", "Fuchs", "NonMirror")
 KNOWN_FLAGS = frozenset({"zero_weight", "non_mirror_example", "not_strong"})
 _FIXED_COUNTS = {"T1": 3, "T4": 16, "Fuchs": 8}
+#: Most characters ``load_catalog`` reads; the packaged file has 42,107.
+MAX_CATALOG_CHARS = 1 << 20
 
 
 class FuchsExpected(_Value):
@@ -216,7 +218,9 @@ def load_catalog(path: str | os.PathLike | None = None) -> Catalog:
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
     with open(os.fspath(path), encoding="utf-8") as f:
-        text = f.read()
+        text = f.read(MAX_CATALOG_CHARS + 1)
+    if len(text) > MAX_CATALOG_CHARS:
+        raise CatalogError(f"catalog file is over {MAX_CATALOG_CHARS} characters")
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -35,6 +35,8 @@ _FILTER_NAMES = {"any": "any", "almost": "almost_primitive",
 
 #: Largest degree ``zeta --expand`` accepts; the series holds N + 1 integers.
 MAX_EXPAND = 100_000
+#: Most coefficient updates ``zeta --expand`` makes (about a second's work).
+MAX_EXPAND_WORK = 12_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,6 +287,11 @@ def _cmd_zeta(args) -> tuple[int, dict, list[str]]:
             "text": str(dual), "factors": [list(f) for f in dual.factors]}
         lines.append(f"saito dual: {dual}")
     if expand is not None:
+        work = sum(abs(a) * (expand - l + 1) for l, a in z.factors
+                   if l <= expand)
+        if work > MAX_EXPAND_WORK:  # one pass of N - l + 1 per unit of a_l
+            raise ValidationError(f"--expand {expand} needs {work} updates, "
+                                  f"over MAX_EXPAND_WORK = {MAX_EXPAND_WORK}")
         coefficients = zeta.expand_series(z, expand)
         document["series"] = coefficients
         lines.append(f"series: {coefficients}")

@@ -1,4 +1,5 @@
-"""Exact linear algebra for the tiny matrices used throughout (n <= 4).
+"""Exact linear algebra for the tiny matrices used throughout: n <= 4, but
+`polytope.polar_dual` eliminates 5 x 5 ones, which `determinant` refuses.
 
 Everything works on tuples of tuples with int or Fraction entries; no
 floating point exists anywhere in the package.  `inverse` and `solve`
@@ -21,45 +22,33 @@ def _as_rows(rows):
 
 
 def determinant(rows):
-    """Cofactor expansion along the first row; exact for int or Fraction.
+    """Cofactor expansion, written out for n <= 4: by 2 x 2 minors of the
+    first two rows at n = 4 (Laplace); exact for int or Fraction.
 
-    The input is checked and converted to tuples once; the minors are
-    expanded by `_expand`, and the determinant of the 0 x 0 matrix is the
-    empty product, 1.
+    The determinant of the 0 x 0 matrix is the empty product, 1.  Refuses
+    a matrix that is not square or has more than 4 rows.
     """
     m = _as_rows(rows)
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant needs a square matrix")
-    return _expand(m) if n else 1
-
-
-def _expand(m):
-    """Cofactor expansion of a non-empty square tuple matrix, written out
-    for n <= 4: by 2 x 2 minors of the first two rows at n = 4 (Laplace)."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
+    if n > 4:
+        raise ValueError(f"determinant expands at most 4 rows, got {n}")
+    if n < 2:
+        return m[0][0] if n else 1
     if n == 2:
         (a, b), (c, d) = m
         return a * d - b * c
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = m
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if n == 4:
-        (a, b, c, d), (e, f, g, h), (i, j, k, l), (p, q, r, s) = m
-        return ((a * f - b * e) * (k * s - l * r)
-                - (a * g - c * e) * (j * s - l * q)
-                + (a * h - d * e) * (j * r - k * q)
-                + (b * g - c * f) * (i * s - l * p)
-                - (b * h - d * f) * (i * r - k * p)
-                + (c * h - d * g) * (i * q - j * p))
-    total = 0
-    for j, x in enumerate(m[0]):
-        if x:
-            minor = tuple(r[:j] + r[j + 1:] for r in m[1:])
-            total += (-1) ** j * x * _expand(minor)
-    return total
+    (a, b, c, d), (e, f, g, h), (i, j, k, l), (p, q, r, s) = m
+    return ((a * f - b * e) * (k * s - l * r)
+            - (a * g - c * e) * (j * s - l * q)
+            + (a * h - d * e) * (j * r - k * q)
+            + (b * g - c * f) * (i * s - l * p)
+            - (b * h - d * f) * (i * r - k * p)
+            + (c * h - d * g) * (i * q - j * p))
 
 
 def transpose(rows):

@@ -226,13 +226,17 @@ def expand_series(p: CyclotomicProduct, max_degree: int) -> list[int]:
 
     Each factor (1-t^l) is one backward in-place pass, each (1-t^l)^-1
     one forward pass (the geometric series), so the expansion is exact.
+    The factors of order above max_degree, which touch only higher
+    degrees, make no pass.
     """
     if type(max_degree) is not int:
         raise ValidationError(f"max_degree must be an int, got {max_degree!r}")
     if max_degree < 0:
         raise ValidationError(f"max_degree must be >= 0, got {max_degree}")
     coeffs = [1] + [0] * max_degree
-    for l, a in p.factors:
+    for l, a in p.factors:  # ascending in the order
+        if l > max_degree:
+            break
         for _ in range(abs(a)):
             if a > 0:
                 for i in range(max_degree, l - 1, -1):

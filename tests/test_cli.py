@@ -15,8 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weightmagic
-from weightmagic import cli, find_magic_squares, magic, parse_weight_system
-from weightmagic.cli import MAX_EXPAND, _json, build_parser, main, run
+from weightmagic import (cli, find_magic_squares, magic, parse_weight_system,
+                         zeta)
+from weightmagic.catalog import MAX_CATALOG_CHARS
+from weightmagic.cli import (MAX_EXPAND, MAX_EXPAND_WORK, _json, build_parser,
+                             main, run)
 
 from support import coupled_pairs
 
@@ -421,6 +424,24 @@ class TestZeta:
                          "x^7, y^3, z^2", "--expand", str(expand)]) == 2
             assert capsys.readouterr() == ("", message)
 
+    def test_expand_over_work_budget_exits_2(self, monkeypatch, capsys):
+        # zeta is 1 / (1-t)(1-t^100)^960596: each unit of the exponent is
+        # one pass over the degrees from 100 to N, 8 s of passes at N = 200
+        assert MAX_EXPAND_WORK == 12_000_000
+        argv = ["zeta", "--wa", "1,1,1,1;100",
+                "--matrix", "x^{100}, y^{100}, z^{100}, t^{100}"]
+        code, document = run_json(argv + ["--expand", "99"])
+        assert code == 0
+        assert document["series"] == [1] * 100
+
+        def expand_series(p, max_degree):
+            raise AssertionError("expanded over the budget")
+        monkeypatch.setattr(zeta, "expand_series", expand_series)
+        assert main(argv + ["--expand", "200"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --expand 200 needs 97020396 updates, over "
+                "MAX_EXPAND_WORK = 12000000\n")
+
     def test_json_factors(self):
         code, document = run_json(["zeta", "--wa", "1,3,5;10",
                                    "--matrix", "x^5z, xy^3, z^2"])
@@ -734,6 +755,16 @@ class TestCatalog:
         assert main(["catalog", "--catalog-path", str(path), "verify"]) == 2
         assert f"error: {message}\n" in capsys.readouterr().err
 
+    def test_catalog_longer_than_the_limit_exits_2(self, tmp_path, capsys):
+        # a sparse file of NUL bytes, refused before it is parsed as JSON
+        assert MAX_CATALOG_CHARS == 1 << 20
+        path = tmp_path / "catalog.json"
+        with open(path, "wb") as f:
+            f.truncate(MAX_CATALOG_CHARS + 1)
+        assert main(["catalog", "--catalog-path", str(path), "list"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: catalog file is over 1048576 characters\n")
+
     def test_missing_catalog_path_exits_2(self, tmp_path, capsys):
         assert main(["catalog", "--catalog-path",
                      str(tmp_path / "absent.json"), "verify"]) == 2
@@ -766,12 +797,13 @@ class TestArgumentErrors:
             "error: weight system must match 'a1,...,an;h', got ''\n")
 
 
-def child(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python *args`` on the package under test, installed or not."""
+def child(*args: str, text: bool = True) -> subprocess.CompletedProcess:
+    """Run ``python *args`` on the package under test, installed or not;
+    its output is decoded unless ``text`` is false."""
     src = str(Path(weightmagic.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True,
+        [sys.executable, *args], capture_output=True, text=text,
         env={**os.environ, "PYTHONPATH": path})
 
 
@@ -888,15 +920,33 @@ BENCHMARK_SEARCHES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv,code",
+#: The argv whose JSON output is checked in process, and the exit code.
+JSON_CASES = (
     BENCHMARK_CLI_CASES + [(["catalog", "verify"], 0)]
     + [(argv, 0) for argv in BENCHMARK_SEARCHES]
     + [(["check", "--wa", "2,3;6", "--wb", "2,3;6", "--matrix", "3,0;1,1"],
-        1)],
-    ids=lambda value: " ".join(value) if isinstance(value, list) else None)
-def test_json_output_is_the_stdlib_rendering(argv, code):
-    got, out = run(argv + ["--format", "json"])
+        1)])
+
+#: The argv checked in a child process too: the benchmark's five searches
+#: and ``check``, the other verb that writes a square's document.
+CHILD_JSON_ARGV = BENCHMARK_SEARCHES + [
+    ["check", "--wa", "1,3,5;10", "--matrix", "x^5z, xy^3, z^2"]]
+
+
+@pytest.mark.parametrize("argv,code,in_child", [
+    *(pytest.param(argv, code, False, id=f"{' '.join(argv)}-{code}")
+      for argv, code in JSON_CASES),
+    *(pytest.param(argv, 0, True, id=f"child {' '.join(argv)}")
+      for argv in CHILD_JSON_ARGV)])
+def test_json_output_is_the_stdlib_rendering(argv, code, in_child):
+    if in_child:
+        # python -m weightmagic's stdout bytes: ASCII, with no newline
+        # translated, as json.dumps writes them
+        proc = child("-m", "weightmagic", *argv, "--format", "json",
+                     text=False)
+        got, out = proc.returncode, proc.stdout.decode("ascii")
+    else:
+        got, out = run(argv + ["--format", "json"])
     assert got == code
     if code == 2:
         assert out == ""

@@ -391,6 +391,11 @@ class TestExpandSeries:
     def test_geometric_series(self):
         assert expand_series(CyclotomicProduct(((1, -1),)), 4) == [1] * 5
 
+    def test_factor_above_the_degree_is_skipped(self):
+        # 10^12 passes if each unit of the exponent made one
+        p = CyclotomicProduct(((1, -1), (100, -10**12)))
+        assert expand_series(p, 99) == [1] * 100
+
     def test_multiplication_is_convolution(self):
         p = CyclotomicProduct(((1, -1), (3, 1)))
         q = CyclotomicProduct(((2, 2),))
