@@ -1,8 +1,9 @@
 """Exhaustive search for weighted magic squares coupling a weight pair.
 
 A system's rows, enumerated once and kept, are assembled depth-first into
-squares, their column sums packed as the digits of one int; each row
-multiset is reported once, in a canonical arrangement.
+squares, their column sums packed as the digits of one int; a strong
+search places only the rows that hold a zero.  Each row multiset is
+reported once, in a canonical arrangement.
 :func:`find_magic_squares` states the rules and why they keep its output.
 """
 
@@ -87,7 +88,8 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
 
     A pair with k * a0 != h * b0 has no square and returns [] before
     any rows are enumerated: b^T C a is h (k - b0) by the row relation
-    C a = h 1 and k (h - a0) by the column relation b^T C = k 1.
+    C a = h 1 and k (h - a0) by the column relation b^T C = k 1.  So
+    does a primitive search with h != k, as primitive means |det C| = h = k.
 
     Rows come from :func:`enumerate_rows` and are placed depth-first in
     enumeration order, the column sums s_j kept as the digits of one int
@@ -104,10 +106,14 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
     in depth-first order is its lexicographically greatest valid one,
     which that ordering keeps, so multisets are discovered in the same
     order as by the unpruned search.  The squares built this way satisfy
-    both relations by construction and are not validated again.
+    both relations by construction and are not validated again.  A strong
+    search places only the rows that hold a zero, in their order, and
+    drops an arrangement with a zero-free column before it is sorted:
+    permuting rows keeps each row's zeros and each column's entries, so
+    only strong multisets are canonicalized.
 
     Results are deduplicated by row multiset, rendered in canonical
-    arrangement and filtered by strongness, read off the entries, then by
+    arrangement and, once strongness has been checked, filtered by
     classification: a filter other than "any" classifies each square that
     ``strong_only`` keeps.  They come out strictly descending by entries
     without a sort: the search visits arrangements in descending order,
@@ -131,7 +137,8 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
     if type(strong_only) is not bool:
         raise ValidationError(
             f"strong_only must be a bool, got {strong_only!r}")
-    if wb.degree * wa.a0 != wa.degree * wb.a0:
+    if (wb.degree * wa.a0 != wa.degree * wb.a0
+            or filter == "primitive" and wa.degree != wb.degree):
         return []
     return _assemble(wa, wb, filter, strong_only, cap)
 
@@ -139,6 +146,8 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
 def _assemble(wa, wb, filter, strong_only, cap):
     # a function of its own: find_magic_squares' early exits make no cells
     rows = enumerate_rows(wa)
+    if strong_only:  # a square with a zero-free row is not strong
+        rows = [row for row in rows if 0 in row]
     n, k, b = wa.n, wb.degree, wb.weights
     half = 1 << max(k, max(b) * wa.degree).bit_length()
     digits = [(2 * half) ** j for j in range(n)]
@@ -151,13 +160,13 @@ def _assemble(wa, wb, filter, strong_only, cap):
     accepted: list[magic.MagicSquare] = []
 
     def admit(arrangement: tuple[tuple[int, ...], ...]) -> None:
+        if strong_only and not magic._is_strong(arrangement):
+            return
         key = tuple(sorted(arrangement))
         if key in seen:
             return
         seen.add(key)
         canonical = canonicalize(key, wb)
-        if strong_only and not magic._is_strong(canonical):
-            return
         ms = magic.MagicSquare._trusted(canonical, wa, wb)
         if (filter != "any" and magic.classify(ms).classification
                 not in FILTERS[filter]):

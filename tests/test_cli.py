@@ -961,6 +961,7 @@ GOLDEN_ARGV = (
     + [["catalog", "verify"], ["catalog", "show", "42"]]
     + BENCHMARK_SEARCHES
     + [["search", "--wa", "1,1,1;12", "--filter", "almost", "--strong"],
+       ["search", "--wa", "2,3,4,5;20", "--strong"],
        ["check", "--wa", "2,3;6", "--wb", "2,3;6", "--matrix", "3,0;1,1"],
        ["zeta", "--wa", "2,3;6", "--matrix", "x^3, y^2", "--expand", "-1"]])
 
@@ -1042,6 +1043,11 @@ GOLDEN_CLI = {
     "search --wa 1,1,1;12 --filter almost --strong": (
         0, "93bcf7d6c47d583cc3d6609d83123fe04c45eb4fd9889ef7286b91dd3e9709e7",
         "e0d79459d3d642c11f925be1820eff9323c979faafc2145e461abf48e88e4a26",
+        EMPTY),
+    # a strong search with results (38), taken at commit 230409c
+    "search --wa 2,3,4,5;20 --strong": (
+        0, "0ebab04ba910eeef71daecdd80a6bdb52e49f001bc3f6b44e2b2b03b7e0ae205",
+        "c9cdaf4c0c6371541d3d4eb8a7bc80884ded11bfb45b2bbcf986b40f492b9f12",
         EMPTY),
     "check --wa 2,3;6 --wb 2,3;6 --matrix 3,0;1,1": (
         1, EMPTY,

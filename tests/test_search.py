@@ -178,6 +178,29 @@ class TestRowPlan:
         assert calls == []
         assert enumerate_rows.cache_info().misses == 0
 
+    @pytest.mark.parametrize("wa,wb", [
+        ("1,3,5;10", "4,10,13;30"),  # h = 10, k = 30: squares, none primitive
+        ("2,3,4;6", "1,1,1;2"),      # h = 6, k = 2: one square
+    ])
+    def test_primitive_search_with_h_not_k_enumerates_no_rows(
+            self, monkeypatch, wa, wb):
+        # primitive means |det C| = h = k, so no square is kept
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return enumerate_rows(w)
+
+        monkeypatch.setattr(search, "enumerate_rows", counting)
+        wa, wb = parse_weight_system(wa), parse_weight_system(wb)
+        assert find_magic_squares(wa, wb)
+        calls.clear()
+        for strong_only in (False, True):
+            assert find_magic_squares(wa, wb, filter="primitive",
+                                      strong_only=strong_only) == []
+            assert unpruned_search(wa, wb, "primitive", strong_only) == []
+        assert calls == []
+
     def test_equal_last_rows_are_kept(self):
         # the last two rows are equal and b_(n-1) = b_n: the solved last
         # row may repeat the row placed before it
@@ -383,9 +406,9 @@ class TestPackedKernel:
 
 
 def test_strong_filter_classifies_only_the_strong_squares(monkeypatch):
-    # strongness is read off the entries after canonicalize, which still
-    # sees every multiset, and before det C is expanded: of 712 multisets
-    # 30 are strong, and none of those is primitive
+    # strongness is read off each arrangement before it is sorted, so
+    # canonicalize sees only the 30 strong multisets of the 712, and det C
+    # is expanded only for those; none of them is primitive
     classified, canonicalized = [], []
     classify, canonicalize = search.magic.classify, search.canonicalize
 
@@ -402,8 +425,24 @@ def test_strong_filter_classifies_only_the_strong_squares(monkeypatch):
     w = parse_weight_system("1,1,1;12")
     assert find_magic_squares(w, w, filter="primitive",
                               strong_only=True) == []
-    assert (len(classified), len(canonicalized)) == (30, 712)
+    assert (len(classified), len(canonicalized)) == (30, 30)
     assert all(classify(ms).strong for ms in classified)
+
+
+def test_strong_search_canonicalizes_only_its_results(monkeypatch):
+    # the prune, counted rather than timed: 1,1,1;100 has 5,151 rows, of
+    # which 300 hold a zero, and each strong multiset is one result
+    calls = []
+    canonicalize = search.canonicalize
+
+    def counting(rows, wb):
+        calls.append(rows)
+        return canonicalize(rows, wb)
+
+    monkeypatch.setattr(search, "canonicalize", counting)
+    w = parse_weight_system("1,1,1;100")
+    found = find_magic_squares(w, w, strong_only=True)
+    assert len(calls) == len(found) == 250
 
 
 class TestCapOnEqualWeights:
@@ -432,6 +471,19 @@ class TestCapOnEqualWeights:
         full = entries(find_magic_squares(self.W, self.W))
         with pytest.raises(SearchCapExceeded) as info:
             find_magic_squares(self.W, self.W, cap=cap)
+        assert entries(info.value.partial) == full[:cap]
+
+
+class TestCapOnStrongSearch:
+    W = parse_weight_system("1,1,1,1;5")
+
+    @pytest.mark.parametrize("cap", [1, 10, 906])
+    def test_partial_is_a_prefix_of_the_full_list(self, cap):
+        full = entries(find_magic_squares(self.W, self.W, strong_only=True))
+        assert len(full) == 907
+        with pytest.raises(SearchCapExceeded,
+                           match=f"more than {cap} squares couple") as info:
+            find_magic_squares(self.W, self.W, strong_only=True, cap=cap)
         assert entries(info.value.partial) == full[:cap]
 
 
@@ -467,8 +519,9 @@ def test_search_results_equal_validated_squares(query):
 
 
 #: SHA-256 of ``repr([m.entries for m in results])`` for each ladder query
-#: and the two filtered ones, taken from the search that summed column
-#: tuples before the packed kernel replaced it; never regenerated.
+#: and the filtered ones, taken from the search that summed column tuples
+#: before the packed kernel replaced it, the strong ones later as noted
+#: below; never regenerated.
 FROZEN_DIGESTS = {
     ("1,1,1;12", "1,1,1;12"):
         "ea8614513a462056faedd5ff320dee80f3e275824d1f43855ad0961be77025d9",
@@ -486,6 +539,19 @@ FROZEN_DIGESTS = {
         "179b1c61ea44370e6435907ab8708c801f0f1f3b15d00773e2dfb7543df2ee8f",
     ("1,1,1,1;4", "1,1,1,1;4", "almost_primitive", True):
         "cc3338162104d37c865e7e96991a8352c9dc97531f5846010b0b892655a26496",
+    # strong searches, taken at commit 230409c, while a strong search
+    # still built and canonicalized every square before dropping the
+    # ones that are not strong: 30, 50, 150, 907 and 38 results
+    ("1,1,1;12", "1,1,1;12", "any", True):
+        "ec03feff9cdd0171ed40d6f0687550ac51a76c66e805f85a7653ba58c97c40fb",
+    ("1,1,1;20", "1,1,1;20", "any", True):
+        "70e8610d46b87b9db57ba6f6d1c0d08dfd1de9902507bf42a1cad17796ba2b84",
+    ("1,1,1;60", "1,1,1;60", "any", True):
+        "5c29f40aed7a8e460fb14f282f20c0fe6cd6412f2cbf8899e2d798eaf324ba58",
+    ("1,1,1,1;5", "1,1,1,1;5", "any", True):
+        "0b385af2d0f53a8e753c9e605637462d9f7e267c541c00b91db9e6d0b9be5e50",
+    ("2,3,4,5;20", "2,3,4,5;20", "any", True):
+        "35443c653a361abe93ceaba50670d57e021fc965851d90cee99b6a39a81db46b",
 }
 
 
