@@ -202,14 +202,14 @@ def _brute_force_squares(pairs, wb: WeightSystem):
 def check_search(catalog: Catalog, reports: Reports) -> Outcome:
     """Pinned searches, catalog completeness, and n=2 brute-force parity."""
     failures = []
+    find = search.find_magic_squares  # once per run, as a tracer wraps it
 
     w6 = WeightSystem((2, 3), 6)
-    pinned = search.find_magic_squares(w6, w6, filter="primitive",
-                                       strong_only=True)
+    pinned = find(w6, w6, filter="primitive", strong_only=True)
     if [m.entries for m in pinned] != [((3, 0), (0, 2))]:
         failures.append(f"(2,3;6) self-search returned {pinned}")
     w42 = WeightSystem((6, 14, 21), 42)
-    pinned = search.find_magic_squares(w42, w42)
+    pinned = find(w42, w42)
     if [m.entries for m in pinned] != [((7, 0, 0), (0, 3, 0), (0, 0, 2))]:
         failures.append(f"(6,14,21;42) self-search returned {pinned}")
 
@@ -220,7 +220,7 @@ def check_search(catalog: Catalog, reports: Reports) -> Outcome:
             continue
         pair = (entry.weights, entry.partner_weights)
         if pair not in searches:
-            searches[pair] = search.find_magic_squares(*pair)
+            searches[pair] = find(*pair)
         if not any(sorted(m.entries) == sorted(entry.square.entries)
                    for m in searches[pair]):
             failures.append(f"{entry.label} not rediscovered")
@@ -230,10 +230,10 @@ def check_search(catalog: Catalog, reports: Reports) -> Outcome:
         pairs = _column_pairs(_brute_force_rows(wa))
         for wb in systems:
             brute = _brute_force_squares(pairs, wb)
-            found = search.find_magic_squares(wa, wb)
+            found = find(wa, wb)
             if not (brute or found):
                 # an empty oracle, matched: the strong search must find none
-                if search.find_magic_squares(wa, wb, strong_only=True):
+                if find(wa, wb, strong_only=True):
                     failures.append(f"strong-filter mismatch for {wa} x {wb}")
                 continue
             if {tuple(sorted(m.entries)) for m in found} != brute.keys():
@@ -243,7 +243,7 @@ def check_search(catalog: Catalog, reports: Reports) -> Outcome:
                 if m.entries != max(brute[tuple(sorted(m.entries))]):
                     failures.append(
                         f"non-canonical arrangement for {wa} x {wb}")
-            strong = search.find_magic_squares(wa, wb, strong_only=True)
+            strong = find(wa, wb, strong_only=True)
             brute_strong = {
                 key for key, arrs in brute.items()
                 if any(all(0 in row for row in arr)

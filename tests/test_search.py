@@ -14,9 +14,9 @@ from weightmagic import (MagicSquare, SearchCapExceeded,
                          ValidationError, WeightSystem, canonicalize,
                          classify, find_magic_squares, parse_weight_system,
                          search, validate)
-from weightmagic.search import _columns_valid, enumerate_rows
+from weightmagic.search import FILTERS, _columns_valid, enumerate_rows
 
-from support import coupled_pairs
+from support import coupled_pairs, reference_refusal
 
 W10 = parse_weight_system("1,3,5;10")
 W30 = parse_weight_system("4,10,13;30")
@@ -37,6 +37,25 @@ class TestSearchQuery:
             find_magic_squares(w, w, filter="any", strong_only=False,
                                cap=10**6)) == [
             ((2, 0), (0, 2)), ((1, 1), (1, 1))]
+
+
+def parse_system(text):
+    """A weight system written ``a1,...,an;h``, a zero weight allowed."""
+    weights, degree = text.split(";")
+    return WeightSystem(tuple(map(int, weights.split(","))), int(degree))
+
+
+class FilterName(str):
+    """A filter name of a str subclass, which the search accepts."""
+
+
+#: Pairs for the guard's property test: two that couple, one whose wa
+#: has no row, one whose rows hold no zero, one failing k * a0 = h * b0,
+#: a zero weight on either side and unequal sizes.
+GUARDED_PAIRS = [("1,1;2", "1,1;2"), ("1,1,1;3", "1,2,2;5"),
+                 ("2,4;5", "3,3;5"), ("2,3;5", "2,3;5"), ("1,2;4", "1,1;3"),
+                 ("1,0;3", "1,1;3"), ("1,2;4", "1,0;3"),
+                 ("1,2;4", "1,1,1;3")]
 
 
 class TestRefusals:
@@ -89,6 +108,73 @@ class TestRefusals:
         assert str(raised.value) == (
             "filter must be one of ('any', 'almost_primitive', 'primitive'), "
             f"got {name!r}")
+
+
+    def test_str_subclass_filter_is_accepted(self):
+        # the one guard takes a str subclass as the ordered checks do
+        class Name(str):
+            pass
+
+        w = parse_weight_system("1,1;2")
+        for name in FILTERS:
+            assert entries(find_magic_squares(w, w, filter=Name(name))) == (
+                entries(find_magic_squares(w, w, filter=name)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from(GUARDED_PAIRS).map(
+                         lambda pair: tuple(map(parse_system, pair))),
+                     coupled_pairs()),
+           st.sampled_from(["any", "almost_primitive", "primitive",
+                            FilterName("any"), FilterName("primitive"),
+                            FilterName("strict"), "strict", 1, None,
+                            ["any"]]),
+           st.sampled_from([False, True, 0, 1, None]),
+           st.one_of(st.integers(-2, 4), st.just(10**6), st.booleans(),
+                     st.sampled_from([2.0, 2.5, "10"])))
+    def test_guard_refuses_exactly_as_the_ordered_checks(
+            self, pair, filter, strong_only, cap):
+        wa, wb = pair
+        options = {"filter": filter, "strong_only": strong_only, "cap": cap}
+        message = reference_refusal(wa, wb, filter, strong_only, cap)
+        if message is not None:
+            with pytest.raises(ValidationError) as raised:
+                find_magic_squares(wa, wb, **options)
+            assert str(raised.value) == message
+            return
+        full = unpruned_search(wa, wb, filter, strong_only)
+        if len(full) > cap:
+            with pytest.raises(SearchCapExceeded) as capped:
+                find_magic_squares(wa, wb, **options)
+            assert entries(capped.value.partial) == full[:cap]
+        else:
+            assert entries(find_magic_squares(wa, wb, **options)) == full
+
+
+class TestEmptyRowExit:
+    # A search with no row to place returns [] before any packing: wa has
+    # no row, or a strong search has no row that holds a zero.  Each pair
+    # passes k * a0 = h * b0 and h = k, so no earlier exit returns first.
+    @pytest.mark.parametrize("wa,wb,placed", [
+        ("2,4;5", "2,4;5", 0),      # 2 c1 + 4 c2 is even
+        ("2,4;5", "3,3;5", 0),
+        ("2,2,4;5", "2,2,4;5", 0),
+        ("2,3;5", "2,3;5", 1),      # one row, (1, 1), with no zero
+        ("3,5;8", "3,5;8", 1),
+    ])
+    @pytest.mark.parametrize("filter", list(FILTERS))
+    @pytest.mark.parametrize("strong_only", [False, True])
+    def test_matches_the_unpruned_search(self, wa, wb, placed, filter,
+                                         strong_only):
+        wa, wb = parse_system(wa), parse_system(wb)
+        assert wb.degree * wa.a0 == wa.degree * wb.a0
+        assert wa.degree == wb.degree
+        rows = enumerate_rows(wa)
+        assert len(rows) == placed and all(0 not in row for row in rows)
+        assert entries(find_magic_squares(
+            wa, wb, filter=filter, strong_only=strong_only)) == (
+            unpruned_search(wa, wb, filter, strong_only))
+        if strong_only or not placed:
+            assert unpruned_search(wa, wb, filter, strong_only) == []
 
 
 class TestEnumerateRows:
