@@ -84,13 +84,13 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
     than ``cap`` results raise SearchCapExceeded.  An unknown filter, a
     zero weight, unequal sizes, a cap that is not an int or is below 1
     and a non-bool ``strong_only`` are refused with ValidationError, in
-    that order and before any other work; valid arguments pass one guard.
+    that order and before any other work.
 
     A pair with k * a0 != h * b0 has no square and returns [] before
     any rows are enumerated: b^T C a is h (k - b0) by the row relation
     C a = h 1 and k (h - a0) by the column relation b^T C = k 1.  So
-    does a primitive search with h != k, as primitive means |det C| = h = k,
-    and one with no row to place (wa has none, or a strong search none
+    does a primitive search with h != k, as primitive means |det C| = h = k.
+    A search with no row to place (wa has none, or a strong search none
     holding a zero) returns [] before any packing.
 
     Rows come from :func:`enumerate_rows` and are placed depth-first in
@@ -124,19 +124,6 @@ def find_magic_squares(wa: WeightSystem, wb: WeightSystem, *,
     Exceeding the result cap raises SearchCapExceeded carrying the results
     collected so far, a prefix of the full list.
     """
-    if not (isinstance(filter, str) and filter in FILTERS and type(cap) is int
-            and cap >= 1 and type(strong_only) is bool and 0 not in wa.weights
-            and 0 not in wb.weights and len(wa.weights) == len(wb.weights)):
-        _refuse(wa, wb, filter, strong_only, cap)
-    if (wb.degree * wa.a0 != wa.degree * wb.a0
-            or filter == "primitive" and wa.degree != wb.degree):
-        return []
-    return _assemble(wa, wb, filter, strong_only, cap)
-
-
-def _refuse(wa, wb, filter, strong_only, cap) -> None:
-    """Raise the first refusal of find_magic_squares' arguments, checked
-    one at a time in their documented order; called when one is due."""
     if not isinstance(filter, str) or filter not in FILTERS:
         raise ValidationError(
             f"filter must be one of {tuple(FILTERS)}, got {filter!r}")
@@ -152,6 +139,10 @@ def _refuse(wa, wb, filter, strong_only, cap) -> None:
     if type(strong_only) is not bool:
         raise ValidationError(
             f"strong_only must be a bool, got {strong_only!r}")
+    if (wb.degree * wa.a0 != wa.degree * wb.a0
+            or filter == "primitive" and wa.degree != wb.degree):
+        return []
+    return _assemble(wa, wb, filter, strong_only, cap)
 
 
 def _assemble(wa, wb, filter, strong_only, cap):

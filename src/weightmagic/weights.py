@@ -40,9 +40,9 @@ class _Value:
     pass those checks without running them.  A value with an instance
     dict keeps facts computed from it (``_kept``).  ``__eq__`` (within one
     class), ``__hash__`` and ``__repr__`` read the fields and nothing
-    else, such as ``WeightSystem.a0`` or the kept facts; the hash is kept,
-    but not pickled.  Assignment and deletion raise AttributeError, so a
-    changed value is built again through its constructor.
+    else, such as ``WeightSystem.a0`` or the kept facts.  Assignment and
+    deletion raise AttributeError, so a changed value is built again
+    through its constructor.
     """
 
     __slots__ = ()
@@ -116,14 +116,7 @@ class _Value:
         return NotImplemented
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:  # the first call; kept as __init__ keeps fields
-            object.__setattr__(self, "_hash", hash(type(self)._values(self)))
-        return self._hash
-
-    def __getstate__(self):  # a str's hash differs in another process
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return hash(type(self)._values(self))
 
     def __repr__(self):
         return self._repr % type(self)._values(self)

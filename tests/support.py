@@ -13,8 +13,6 @@ solution by the lcm of its denominators.  ``SEARCHED`` and
 compared with their Fraction references.
 ``brute_force_squares`` is the plain ``product`` form of criterion 8's
 n=2 oracle, the reference its per-row-system form is compared with.
-``reference_refusal`` checks ``find_magic_squares``' arguments one at a
-time in their documented order, the reference for its one guard.
 ``coupled_pairs`` draws weight pairs that squares may couple.
 ``reference_monomials`` writes exponent rows in the monomial notation
 from its definition, the reference ``format_monomial_matrix`` is
@@ -33,7 +31,7 @@ from hypothesis import strategies as st
 from weightmagic import (SingularMatrixError, WeightMagicError, WeightSystem,
                          find_magic_squares, load_catalog, parse_weight_system,
                          validate)
-from weightmagic.search import FILTERS, enumerate_rows
+from weightmagic.search import enumerate_rows
 
 
 def outcome(f, *args):
@@ -121,24 +119,6 @@ def brute_force_squares(rows, wb):
             key = tuple(sorted((r1, r2)))
             arrangements.setdefault(key, set()).add((r1, r2))
     return arrangements
-
-
-def reference_refusal(wa, wb, filter, strong_only, cap):
-    """The text of the first refusal of ``find_magic_squares``' arguments,
-    checked one at a time in their documented order, or None."""
-    if not isinstance(filter, str) or filter not in FILTERS:
-        return f"filter must be one of {tuple(FILTERS)}, got {filter!r}"
-    if 0 in wa.weights or 0 in wb.weights:
-        return "search requires strictly positive weights"
-    if len(wa.weights) != len(wb.weights):
-        return f"weight systems disagree on size: {wa.n} vs {wb.n}"
-    if type(cap) is not int:
-        return f"cap must be an int, got {cap!r}"
-    if cap < 1:
-        return f"cap must be positive, got {cap}"
-    if type(strong_only) is not bool:
-        return f"strong_only must be a bool, got {strong_only!r}"
-    return None
 
 
 def search(wa: str, wb: str):

@@ -3,31 +3,25 @@
 For one instance of each of the fourteen value types: its repr, equality
 and hash read exactly its declared fields; it refuses assignment and
 deletion, and no class re-opens what the base closes; it survives
-``copy.copy`` and a pickle round trip, which leave out the hash it keeps
-(a str field hashes differently in another process); and it can be
-rebuilt from its fields by position or by keyword.  Each class declares
-its fields once: a class with its own constructor takes exactly those
-fields, the record types share the base's, which refuses a wrong set of
-fields, and the base's ``_trusted`` builds the value the checked
-constructor builds.  No class has a second, public builder.  A value
-keeps a fact, or a refusal it re-raises afresh, through the base's
-``_kept``, and equality, hash and repr ignore what it keeps.
+``copy.copy`` and a pickle round trip; and it can be rebuilt from its
+fields by position or by keyword.  Each class declares its fields once:
+a class with its own constructor takes exactly those fields, the record
+types share the base's, which refuses a wrong set of fields, and the
+base's ``_trusted`` builds the value the checked constructor builds.  No
+class has a second, public builder.  A value keeps a fact, or a refusal it
+re-raises afresh, through the base's ``_kept``, and equality, hash and
+repr ignore what it keeps.
 """
 
 from __future__ import annotations
 
 import copy
 import inspect
-import os
 import pickle
-import subprocess
-import sys
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 
-import weightmagic
 from weightmagic import (CatalogEntry, CouplingReport, CriterionResult,
                          CyclotomicProduct, FuchsExpected, FuchsRow,
                          InverseData, LatticeInvariants, MagicSquare,
@@ -241,36 +235,6 @@ def test_the_constructor_is_the_only_public_builder(name):
               in vars(klass).items()
               if isinstance(member, classmethod) and not attr.startswith("_")]
     assert public == []
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_the_hash_is_kept_and_not_copied(name):
-    value = BUILDERS[name]()
-    assert hash(value) == hash(value) == vars(value)["_hash"]
-    for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
-        assert "_hash" not in vars(twin) and hash(twin) == hash(value)
-
-
-def test_a_kept_hash_does_not_travel_to_another_process():
-    # str hashes are salted per process: a value hashed here and unpickled
-    # under another PYTHONHASHSEED must hash as a fresh equal value does
-    value = BUILDERS["CriterionResult"]()
-    hash(value)
-    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-    code = ("import pickle, sys\n"
-            "from weightmagic import CriterionResult\n"
-            "value = pickle.loads(sys.stdin.buffer.read())\n"
-            "fresh = CriterionResult(1, 'table fidelity', True,\n"
-            "                        '120 matrices validated')\n"
-            "assert hash('table fidelity') != int(sys.argv[1])\n"
-            "assert value in {fresh} and fresh in {value}\n")
-    src = str(Path(weightmagic.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(hash("table fidelity"))],
-        input=pickle.dumps(value), capture_output=True,
-        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
-    assert proc.returncode == 0, proc.stderr.decode()
 
 
 @pytest.mark.parametrize("name", RECORDS)
