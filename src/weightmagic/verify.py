@@ -17,11 +17,13 @@ span entries live here: the 14 unimodular ``T2`` rows, the frozen
 non-strong ``T4`` set, the Fuchsian partner discriminants, polar duals,
 search, the property sweep and the elliptic polynomials.  The search
 check's n=2 sweep compares two searches of each ordered pair of 287
-systems with an oracle that pairs each row system's rows once.
+systems with an oracle table built once per run, which tests each row
+pair once against an index of the systems that hold its columns.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import gcd
 
 from . import magic, polytope, search, zeta
@@ -179,24 +181,27 @@ def _brute_force_rows(wa: WeightSystem):
             if a1 * e1 + a2 * e2 == h]
 
 
-def _column_pairs(rows):
-    """Every ordered pair (r1, r2) of the given rows, r1 outer and r2
-    inner as ``product(rows, repeat=2)`` yields them, with its columns."""
-    return [((r1, r2), tuple(zip(r1, r2))) for r1 in rows for r2 in rows]
-
-
-def _brute_force_squares(pairs, wb: WeightSystem):
-    """Check both columns of every given row pair against ``wb``.
-
-    Returns the set of row multisets and, per multiset, every valid
-    arrangement; independent of the search module's enumeration order.
-    """
-    (b1, b2), k = wb.weights, wb.degree
-    arrangements: dict[tuple, set[tuple]] = {}
-    for arr, ((x1, y1), (x2, y2)) in pairs:
-        if b1 * x1 + b2 * y1 == k and b1 * x2 + b2 * y2 == k:
-            arrangements.setdefault(tuple(sorted(arr)), set()).add(arr)
-    return arrangements
+def _brute_force_oracle(systems):
+    """Every valid arrangement of every ordered pair of ``systems``, as a
+    table ``oracle[i][j]``: row multiset -> set of arrangements of rows of
+    ``systems[i]`` whose columns are rows of ``systems[j]``, kept only for
+    the pairs that have one.  Each ordered row pair is tested once, by
+    intersecting the systems that hold its two columns; independent of the
+    search module's enumeration order."""
+    holders: dict[tuple, set[int]] = defaultdict(set)
+    for j, wb in enumerate(systems):
+        for row in _brute_force_rows(wb):
+            holders[row].add(j)
+    oracle: list[dict[int, dict[tuple, set[tuple]]]] = []
+    for wa in systems:
+        rows, table = _brute_force_rows(wa), {}
+        for arr in [(r1, r2) for r1 in rows for r2 in rows]:
+            (x1, x2), (y1, y2) = arr
+            for j in holders[x1, y1] & holders[x2, y2]:
+                table.setdefault(j, {}).setdefault(
+                    tuple(sorted(arr)), set()).add(arr)
+        oracle.append(table)
+    return oracle
 
 
 def check_search(catalog: Catalog, reports: Reports) -> Outcome:
@@ -226,10 +231,10 @@ def check_search(catalog: Catalog, reports: Reports) -> Outcome:
             failures.append(f"{entry.label} not rediscovered")
 
     systems = _n2_systems(BRUTE_DEGREE_BOUND)
-    for wa in systems:
-        pairs = _column_pairs(_brute_force_rows(wa))
-        for wb in systems:
-            brute = _brute_force_squares(pairs, wb)
+    oracle, empty = _brute_force_oracle(systems), {}
+    for table, wa in zip(oracle, systems):
+        for j, wb in enumerate(systems):
+            brute = table.get(j, empty)
             found = find(wa, wb)
             if not (brute or found):
                 # an empty oracle, matched: the strong search must find none

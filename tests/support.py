@@ -12,7 +12,8 @@ solution by the lcm of its denominators.  ``SEARCHED`` and
 ``KERNEL_SQUARES`` are the squares on which the integer kernels are
 compared with their Fraction references.
 ``brute_force_squares`` is the plain ``product`` form of criterion 8's
-n=2 oracle, the reference its per-row-system form is compared with.
+n=2 oracle, one pair at a time, the reference its indexed table is
+compared with.
 ``coupled_pairs`` draws weight pairs that squares may couple.
 ``reference_monomials`` writes exponent rows in the monomial notation
 from its definition, the reference ``format_monomial_matrix`` is

@@ -220,17 +220,19 @@ W42 = WeightSystem((6, 14, 21), 42)
 
 
 def test_criterion_08_oracle_matches_the_product_reference():
-    # the oracle scans each row system's ordered row pairs, built once; on
-    # every pair it must return what checking product(rows, repeat=2)
-    # returns, arrangements included
+    # the oracle tests each row system's ordered row pairs once, against
+    # the systems that hold both columns; on every ordered pair it must
+    # return what checking product(rows, repeat=2) returns, arrangements
+    # included
     systems = verify._n2_systems(verify.BRUTE_DEGREE_BOUND)
-    rowless = with_square = multisets = 0
-    for wa in systems:
+    oracle = verify._brute_force_oracle(systems)
+    rowless = with_square = multisets = row_pairs = 0
+    for table, wa in zip(oracle, systems):
         rows = verify._brute_force_rows(wa)
         rowless += not rows
-        pairs = verify._column_pairs(rows)
-        for wb in systems:
-            brute = verify._brute_force_squares(pairs, wb)
+        row_pairs += len(rows) ** 2
+        for j, wb in enumerate(systems):
+            brute = table.get(j, {})
             assert brute == brute_force_squares(rows, wb), (wa, wb)
             with_square += bool(brute)
             multisets += len(brute)
@@ -238,6 +240,9 @@ def test_criterion_08_oracle_matches_the_product_reference():
     # split into row pairs built once per row system
     assert (len(systems), rowless, with_square, multisets) == \
         (287, 111, 632, 702)
+    # counted at commit 0ccf6ea as the summed lengths of _column_pairs'
+    # lists, the row pairs the per-pair oracle then built once per system
+    assert row_pairs == 1521
 
 
 def _drop_entry(found, wa, wb, options, entry):
@@ -289,6 +294,16 @@ def test_criterion_08_reports_a_wrong_search(monkeypatch, catalog, tamper,
     monkeypatch.setattr(verify.search, "find_magic_squares", tampered)
     _, reported, _ = verify.check_search(catalog, ())
     assert reported == [f.format(entry=entry) for f in failures]
+
+
+def test_criterion_08_reports_a_wrong_oracle(monkeypatch, catalog):
+    # an oracle whose row scan misses the row (2, 0) of 1,1;2, both as a
+    # row of 1,1;2 and as a column it holds, disagrees with the searches
+    real = verify._brute_force_rows
+    monkeypatch.setattr(verify, "_brute_force_rows",
+                        lambda w: real(w)[:-1] if w == W11 else real(w))
+    _, reported, _ = verify.check_search(catalog, ())
+    assert reported == ["brute-force mismatch for 1,1;2 x 1,1;2"]
 
 
 def _changed(label, field, change):

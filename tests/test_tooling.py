@@ -1,7 +1,8 @@
 """The test configuration in ``pyproject.toml``: a failing property test
 is reported as a failure, and the tests after it still run.  And the
 checker of CI's traced-run gates, ``tools/traced_gates.py``, fails every
-run that breaks a gate."""
+run that breaks a gate, and each mutant of ``tools/mutants.py`` still
+applies to the code."""
 
 from __future__ import annotations
 
@@ -44,15 +45,16 @@ def test_failing_property_test_does_not_abort_the_session(tmp_path):
     assert "1 failed, 1 passed" in proc.stdout
 
 
-def _load_traced_gates():
+def _load_tool(name):
     spec = importlib.util.spec_from_file_location(
-        "traced_gates", ROOT / "tools" / "traced_gates.py")
+        name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-traced_gates = _load_traced_gates()
+traced_gates = _load_tool("traced_gates")
+mutants = _load_tool("mutants")
 WORKLOADS = ["search", "cli", "analyze", "verify"]
 
 
@@ -98,3 +100,12 @@ def test_traced_gates_fail_each_count_off_by_one_or_missing(workload):
         del doc["metrics"][name]
         assert traced_gates.check(doc, want) == [
             f"{name} is missing, expected {count}"]
+
+
+def test_each_mutant_changes_its_file_in_one_place():
+    # the mutation check refuses a mutant whose text its file does not
+    # hold exactly once; an edit to the code that moves such a text shows
+    # here, in tier-1, and not only in CI's mutation step
+    for name, file, old, new, tests in mutants.MUTANTS:
+        assert old != new and tests, name
+        assert (ROOT / file).read_text().count(old) == 1, name
