@@ -3,11 +3,12 @@
 Verbs: ``reduce``, ``check``, ``search``, ``zeta``, ``invariants``,
 ``polar`` and ``catalog`` (with subcommands ``verify``, ``list``,
 ``show``).  Every verb supports ``--format human|json``; structured mode
-prints one JSON document, byte for byte as the standard library's
-``json`` module writes it with ``dumps(document, indent=2)``; ``check``
-and ``search`` write a square from one template, to the same bytes.
-Each verb's handler returns its exit code, its document and its human
-lines, and ``main`` alone prints the one the format asks for.
+prints one JSON document, ``json.dumps(document, indent=2)``.  Only a
+square's body, in ``check`` and in each ``search`` result, comes from
+one template, written to the same bytes.  Each verb's handler returns
+its exit code, its document (for those two verbs a function that writes
+it) and its human lines, and ``main`` alone prints the one the format
+asks for.
 
 Exit codes: 0 = success / verified, 1 = a checked claim failed,
 2 = input error (with a diagnostic on standard error).
@@ -17,9 +18,10 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import sys
 from contextlib import redirect_stdout
-from functools import cache, partial
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ValidationError, WeightMagicError
@@ -106,32 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json(value, indent: str = "\n") -> str:
-    """``value`` as ``json``'s ``dumps(value, indent=2)`` writes it; TypeError
-    unless it is a dict with str keys, a list, str, int, bool or None, or a
-    function that writes its own value given the indent it is written at."""
-    if value is None:
-        return "null"
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return repr(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if callable(value):
-        return value(indent)
-    inner = indent + "  "
-    if kind is list:
-        items = [inner + _json(item, inner) for item in value]
-        return f"[{','.join(items)}{indent}]" if items else "[]"
-    if kind is dict:
-        items = [f"{inner}{_quote(key)}: {_json(item, inner)}"
-                 for key, item in value.items()]
-        return f"{{{','.join(items)}{indent}}}" if items else "{}"
-    raise TypeError(f"cannot write {kind.__name__} as JSON")
-
-
 def _coupling(args) -> tuple[MagicSquare, dict]:
     """The square --wa/--wb/--matrix give, wb recovered if absent, and the
     head of its document: both systems and whether wb was recovered."""
@@ -170,7 +146,7 @@ def _cmd_reduce(args) -> tuple[int, dict, list[str]]:
     return 0, document, lines
 
 
-def _cmd_check(args) -> tuple[int, dict | Callable[[str], str], list[str]]:
+def _cmd_check(args) -> tuple[int, dict | Callable[[], str], list[str]]:
     from . import magic
     try:
         square, head = _coupling(args)
@@ -187,14 +163,11 @@ def _cmd_check(args) -> tuple[int, dict | Callable[[str], str], list[str]]:
         f"classification: {report.classification}",
         f"strong:         {'yes' if report.strong else 'no'}",
     ]
-
-    def document(indent: str) -> str:
-        return _square_writer({"verb": "check", "verified": True, **head},
-                              indent)(square)
-    return 0, document, lines
+    head = {"verb": "check", "verified": True, **head}
+    return 0, lambda: _square_writer(head, "\n")(square), lines
 
 
-def _cmd_search(args) -> tuple[int, dict, Iterator[str]]:
+def _cmd_search(args) -> tuple[int, Callable[[], str], Iterator[str]]:
     """Each result is written only while JSON mode writes the document."""
     from . import search
     wa = parse_weight_system(args.wa)
@@ -204,27 +177,28 @@ def _cmd_search(args) -> tuple[int, dict, Iterator[str]]:
     head = {"wa": wa_text, "wb": wb_text, "wb_recovered": False}
     squares = search.find_magic_squares(wa, wb, filter=filter_name,
                                         strong_only=args.strong)
-    document = {
-        "verb": "search",
-        "wa": wa_text,
-        "wb": wb_text,
-        "filter": filter_name,
-        "strong_only": args.strong,
-        "count": len(squares),
-        "results": partial(_square_documents, squares, head),
-    }
+
+    def document() -> str:
+        # json.dumps ends the text with the empty list's "[]\n}"; the
+        # results are written in its place
+        text = json.dumps({"verb": "search", "wa": wa_text, "wb": wb_text,
+                           "filter": filter_name, "strong_only": args.strong,
+                           "count": len(squares), "results": []}, indent=2)
+        return text[:-4] + _square_documents(squares, head, "\n  ") + "\n}"
     return 0, document, _search_lines(wa_text, wb_text, squares)
 
 
 def _square_writer(head: dict, indent: str) -> Callable[[MagicSquare], str]:
     """The function that writes a square's document, with its ``classify``
-    report, as ``_json`` writes it at ``indent``; ``head``, its first items,
-    is rendered here, once for every square the function writes, and each
-    distinct row's JSON text when first written, into a cache that lives as
-    long as the function, as the texts depend on ``indent``."""
+    report, as ``json.dumps(document, indent=2)`` writes it at ``indent``;
+    ``head``, its first items, is rendered here, once for every square the
+    function writes, and each distinct row's JSON text when first written,
+    into a cache that lives as long as the function, as the texts depend
+    on ``indent``."""
     from . import magic
     i1, i2, i3 = (indent + "  " * depth for depth in range(1, 4))
-    head = "".join(f"{i1}{_quote(k)}: {_json(v)}," for k, v in head.items())
+    head = "".join(f"{i1}{_quote(k)}: {json.dumps(v)},"
+                   for k, v in head.items())
     sep = f",{i3}"
 
     @cache  # row -> its JSON text
@@ -238,14 +212,15 @@ def _square_writer(head: dict, indent: str) -> Callable[[MagicSquare], str]:
                 f'{_quote(square.monomials())},{i1}"determinant": '
                 f'{report.determinant!r},{i1}"classification": '
                 f'{_quote(report.classification)},{i1}"strong": '
-                f'{_json(report.strong)}{indent}}}')
+                f'{"true" if report.strong else "false"}{indent}}}')
     return write
 
 
 def _square_documents(squares: list[MagicSquare], head: dict,
                       indent: str) -> str:
-    """``_json`` of the list of the squares' documents at ``indent``, all
-    written by one ``_square_writer``: each distinct row is rendered once."""
+    """The list of the squares' documents as ``json.dumps`` writes it at
+    ``indent``, all written by one ``_square_writer``: each distinct row is
+    rendered once."""
     inner = indent + "  "
     items = map(_square_writer(head, inner), squares)
     return f"[{inner}{f',{inner}'.join(items)}{indent}]" if squares else "[]"
@@ -459,9 +434,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         code, document, lines = args.run(args)
-        text = (_json(document) + "\n"
-                if getattr(args, "format", "human") == "json"
-                else "".join(f"{line}\n" for line in lines))
+        if getattr(args, "format", "human") != "json":
+            text = "".join(f"{line}\n" for line in lines)
+        else:  # check and search hand over a function that writes theirs
+            text = (document() if callable(document)
+                    else json.dumps(document, indent=2)) + "\n"
     except (WeightMagicError, ValueError, OSError) as exc:
         # readers raise their own errors, so this int was computed, not read
         if type(exc) is ValueError and "integer string conversion" in str(exc):

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -18,8 +17,7 @@ import weightmagic
 from weightmagic import (cli, find_magic_squares, magic, parse_weight_system,
                          zeta)
 from weightmagic.catalog import MAX_CATALOG_CHARS
-from weightmagic.cli import (MAX_EXPAND, MAX_EXPAND_WORK, _json, build_parser,
-                             main, run)
+from weightmagic.cli import MAX_EXPAND, MAX_EXPAND_WORK, build_parser, main, run
 
 from support import coupled_pairs
 
@@ -290,16 +288,17 @@ class TestSearch:
     def test_result_documents_are_built_only_as_json_writes_them(
             self, monkeypatch):
         # human mode writes no JSON; the JSON handler classifies no square
-        # before _json writes its 712 results
+        # before its document is written with its 712 results
         def no_json(*args):
             raise AssertionError("human mode wrote JSON")
 
-        monkeypatch.setattr(cli, "_json", no_json)
+        monkeypatch.setattr(cli, "_square_documents", no_json)
+        monkeypatch.setattr(cli.json, "dumps", no_json)
         argv = ["search", "--wa", "1,1,1;12"]
         code, out = run(argv)
         assert code == 0
         assert out.startswith("712 square(s) coupling")
-        monkeypatch.setattr(cli, "_json", _json)
+        monkeypatch.undo()
         classified = []
         classify = magic.classify
 
@@ -311,7 +310,7 @@ class TestSearch:
         args = cli._parser().parse_args(argv + ["--format", "json"])
         code, document, _ = args.run(args)
         assert (code, classified) == (0, [])
-        assert json.loads(_json(document))["count"] == len(classified) == 712
+        assert json.loads(document())["count"] == len(classified) == 712
 
     @settings(max_examples=60, deadline=None)
     @given(coupled_pairs(), st.sampled_from(sorted(cli._FILTER_NAMES)),
@@ -867,47 +866,6 @@ def test_no_verb_imports_dataclasses_inspect_typing_or_pathlib(argv, code):
     assert not loaded & {"dataclasses", "inspect", "typing", "pathlib"}
 
 
-# Strings that exercise every escape json.dumps writes: quotes, backslash,
-# control characters, non-ASCII (written as \u escapes, astral ones as a
-# surrogate pair) and lone surrogates.
-json_text = st.text(st.one_of(
-    st.characters(exclude_categories=()),
-    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u20ac\u2028'
-                    '\U0001f600\ud800\udfff')))
-json_trees = st.recursive(
-    st.none() | st.booleans() | st.integers()
-    | st.integers(max_value=-2**64) | json_text,
-    lambda children: (st.lists(children, max_size=4)
-                      | st.dictionaries(json_text, children, max_size=4)),
-    max_leaves=30)
-
-
-def as_writers(tree):
-    """``tree`` with each list a function that writes it at the indent it
-    is given, as ``search`` hands its results to the writer."""
-    if type(tree) is list:
-        items = [as_writers(item) for item in tree]
-        return lambda indent: _json(items, indent)
-    if type(tree) is dict:
-        return {key: as_writers(item) for key, item in tree.items()}
-    return tree
-
-
-@settings(max_examples=300, deadline=None)
-@given(json_trees)
-@example({"": [], "a": {}, "b": [[], {}, [[{}]]], "c": -10**40})
-def test_json_writer_matches_json_dumps_with_indent_2(tree):
-    assert _json(tree) == _json(as_writers(tree)) == json.dumps(tree, indent=2)
-
-
-@pytest.mark.parametrize("value", [
-    Fraction(1, 2), 1.5, {1, 2}, (1, 2), [1, {"a": [2.0]}], {1: 2}],
-    ids=["fraction", "float", "set", "tuple", "nested-float", "int-key"])
-def test_json_writer_refuses_other_types(value):
-    with pytest.raises(TypeError):
-        _json(value)
-
-
 #: The benchmark's five search queries; s3-empty and s3-filtered find
 #: no square, so their documents hold an empty result list.
 BENCHMARK_SEARCHES = [
@@ -939,6 +897,10 @@ CHILD_JSON_ARGV = BENCHMARK_SEARCHES + [
     *(pytest.param(argv, 0, True, id=f"child {' '.join(argv)}")
       for argv in CHILD_JSON_ARGV)])
 def test_json_output_is_the_stdlib_rendering(argv, code, in_child):
+    # json.dumps prints floats, NaN and infinities; no document holds one
+    def no_float(text):
+        raise AssertionError(f"a document holds the float {text}")
+
     if in_child:
         # python -m weightmagic's stdout bytes: ASCII, with no newline
         # translated, as json.dumps writes them
@@ -951,7 +913,9 @@ def test_json_output_is_the_stdlib_rendering(argv, code, in_child):
     if code == 2:
         assert out == ""
     else:
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        document = json.loads(out, parse_float=no_float,
+                              parse_constant=no_float)
+        assert out == json.dumps(document, indent=2) + "\n"
 
 
 #: Every argv the golden test runs: the benchmark's CLI cases and search

@@ -35,6 +35,9 @@ ORACLE_TESTS = (
     f"{ACCEPTANCE}::test_criterion_08_oracle_matches_the_product_reference",
     f"{ACCEPTANCE}::test_criterion_08_search_completeness",
 )
+CLI = "src/weightmagic/cli.py"
+ROW_TEXTS_TEST = ("tests/test_cli.py::TestSearch"
+                  "::test_row_texts_are_kept_for_one_document_only")
 
 #: (name, file, old text, new text, tests of which one at least must fail)
 MUTANTS = (
@@ -53,16 +56,13 @@ MUTANTS = (
      ORACLE_TESTS),
     ("an empty oracle is taken as matched whatever the search found",
      VERIFY,
-     "if not (brute or found):",
+     "if not (brute or found or strong):",
      "if not brute:",
      (f"{ACCEPTANCE}::test_criterion_08_reports_a_wrong_search"
       "[empty-oracle-any]",)),
     ("an empty oracle skips its strong search", VERIFY,
-     "                if find(wa, wb, strong_only=True):\n"
-     "                    failures.append(f\"strong-filter mismatch for "
-     "{wa} x {wb}\")\n"
-     "                continue\n",
-     "                continue\n",
+     "if not (brute or found or strong):",
+     "if not (brute or found):",
      (f"{ACCEPTANCE}::test_criterion_08_reports_a_wrong_search"
       "[empty-oracle-strong]",)),
     ("a strong search keeps the squares that are not strong",
@@ -83,6 +83,26 @@ MUTANTS = (
      "f.read(MAX_CATALOG_CHARS)",
      ("tests/test_cli.py::TestCatalog"
       "::test_catalog_longer_than_the_limit_exits_2",)),
+    ("the square template writes one extra space after \"strong\":", CLI,
+     "{i1}\"strong\": '",
+     "{i1}\"strong\":  '",
+     (ROW_TEXTS_TEST,)),
+    ("a square's row texts are kept past their document, keyed by row "
+     "alone", CLI,
+     "    @cache  # row -> its JSON text\n"
+     "    def row_text(row) -> str:\n"
+     "        return f\"{i2}[{i3}{sep.join(map(repr, row))}{i2}]\"\n",
+     "    kept = globals().setdefault(\"_row_texts\", {})\n\n"
+     "    def row_text(row) -> str:\n"
+     "        if row not in kept:\n"
+     "            kept[row] = f\"{i2}[{i3}{sep.join(map(repr, row))}{i2}]\"\n"
+     "        return kept[row]\n",
+     (ROW_TEXTS_TEST,)),
+    ("search keeps one character of the empty list it writes its results "
+     "over", CLI,
+     "text[:-4] + _square_documents(",
+     "text[:-3] + _square_documents(",
+     ("tests/test_cli.py::TestSearch::test_json_counts_all_squares",)),
 )
 
 
